@@ -41,6 +41,10 @@ class CliError(Exception):
         self.code = code
         self.payload = payload
 
+    def __reduce__(self):
+        # rebuilt from (code, payload), so a worker pool can return it
+        return type(self), (self.code, self.payload)
+
 
 def _parse_rational(s) -> Fraction:
     if isinstance(s, int):
@@ -285,9 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if "GK_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["GK_SEED"])
     try:
+        if "GK_SEED" in os.environ and hasattr(args, "seed"):
+            try:
+                args.seed = int(os.environ["GK_SEED"])
+            except ValueError as ex:
+                raise CliError(1, {"error": "bad_seed", "detail": str(ex)})
         return args.fn(args)
     except CliError as ex:
         _emit(ex.payload)

@@ -175,14 +175,6 @@ def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bo
     return True
 
 
-def lex_ge(a, b) -> bool:
-    """Left-to-right lexicographic order on equal-length integer sequences."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("lexicographic comparison needs equal lengths")
-    return a >= b
-
-
 def random_unimodular(
     n: int,
     ctx: PrimeContext,

@@ -20,7 +20,7 @@ from .forms import (
 )
 from .involutions import GKType, blocks
 from .padic import QuadExtKind, hilbert_symbol, quad_ext, valuation, xi_code, zpow
-from .reducer import ReductionCertificate, ReductionError, is_reduced, reduce_form
+from .reducer import ReductionError, is_reduced, reduce_form
 
 
 def gk(form: HalfIntegralForm, budget: int = 100_000) -> tuple[int, ...]:
@@ -34,10 +34,6 @@ def gk(form: HalfIntegralForm, budget: int = 100_000) -> tuple[int, ...]:
     return cert.exps
 
 
-def gk_certificate(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCertificate:
-    return reduce_form(form, budget)
-
-
 def xi(form: HalfIntegralForm) -> int:
     """Split/inert/ramified indicator of the signed discriminant.  Defined for
     all sizes; downstream block invariants only consume it in even size."""
@@ -46,8 +42,8 @@ def xi(form: HalfIntegralForm) -> int:
     return xi_code(signed_disc(form), form.ctx)
 
 
-def _field_diagonal(entries, ctx) -> list[Fraction]:
-    a = [list(row) for row in entries]
+def _field_diagonal(entries) -> list[Fraction]:
+    a = linalg.rows(entries)
     n = len(a)
     out: list[Fraction] = []
     for k in range(n):
@@ -60,24 +56,12 @@ def _field_diagonal(entries, ctx) -> list[Fraction]:
                     for j in range(i + 1, n)
                     if a[i][j] != 0
                 )
-                for t in range(n):  # e_i += e_j exposes a nonzero diagonal
-                    a[i][t] += a[j][t]
-                for t in range(n):
-                    a[t][i] += a[t][j]
+                linalg.shear(a, j, i, 1)  # e_i += e_j exposes a nonzero diagonal
                 piv = i
             if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                for t in range(n):
-                    a[t][k], a[t][piv] = a[t][piv], a[t][k]
-        d = a[k][k]
-        out.append(d)
-        for i in range(k + 1, n):
-            f = a[k][i] / d
-            if f:
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
+                linalg.swap(a, k, piv)
+        out.append(a[k][k])
+        linalg.eliminate(a, k)
     return out
 
 
@@ -90,7 +74,7 @@ def eta(form: HalfIntegralForm) -> int:
     if n == 0:
         return 1
     ctx = form.ctx
-    d = _field_diagonal(form.entries, ctx)
+    d = _field_diagonal(form.entries)
     val = zpow(hilbert_symbol(-1, -1, ctx), (n + 1) // 4)
     val *= zpow(hilbert_symbol(-1, form.det, ctx), (n - 1) // 2)
     for i in range(n):

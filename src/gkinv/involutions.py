@@ -285,7 +285,3 @@ def all_involutions(n: int) -> list[Involution]:
 
     rec(list(range(n)), list(range(n)))
     return out
-
-
-def sigma_to_cycles(sigma: Involution) -> list[tuple[int, int]]:
-    return [(i, sigma[i]) for i in range(len(sigma)) if i < sigma[i]]

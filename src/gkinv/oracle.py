@@ -9,6 +9,7 @@ cross-check the fast ones.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,11 +85,7 @@ def hilbert_brute(a, b, ctx: PrimeContext, n: int | None = None) -> int:
 def _int_matrix(form: HalfIntegralForm) -> tuple[list[list[int]], int]:
     """Doubled entries scaled integral by a prime-to-p denominator; entry
     orders match ord(2 b_ij), diagonal orders are off by e."""
-    dens = [x.denominator for row in form.entries for x in row]
-    lcm = 1
-    for d in dens:
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
+    lcm = math.lcm(*(x.denominator for row in form.entries for x in row))
     while lcm % form.ctx.p == 0:  # denominators never carry p beyond the 2
         lcm //= form.ctx.p
     scale = 2 * lcm
@@ -102,12 +99,6 @@ def _int_matrix(form: HalfIntegralForm) -> tuple[list[list[int]], int]:
             out.append(v.numerator)
         c.append(out)
     return c, scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _iord(x: int, p: int):

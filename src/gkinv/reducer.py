@@ -150,35 +150,29 @@ def complete_square(
 
 
 def _clear_matrix(
-    m: Matrix, exps, sigma, ctx: PrimeContext
-) -> tuple[Matrix, Matrix] | None:
+    m: linalg.Rows, u: linalg.Rows, exps, sigma, ctx: PrimeContext
+) -> bool:
     """Zero the cross rows of the reduced prefix against the tail, skipping
-    fixed-point rows.  Returns (U, cleared) or None when the solve leaves
-    the integers (such a prefix cannot extend)."""
-    n = len(m)
+    fixed-point rows: each tail column loses X times the paired prefix
+    columns, X = A^-1 C, and the rows follow.  Updates m and u in place;
+    returns False, with both untouched, when X leaves the integers (such a
+    prefix cannot extend)."""
     k = len(exps)
     paired = [i for i in range(k) if sigma[i] != i]
-    tail = list(range(k, n))
+    tail = range(k, len(m))
     if not paired or not tail:
-        return linalg.identity(n), m
-    a = linalg.submatrix(m, paired, paired)
-    c = linalg.submatrix(m, paired, tail)
-    x_paired = linalg.matmul(linalg.inverse(a), c)
-    rows = []
-    for i in range(n):
-        if i in paired:
-            xr = x_paired[paired.index(i)]
-            if any(valuation(x, ctx) < 0 for x in xr):
-                return None
-            rows.append(tuple(-x for x in xr))
-        else:
-            rows.append((Fraction(0),) * len(tail))
-    u = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for t, j in enumerate(tail):
-            u[i][j] = rows[i][t] if i < k else u[i][j]
-    u = linalg.mat(u)
-    return u, linalg.congruence(m, u)
+        return True
+    x = linalg.solve(
+        linalg.submatrix(m, paired, paired), linalg.submatrix(m, paired, tail)
+    )
+    if any(valuation(v, ctx) < 0 for row in x for v in row):
+        return False
+    # the shears run from prefix to tail coordinates, so they commute
+    for i, row in zip(paired, x):
+        for j, v in zip(tail, row):
+            if v:
+                linalg.shear(m, i, j, -v, u)
+    return True
 
 
 def clear_rows(
@@ -193,14 +187,13 @@ def clear_rows(
         raise FormError("leading block is degenerate")
     if not is_reduced(lead, gk_type):
         raise FormError("leading block is not reduced for the given type")
-    res = _clear_matrix(form.entries, gk_type.exps, gk_type.sigma, form.ctx)
-    if res is None:
+    cleared, u = linalg.rows(form.entries), linalg.rows(linalg.identity(form.n))
+    if not _clear_matrix(cleared, u, gk_type.exps, gk_type.sigma, form.ctx):
         raise ReductionError("clearing transform is not integral")
-    u, cleared = res
-    return u, validate_form(cleared, form.ctx)
+    return linalg.mat(u), validate_form(cleared, form.ctx)
 
 
-def _ordb(m: Matrix, ctx: PrimeContext, i: int, j: int):
+def _ordb(m, ctx: PrimeContext, i: int, j: int):
     if i == j:
         return valuation(m[i][i], ctx)
     return valuation(2 * m[i][j], ctx)
@@ -211,11 +204,14 @@ class _DyadicSearch:
         self.ctx = form.ctx
         self.n = form.n
         self.left = budget
-        two_b = tuple(tuple(2 * x for x in row) for row in form.entries)
-        self.det_cap = int(valuation(linalg.det(two_b), self.ctx))
+        # ord det(2B), from the determinant validation already computed
+        self.det_cap = int(valuation(Fraction(2) ** self.n * form.det, self.ctx))
 
-    def run(self, m0: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...], tuple[int, ...]]:
-        res = self._extend(m0, linalg.identity(self.n), (), ())
+    def run(self, m0: Matrix):
+        """(M, U, exps, sigma) with M = B[U] reduced, as working rows."""
+        res = self._extend(
+            linalg.rows(m0), linalg.rows(linalg.identity(self.n)), (), ()
+        )
         if res is None:
             raise ReductionError("reduction search exhausted all branches")
         return res
@@ -226,17 +222,17 @@ class _DyadicSearch:
         self.left -= 1
 
     def _extend(self, m, u, exps, sigma):
+        """Grow the reduced prefix of the working rows m, u, which this call
+        owns; each move works on its own copy, so a dead end leaves them
+        as they were."""
         k = len(exps)
         if k == self.n:
             return m, u, exps, sigma
-        cleared = _clear_matrix(m, exps, sigma, self.ctx)
-        if cleared is None:
+        if not _clear_matrix(m, u, exps, sigma, self.ctx):
             return None
-        u1, m1 = cleared
-        u1 = linalg.matmul(u, u1)
-        for move in self._moves(m1, exps, sigma):
+        for move in self._moves(m, exps, sigma):
             self._spend()
-            res = self._apply(m1, u1, exps, sigma, move)
+            res = self._apply(m, u, exps, sigma, move)
             if res is not None:
                 out = self._extend(*res)
                 if out is not None:
@@ -295,13 +291,9 @@ class _DyadicSearch:
                 )
             except (FormError, ReductionError):
                 return None
-            usu = [
-                [Fraction(1 if i == j else 0) for j in range(self.n)]
-                for i in range(self.n)
-            ]
-            usu[h][t] = sh
-            usu = linalg.mat(usu)
-            return linalg.congruence(m, usu), linalg.matmul(u, usu), exps, sigma
+            m, u = linalg.rows(m), linalg.rows(u)
+            linalg.shear(m, h, t, sh, u)
+            return m, u, exps, sigma
         if kind == 0:  # pair a prefix fixed point with tail coordinate y
             perm = self._bring_front(k, (y,))
             sigma2 = tuple(
@@ -317,11 +309,11 @@ class _DyadicSearch:
             perm = self._bring_front(k, (x,))
             sigma2 = sigma + (k,)
             exps2 = exps + (c,)
-        p = linalg.perm_matrix(perm)
-        m2 = linalg.congruence(m, p)
-        if not self._prefix_ok(m2, exps2, sigma2):
+        m, u = linalg.rows(m), linalg.rows(u)
+        linalg.permute(m, perm, u)
+        if not self._prefix_ok(m, exps2, sigma2):
             return None
-        return m2, linalg.matmul(u, p), exps2, sigma2
+        return m, u, exps2, sigma2
 
     def _bring_front(self, k: int, chosen: tuple[int, ...]) -> tuple[int, ...]:
         rest = [i for i in range(k, self.n) if i not in chosen]
@@ -339,8 +331,9 @@ class _DyadicSearch:
         return lead.nondegenerate and is_reduced(lead, gk_type)
 
 
-def _standardize(m, u, exps, sigma, ctx):
-    """Permute within equal-exponent blocks so the involution is standard."""
+def _standardize(m, u, exps, sigma):
+    """Permute the working rows m, u within equal-exponent blocks so the
+    involution is standard; returns the new involution."""
     from .involutions import blocks
 
     bl = blocks(exps)
@@ -359,9 +352,8 @@ def _standardize(m, u, exps, sigma, ctx):
     inv = [0] * len(perm)
     for newpos, old in enumerate(perm):
         inv[old] = newpos
-    sigma2 = tuple(inv[sigma[perm[i]]] for i in range(len(perm)))
-    p = linalg.perm_matrix(perm)
-    return linalg.congruence(m, p), linalg.matmul(u, p), sigma2
+    linalg.permute(m, perm, u)
+    return tuple(inv[sigma[perm[i]]] for i in range(len(perm)))
 
 
 def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
@@ -373,8 +365,7 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
         raise FormError("degenerate form")
     ctx = form.ctx
     n = form.n
-    m = form.entries
-    u = linalg.identity(n)
+    m, u = linalg.rows(form.entries), linalg.rows(linalg.identity(n))
     for k in range(n):
         idx = range(k, n)
         best = None
@@ -386,30 +377,21 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
         _, i, j = best
         if i != j and all(valuation(m[t][t], ctx) > best[0] for t in idx):
             # expose a minimal-order diagonal entry: the sum vector works
-            step = [
-                [Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)
-            ]
-            step[j][i] = Fraction(1)
-            step = linalg.mat(step)
-            m, u = linalg.congruence(m, step), linalg.matmul(u, step)
+            linalg.shear(m, j, i, 1, u)
         piv = min(
             (t for t in idx if valuation(m[t][t], ctx) is not INF),
             key=lambda t: valuation(m[t][t], ctx),
         )
         perm = tuple(range(k)) + (piv,) + tuple(t for t in idx if t != piv)
-        p = linalg.perm_matrix(perm)
-        m, u = linalg.congruence(m, p), linalg.matmul(u, p)
-        step = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-        for j2 in range(k + 1, n):
-            step[k][j2] = -m[k][j2] / m[k][k]
-        step = linalg.mat(step)
-        m, u = linalg.congruence(m, step), linalg.matmul(u, step)
+        linalg.permute(m, perm, u)
+        linalg.eliminate(m, k, u)
     order = sorted(range(n), key=lambda i: valuation(m[i][i], ctx))
-    p = linalg.perm_matrix(tuple(order))
-    m, u = linalg.congruence(m, p), linalg.matmul(u, p)
+    linalg.permute(m, order, u)
     exps = tuple(int(valuation(m[i][i], ctx)) for i in range(n))
     sigma = standard_involutions(exps)[0]
-    cert = ReductionCertificate(u, validate_form(m, ctx), GKType(exps, sigma))
+    cert = ReductionCertificate(
+        linalg.mat(u), validate_form(m, ctx), GKType(exps, sigma)
+    )
     ok, reason = verify_certificate(form, cert)
     if not ok:
         raise ReductionError(f"Jordan certificate rejected: {reason}")
@@ -428,9 +410,9 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
         return jordan_split(form)
     search = _DyadicSearch(form, budget)
     m, u, exps, sigma = search.run(form.entries)
-    m, u, sigma = _standardize(m, u, exps, sigma, form.ctx)
+    sigma = _standardize(m, u, exps, sigma)
     cert = ReductionCertificate(
-        u, validate_form(m, form.ctx), GKType(exps, sigma)
+        linalg.mat(u), validate_form(m, form.ctx), GKType(exps, sigma)
     )
     ok, reason = verify_certificate(form, cert)
     if not ok:

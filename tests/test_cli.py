@@ -1,7 +1,11 @@
 import json
+import os
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
+import gkinv
 from gkinv.cli import main
 
 
@@ -198,3 +202,37 @@ def test_console_script_entry_point():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_bad_batch_item_exits_cleanly_with_worker_pool(tmp_path):
+    path = write(tmp_path, "bad.json", [DIAG11, {"p": 2, "matrix": [["x"]]}])
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gkinv.cli", "reduce", "--input", path, "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise AssertionError(f"gkinv reduce --jobs {jobs} hung on a bad batch item")
+        assert "Traceback" not in err
+        outs.append((proc.returncode, out))
+    assert outs[0] == outs[1]
+    code, out = outs[0]
+    assert code == 1 and json.loads(out) == {"error": "bad_rational", "value": "x"}
+
+
+def test_bad_seed_env_is_a_json_error(capsys, monkeypatch):
+    monkeypatch.setenv("GK_SEED", "abc")
+    code, out = run_cli(["rand", "--n", "2", "--p", "2", "--count", "1"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "bad_seed"
