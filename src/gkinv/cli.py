@@ -24,7 +24,6 @@ from .invariants import egk_of, eta, gk, xi
 from .involutions import GKType
 from .padic import PrimeContext
 from .reducer import (
-    BudgetExhausted,
     ReductionCertificate,
     ReductionError,
     reduce_form,
@@ -32,7 +31,8 @@ from .reducer import (
 )
 from .selfcheck import run_suites
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+# a denominator needs a non-zero digit
+_RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 class CliError(Exception):
@@ -75,12 +75,20 @@ def _load_json(path: str):
         raise CliError(1, {"error": "bad_json", "path": path, "detail": str(ex)})
 
 
+def _is_rows(m) -> bool:
+    return isinstance(m, list) and all(isinstance(row, list) for row in m)
+
+
 def _form_from_payload(payload) -> HalfIntegralForm:
-    if not isinstance(payload, dict) or "p" not in payload or "matrix" not in payload:
+    if (
+        not isinstance(payload, dict)
+        or "p" not in payload
+        or not _is_rows(payload.get("matrix"))
+    ):
         raise CliError(1, {"error": "bad_form_payload"})
     try:
         ctx = PrimeContext(int(payload["p"]))
-    except (ValueError, TypeError) as ex:
+    except (ValueError, TypeError, OverflowError) as ex:
         raise CliError(1, {"error": "bad_prime", "detail": str(ex)})
     rows = [[_parse_rational(x) for x in row] for row in payload["matrix"]]
     try:
@@ -112,10 +120,12 @@ def _cert_from_payload(payload, ctx: PrimeContext) -> ReductionCertificate:
         )
         exps = tuple(int(a) for a in payload["ua"])
         sigma = tuple(int(s) - 1 for s in payload["sigma"])
+        if len(u) != r.n or any(len(row) != r.n for row in u):
+            raise FormError("U is not a square matrix of the size of R")
         return ReductionCertificate(u, r, GKType(exps, sigma))
     except CliError:
         raise
-    except (KeyError, TypeError, ValueError, FormError) as ex:
+    except (KeyError, TypeError, ValueError, OverflowError, FormError) as ex:
         raise CliError(1, {"error": "bad_certificate", "detail": str(ex)})
 
 
@@ -302,7 +312,7 @@ def main(argv=None) -> int:
     except (FormError, EGKError, ValueError) as ex:
         _emit({"error": "invalid_input", "detail": str(ex)})
         return 1
-    except (BudgetExhausted, ReductionError) as ex:
+    except ReductionError as ex:
         _emit({"error": "internal_failure", "detail": str(ex)})
         return 2
 

@@ -143,6 +143,8 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
 def egk_of(form: HalfIntegralForm, budget: int = 100_000) -> EGKDatum:
     """Extended GK datum: block data of the invariant plus the per-block
     leading-subform indicators of a reduced representative."""
+    if form.n == 0:
+        raise FormError("the empty form has no extended GK datum")
     cert = reduce_form(form, budget)
     r = cert.reduced
     bl = blocks(cert.exps)

@@ -23,14 +23,32 @@ RAMIFIED = "ramified"
 Rational = Fraction | int
 
 
+# Miller-Rabin on the primes up to 41 is deterministic below MAX_PRIME, the
+# least strong pseudoprime to all of these bases (Sorenson and Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < MAX_PRIME."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -41,6 +59,8 @@ class PrimeContext:
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"p must be below {MAX_PRIME}, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
 

@@ -7,8 +7,9 @@ returns the transform as a certificate; ``verify_certificate`` re-checks
 every claim independently, so the search heuristics can never produce a
 silently wrong answer.
 
-The dyadic search keeps a reduced leading block and grows it by one of
-three moves, always trying the smallest admissible new exponent first:
+The dyadic search keeps a reduced leading block and grows it greedily: it
+clears the block's paired rows against the tail, then takes the move with
+the smallest new exponent (ties in the order listed) among
 
 * pair a fixed point of the prefix with a tail coordinate whose doubled
   cross entry attains the exact half-sum valuation;
@@ -18,7 +19,10 @@ three moves, always trying the smallest admissible new exponent first:
   away any diagonal whose exponent collides in parity with an existing
   fixed point.
 
-Dead ends backtrack; a budget bounds the total number of attempts.
+This is the constructive order of the reduction argument, so there is no
+backtracking: a failed clear, a prefix with no move or a failed shear
+raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
+passes (one per move, shears included); ``verify_certificate`` is the net.
 """
 
 from __future__ import annotations
@@ -199,136 +203,90 @@ def _ordb(m, ctx: PrimeContext, i: int, j: int):
     return valuation(2 * m[i][j], ctx)
 
 
-class _DyadicSearch:
-    def __init__(self, form: HalfIntegralForm, budget: int):
-        self.ctx = form.ctx
-        self.n = form.n
-        self.left = budget
-        # ord det(2B), from the determinant validation already computed
-        self.det_cap = int(valuation(Fraction(2) ** self.n * form.det, self.ctx))
+def _candidates(m, exps, sigma, det_cap, ctx: PrimeContext):
+    """Every admissible move (c, kind, x, y) from the reduced prefix: kind 0
+    pairs fixed point x with tail coordinate y, 1 splits the tail pair (x, y),
+    2 admits the fixed point x, 3 shears tail diagonal y against the fixed
+    point x whose exponent it collides with in parity."""
+    k, n = len(exps), len(m)
+    amin = exps[-1] if exps else 0
+    cap = (det_cap - sum(exps)) // (n - k)
+    fixed = [i for i in range(k) if sigma[i] == i]
+    tail = range(k, n)
+    moves = []
+    for h in fixed:
+        for j in tail:
+            v = _ordb(m, ctx, h, j)
+            if v is INF:
+                continue
+            c = int(2 * v) - exps[h]
+            if c < amin or c > cap:
+                continue
+            if _ordb(m, ctx, j, j) < c:
+                continue
+            moves.append((c, 0, h, j))
+    tail_ords = {(i, j): _ordb(m, ctx, i, j) for i in tail for j in tail if i <= j}
+    finite = [v for v in tail_ords.values() if v is not INF]
+    if finite:
+        c_tail = int(min(finite))
+        if amin <= c_tail <= cap:
+            collision = next((h for h in fixed if (exps[h] - c_tail) % 2 == 0), None)
+            for (i, j), v in tail_ords.items():
+                if v != c_tail:
+                    continue
+                if i < j:
+                    moves.append((c_tail, 1, i, j))
+                elif collision is None:
+                    moves.append((c_tail, 2, i, i))
+                else:
+                    moves.append((c_tail, 3, collision, i))
+    return moves
 
-    def run(self, m0: Matrix):
-        """(M, U, exps, sigma) with M = B[U] reduced, as working rows."""
-        res = self._extend(
-            linalg.rows(m0), linalg.rows(linalg.identity(self.n)), (), ()
-        )
-        if res is None:
-            raise ReductionError("reduction search exhausted all branches")
-        return res
 
-    def _spend(self) -> None:
-        if self.left <= 0:
+def _dyadic_search(form: HalfIntegralForm, budget: int):
+    """(M, U, exps, sigma) with M = B[U] reduced, as working rows: clear the
+    prefix, then take the smallest move, until the prefix is everything.
+    Each pass spends one step of the budget."""
+    ctx, n = form.ctx, form.n
+    # ord det(2B), from the determinant validation already computed
+    det_cap = int(valuation(Fraction(2) ** n * form.det, ctx))
+    m, u = linalg.rows(form.entries), linalg.rows(linalg.identity(n))
+    exps, sigma = (), ()
+    while len(exps) < n:
+        if budget <= 0:
             raise BudgetExhausted("reduction budget exhausted")
-        self.left -= 1
-
-    def _extend(self, m, u, exps, sigma):
-        """Grow the reduced prefix of the working rows m, u, which this call
-        owns; each move works on its own copy, so a dead end leaves them
-        as they were."""
-        k = len(exps)
-        if k == self.n:
-            return m, u, exps, sigma
-        if not _clear_matrix(m, u, exps, sigma, self.ctx):
-            return None
-        for move in self._moves(m, exps, sigma):
-            self._spend()
-            res = self._apply(m, u, exps, sigma, move)
-            if res is not None:
-                out = self._extend(*res)
-                if out is not None:
-                    return out
-        return None
-
-    def _moves(self, m, exps, sigma):
-        k = len(exps)
-        amin = exps[-1] if exps else 0
-        room = self.n - k
-        cap = (self.det_cap - sum(exps)) // room
-        fixed = [i for i in range(k) if sigma[i] == i]
-        tail = range(k, self.n)
-        moves = []
-        for h in fixed:
-            for j in tail:
-                v = _ordb(m, self.ctx, h, j)
-                if v is INF:
-                    continue
-                c = int(2 * v) - exps[h]
-                if c < amin or c > cap:
-                    continue
-                if _ordb(m, self.ctx, j, j) < c:
-                    continue
-                moves.append((c, 0, h, j))
-        tail_ords = {
-            (i, j): _ordb(m, self.ctx, i, j) for i in tail for j in tail if i <= j
-        }
-        finite = [v for v in tail_ords.values() if v is not INF]
-        if finite:
-            c_tail = int(min(finite))
-            if amin <= c_tail <= cap:
-                collision = next(
-                    (h for h in fixed if (exps[h] - c_tail) % 2 == 0), None
-                )
-                for (i, j), v in sorted(tail_ords.items()):
-                    if v != c_tail:
-                        continue
-                    if i < j:
-                        moves.append((c_tail, 1, i, j))
-                    elif collision is None:
-                        moves.append((c_tail, 2, i, i))
-                    else:
-                        moves.append((c_tail, 3, collision, i))
-        moves.sort()
-        return moves
-
-    def _apply(self, m, u, exps, sigma, move):
-        c, kind, x, y = move
+        budget -= 1
+        at = f"at prefix exps={list(exps)} sigma={list(sigma)}"
+        if not _clear_matrix(m, u, exps, sigma, ctx):
+            raise ReductionError(f"clearing transform is not integral {at}")
+        moves = _candidates(m, exps, sigma, det_cap, ctx)
+        if not moves:
+            raise ReductionError(f"no admissible move {at}")
+        c, kind, x, y = min(moves)
         k = len(exps)
         if kind == 3:  # parity collision: shear the tail diagonal away
-            h, t = x, y
             try:
-                sh = complete_square(
-                    m[h][h], m[h][t], m[t][t], exps[h], c, self.ctx
-                )
-            except (FormError, ReductionError):
-                return None
-            m, u = linalg.rows(m), linalg.rows(u)
-            linalg.shear(m, h, t, sh, u)
-            return m, u, exps, sigma
-        if kind == 0:  # pair a prefix fixed point with tail coordinate y
-            perm = self._bring_front(k, (y,))
-            sigma2 = tuple(
-                k if i == x else (x if i == k else sigma[i] if i < k else i)
-                for i in range(k + 1)
-            )
-            exps2 = exps + (c,)
+                sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x], c, ctx)
+            except (FormError, ReductionError) as ex:
+                what = f"collision shear of {y} against {x} to exponent {c}"
+                raise ReductionError(f"{what} failed {at}: {ex}") from ex
+            linalg.shear(m, x, y, sh, u)
+            continue
+        if kind == 0:  # pair the prefix fixed point x with tail coordinate y
+            chosen = (y,)
+            sigma = tuple(k if i == x else sigma[i] for i in range(k)) + (x,)
+            exps += (c,)
         elif kind == 1:  # split a scaled primitive-unramified pair (x, y)
-            perm = self._bring_front(k, (x, y))
-            sigma2 = sigma + (k + 1, k)
-            exps2 = exps + (c, c)
+            chosen = (x, y)
+            sigma += (k + 1, k)
+            exps += (c, c)
         else:  # kind == 2, admit a new fixed point at x
-            perm = self._bring_front(k, (x,))
-            sigma2 = sigma + (k,)
-            exps2 = exps + (c,)
-        m, u = linalg.rows(m), linalg.rows(u)
-        linalg.permute(m, perm, u)
-        if not self._prefix_ok(m, exps2, sigma2):
-            return None
-        return m, u, exps2, sigma2
-
-    def _bring_front(self, k: int, chosen: tuple[int, ...]) -> tuple[int, ...]:
-        rest = [i for i in range(k, self.n) if i not in chosen]
-        return tuple(range(k)) + chosen + tuple(rest)
-
-    def _prefix_ok(self, m, exps, sigma) -> bool:
-        k = len(exps)
-        try:
-            gk_type = GKType(exps, sigma)
-        except ValueError:
-            return False
-        lead = validate_form(
-            linalg.submatrix(m, range(k), range(k)), self.ctx
-        )
-        return lead.nondegenerate and is_reduced(lead, gk_type)
+            chosen = (x,)
+            sigma += (k,)
+            exps += (c,)
+        rest = tuple(i for i in range(k, n) if i not in chosen)
+        linalg.permute(m, tuple(range(k)) + chosen + rest, u)
+    return m, u, exps, sigma
 
 
 def _standardize(m, u, exps, sigma):
@@ -408,8 +366,7 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
         )
     if form.ctx.p != 2:
         return jordan_split(form)
-    search = _DyadicSearch(form, budget)
-    m, u, exps, sigma = search.run(form.entries)
+    m, u, exps, sigma = _dyadic_search(form, budget)
     sigma = _standardize(m, u, exps, sigma)
     cert = ReductionCertificate(
         linalg.mat(u), validate_form(m, form.ctx), GKType(exps, sigma)
@@ -426,7 +383,8 @@ def verify_certificate(
     """Independent check of a reduction certificate.  Never raises on bad
     certificates; returns (False, reason)."""
     exps = cert.gk_type.exps
-    if len(exps) != form.n or cert.reduced.n != form.n:
+    sizes = {len(exps), cert.reduced.n, len(cert.u), *map(len, cert.u)}
+    if sizes != {form.n}:
         return False, "size mismatch"
     if any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
         return False, "exponents not non-decreasing"

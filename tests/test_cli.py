@@ -95,6 +95,8 @@ def test_malformed_payload_shapes(tmp_path, capsys):
         {"p": 2, "matrix": [["1", "0"], ["0"]]},  # ragged rows
         {"p": 2, "matrix": [["x"]]},  # not a rational string
         "just a string",
+        {"p": 2, "matrix": [1, 2]},  # rows that are not lists
+        {"p": 2, "matrix": [["1/0"]]},  # zero denominator
     ]
     for i, payload in enumerate(cases):
         path = write(tmp_path, f"m{i}.json", payload)
@@ -119,6 +121,32 @@ def test_verify_rejects_out_of_range_sigma(tmp_path, capsys):
     code, out = run_cli(["verify", "--input", form, "--certificate", cert_path], capsys)
     assert code == 1
     assert json.loads(out)["error"] == "bad_certificate"
+
+
+def test_verify_rejects_non_square_u(tmp_path, capsys):
+    form = write(tmp_path, "f.json", DIAG11)
+    cert = {
+        "U": [["1"], ["0"]],
+        "R": [["1", "1"], ["1", "2"]],
+        "ua": [0, 1],
+        "sigma": [1, 2],
+    }
+    cert_path = write(tmp_path, "c.json", cert)
+    code, out = run_cli(["verify", "--input", form, "--certificate", cert_path], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "bad_certificate"
+
+
+def test_payload_errors_are_named(tmp_path, capsys):
+    for payload, error in [
+        ({"p": 2, "matrix": [1, 2]}, "bad_form_payload"),
+        ({"p": 2, "matrix": None}, "bad_form_payload"),
+        ({"p": 2, "matrix": [["1/0"]]}, "bad_rational"),
+        ({"p": 1e400, "matrix": [["1"]]}, "bad_prime"),
+    ]:
+        path = write(tmp_path, "f.json", payload)
+        code, out = run_cli(["compute", "--what", "gk", "--input", path], capsys)
+        assert (code, json.loads(out)["error"]) == (1, error), payload
 
 
 def test_reduce_batch_with_worker_pool(tmp_path, capsys):
@@ -236,3 +264,33 @@ def test_bad_seed_env_is_a_json_error(capsys, monkeypatch):
     code, out = run_cli(["rand", "--n", "2", "--p", "2", "--count", "1"], capsys)
     assert code == 1
     assert json.loads(out)["error"] == "bad_seed"
+
+
+def test_large_primes_are_decided_quickly(tmp_path):
+    """Primality is a bounded test: a prime near 10**18 is accepted, a
+    composite one and a p above the proven range are rejected."""
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for p, code, expect in [
+        (10**18 + 3, 0, {"gk": [0]}),
+        (10**18 + 1, 1, "bad_prime"),
+        (10**25 + 13, 1, "bad_prime"),
+    ]:
+        path = write(tmp_path, "f.json", {"p": p, "matrix": [["1"]]})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gkinv.cli", "compute", "--what", "gk", "--input", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise AssertionError(f"primality of p={p} was not decided within 60 s")
+        assert "Traceback" not in err and proc.returncode == code, (p, err)
+        out = json.loads(out)
+        assert out == expect if code == 0 else out["error"] == expect

@@ -93,6 +93,11 @@ def test_is_optimal_binary_cases():
         is_optimal_binary(validate_form([[1, 0], [0, 1]], CTX3), (0, 0))
 
 
+def test_egk_of_empty_form_is_invalid_input():
+    with pytest.raises(FormError):
+        egk_of(validate_form((), CTX2))
+
+
 def test_egk_of_examples():
     assert egk_of(validate_form([[1, 0], [0, 1]], CTX2)) == EGKDatum(
         (1, 1), (0, 1), (1, 0)

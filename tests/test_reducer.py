@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from gkinv import linalg
+from gkinv import linalg, reducer
 from gkinv.forms import (
     FormError,
     membership,
@@ -15,6 +16,7 @@ from gkinv.involutions import GKType
 from gkinv.padic import PrimeContext, valuation
 from gkinv.reducer import (
     BudgetExhausted,
+    ReductionError,
     binary_gk,
     clear_rows,
     complete_square,
@@ -172,6 +174,8 @@ def test_verify_rejects_bad_certificates():
     bad = ReductionCertificate(cert.u, cert.reduced, GKType((0, 0), (1, 0)))
     ok, reason = verify_certificate(b, bad)
     assert not ok
+    narrow = ReductionCertificate(((1,), (0,)), cert.reduced, cert.gk_type)
+    assert verify_certificate(b, narrow) == (False, "size mismatch")
 
 
 def test_verify_rejects_admissible_but_nonstandard_involution():
@@ -195,6 +199,26 @@ def test_budget_exhaustion_is_loud():
     b = random_form(4, CTX2, rng, height=4)
     with pytest.raises(BudgetExhausted):
         reduce_form(b, budget=1)
+
+
+def test_failed_collision_shear_is_a_reduction_error(monkeypatch):
+    from test_kernel import dyadic_corpus
+
+    form = dyadic_corpus()[14]  # n = 6; its search makes two collision shears
+    exps = reduce_form(form).exps
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        raise FormError("square completion refused")
+
+    monkeypatch.setattr(reducer, "complete_square", refuse)
+    with pytest.raises(ReductionError) as info:
+        reduce_form(form)
+    assert len(refused) == 1
+    prefix = re.search(r"exps=\[([\d, ]*)\]", str(info.value)).group(1)
+    prefix = tuple(int(a) for a in prefix.split(","))
+    assert prefix == exps[: len(prefix)] and len(prefix) < len(exps)
 
 
 def test_reduce_empty_and_unary():
