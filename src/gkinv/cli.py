@@ -4,8 +4,11 @@ certificates, synthesize witnesses, generate corpora, run the self tests.
 Forms travel as JSON ``{"p": <prime>, "matrix": [[<rational-string>, ...]]}``;
 a top-level array is batch mode.  Certificates are
 ``{"U": matrix, "R": matrix, "ua": [ints], "sigma": [1-indexed image]}``.
-All rationals are exact ``num/den`` strings, never floats.  Exit codes:
-0 success, 1 invalid input, 2 internal failure or rejected verification.
+All rationals are exact ``num/den`` strings, never floats; the prime and the
+integer lists (``ua``, ``sigma``, and ``n``, ``m``, ``zeta`` for ``synth``)
+must be JSON integers, and a float, a bool or a string there is rejected
+rather than truncated.  Exit codes: 0 success, 1 invalid input, 2 internal
+failure or rejected verification.
 """
 
 from __future__ import annotations
@@ -46,8 +49,15 @@ class CliError(Exception):
         return type(self), (self.code, self.payload)
 
 
+def _json_int(x, error: str) -> int:
+    """A JSON integer, or exit 1 with ``error``: never a truncated float."""
+    if type(x) is not int:
+        raise CliError(1, {"error": error, "detail": f"not an integer: {x!r}"})
+    return x
+
+
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL.match(s.strip()):
         raise CliError(1, {"error": "bad_rational", "value": str(s)})
@@ -87,8 +97,8 @@ def _form_from_payload(payload) -> HalfIntegralForm:
     ):
         raise CliError(1, {"error": "bad_form_payload"})
     try:
-        ctx = PrimeContext(int(payload["p"]))
-    except (ValueError, TypeError, OverflowError) as ex:
+        ctx = PrimeContext(_json_int(payload["p"], "bad_prime"))
+    except ValueError as ex:
         raise CliError(1, {"error": "bad_prime", "detail": str(ex)})
     rows = [[_parse_rational(x) for x in row] for row in payload["matrix"]]
     try:
@@ -118,14 +128,14 @@ def _cert_from_payload(payload, ctx: PrimeContext) -> ReductionCertificate:
         r = validate_form(
             [[_parse_rational(x) for x in row] for row in payload["R"]], ctx
         )
-        exps = tuple(int(a) for a in payload["ua"])
-        sigma = tuple(int(s) - 1 for s in payload["sigma"])
+        exps = tuple(_json_int(a, "bad_certificate") for a in payload["ua"])
+        sigma = tuple(_json_int(s, "bad_certificate") - 1 for s in payload["sigma"])
         if len(u) != r.n or any(len(row) != r.n for row in u):
             raise FormError("U is not a square matrix of the size of R")
         return ReductionCertificate(u, r, GKType(exps, sigma))
     except CliError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, FormError) as ex:
+    except (KeyError, TypeError, ValueError, FormError) as ex:
         raise CliError(1, {"error": "bad_certificate", "detail": str(ex)})
 
 
@@ -199,20 +209,20 @@ def _cmd_verify(args) -> int:
 def _cmd_synth(args) -> int:
     payload = _load_json(args.egk)
     try:
-        ctx = PrimeContext(int(payload["p"]))
-        datum = EGKDatum(
-            tuple(int(x) for x in payload["n"]),
-            tuple(int(x) for x in payload["m"]),
-            tuple(int(x) for x in payload["zeta"]),
+        ctx = PrimeContext(_json_int(payload["p"], "bad_egk_payload"))
+        sizes, exps, zeta = (
+            tuple(_json_int(x, "bad_egk_payload") for x in payload[key])
+            for key in ("n", "m", "zeta")
         )
+        datum = EGKDatum(sizes, exps, zeta)
     except (KeyError, TypeError, ValueError) as ex:
         raise CliError(1, {"error": "bad_egk_payload", "detail": str(ex)})
     sigma = None
     if args.sigma:
         sig_payload = _load_json(args.sigma)
         try:
-            sigma = tuple(int(s) - 1 for s in sig_payload["sigma"])
-        except (KeyError, TypeError, ValueError) as ex:
+            sigma = tuple(_json_int(s, "bad_sigma_payload") - 1 for s in sig_payload["sigma"])
+        except (KeyError, TypeError) as ex:
             raise CliError(1, {"error": "bad_sigma_payload", "detail": str(ex)})
     try:
         if ctx.p == 2:

@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals for small matrices.
 
-The dense routines build new immutable matrices.  The in-place elimination
-kernel at the end is what both reducers run on: each of its steps applies a
-congruence M <- t(E) M E, and U <- U E when a working U is given, to mutable
-lists of Fraction rows without building E.  The arithmetic is exact, so a
-step gives the same values as ``congruence(M, E)`` and ``matmul(U, E)``.
+The dense routines build new immutable matrices.  ``congruence`` and ``det``
+scale their matrices to integers over least common denominators (of each
+matrix for ``congruence``, of each row for ``det``), compute in ``int`` and
+divide once at the end, so they never build an intermediate Fraction.  They
+share no code with the in-place kernel, which is what lets the verifier
+check the reducers with them.  The in-place elimination kernel at the end is what both reducers
+run on: each of its steps applies a congruence M <- t(E) M E, and U <- U E
+when a working U is given, to mutable lists of Fraction rows without
+building E.  The arithmetic is exact, so a step gives the same values as
+``congruence(M, E)`` and ``matmul(U, E)``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -37,37 +44,70 @@ def transpose(m: Matrix) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def _scaled(m) -> tuple[list[list[int]], int]:
+    """(d·M as integer rows, d) for the least common denominator d of M's
+    entries, which may be Fractions or ints."""
+    d = math.lcm(*{x.denominator for row in m for x in row})
+    if d == 1:
+        return [[x.numerator for x in row] for row in m], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
 def congruence(b: Matrix, u: Matrix) -> Matrix:
-    """t(U) B U."""
-    return matmul(transpose(u), matmul(b, u))
+    """t(U) B U: both products on the integer matrices db·B and du·U, then
+    one division of each entry by db·du²."""
+    bi, db = _scaled(b)
+    ui, du = _scaled(u)
+    t = matmul(transpose(ui), matmul(bi, ui))
+    d = db * du * du
+    if d == 1:
+        return mat(t)
+    return mat([Fraction(x, d) if x else _ZERO for x in row] for row in t)
 
 
 def det(m: Matrix) -> Fraction:
+    """Fraction-free (Bareiss) elimination on the integer rows d_i·M_i, with
+    d_i the least common denominator of row i, then one division by the
+    product of the d_i.
+
+    Step k maps a lower row r to (p·r - c·y) / prev, with p and y the pivot
+    and the pivot row, c = r[k] and prev the previous pivot.  Every entry it
+    gives is a minor of the scaled matrix, so the division is exact.  A row
+    with c = 0 would only be scaled by p / prev, so it is left as it is and
+    base[i] keeps the pivot of the step that last changed it: its Bareiss
+    value is r·prev / base[i], and its next real step divides by base[i].
+    Triangular and diagonal matrices then cost no elimination at all."""
     n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m]
-    d = Fraction(1)
+    a, d = [], 1
+    for row in m:
+        (r,), dr = _scaled((row,))
+        a.append(r)
+        d *= dr
+    base = [1] * n
+    sign, prev = 1, 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return _ZERO
             a[k], a[piv] = a[piv], a[k]
-            d = -d
-        d *= a[k][k]
-        inv = 1 / a[k][k]
+            base[k], base[piv] = base[piv], base[k]
+            sign = -sign
+        rk = a[k]
+        if base[k] != prev:
+            rk = [x * prev // base[k] for x in rk]
+        p, tail = rk[k], rk[k + 1 :]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return d
+            ri = a[i]
+            c = ri[k]
+            if c:
+                ri[k + 1 :] = [(x * p - c * y) // base[i] for x, y in zip(ri[k + 1 :], tail)]
+                base[i] = p
+        prev = p
+    return Fraction(sign * prev, d)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -85,8 +85,9 @@ def _int_valuation(n: int, p: int) -> int:
 
 def valuation(x: Rational, ctx: PrimeContext) -> int | float:
     """p-adic order of x; +inf for x = 0."""
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not x.numerator:
         return INF
     return _int_valuation(x.numerator, ctx.p) - _int_valuation(x.denominator, ctx.p)
 

@@ -1,12 +1,13 @@
 """Property test of the CLI's exit-code contract: whatever JSON reaches the
-payload parsers of `compute`, `reduce` and `verify`, the command ends with
-exit 0, 1 or 2 and exactly one JSON document on stdout, and no exception
-escapes `main`."""
+payload parsers of `compute`, `reduce`, `verify` and `synth`, the command
+ends with exit 0, 1 or 2 and exactly one JSON document on stdout, and no
+exception escapes `main`."""
 
 import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from gkinv.cli import main  # noqa: E402
+from gkinv.egk import random_egk  # noqa: E402
 
 RATIONALS = ("0", "1", "-1", "2", "3", "4", "1/2", "-3/2", "5/4", "1/3")
 
@@ -74,14 +76,20 @@ def certificate(n):
 def run(argv, form, cert=None):
     """main(argv + inputs) on the payloads written to files; asserts the
     contract and returns the exit code."""
+    files = {"--input": form}
+    if argv[0] == "verify":
+        files["--certificate"] = cert
+    return run_files(argv, files)
+
+
+def run_files(argv, files):
+    """main(argv) with each payload of ``files`` written to a file passed
+    after its flag; asserts the contract and returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
-        argv = argv + ["--input", os.path.join(tmp, "form.json")]
-        with open(argv[-1], "w") as fh:
-            json.dump(form, fh)
-        if argv[0] == "verify":
-            argv += ["--certificate", os.path.join(tmp, "cert.json")]
+        for k, (flag, payload) in enumerate(files.items()):
+            argv = argv + [flag, os.path.join(tmp, f"{k}.json")]
             with open(argv[-1], "w") as fh:
-                json.dump(cert, fh)
+                json.dump(payload, fh)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
@@ -111,3 +119,47 @@ def test_cli_answers_any_payload_with_one_json_document(argv, form, cert):
 @given(form=valid, draw=st.data())
 def test_verify_answers_any_certificate_with_one_json_document(form, draw):
     run(["verify"], form, draw.draw(certificate(len(form["matrix"]))))
+
+
+# Values a JSON integer field must reject, not truncate.
+junk = st.sampled_from((float("inf"), float("-inf"), float("nan"), 2.0, 2.9, True, "2", None))
+
+
+@st.composite
+def synth_inputs(draw):
+    """A valid datum of at most 4 coordinates (p = 2 or 3) and a permutation
+    as --sigma, or none.  Half the time one field or entry is spoiled by a
+    junk value; a quarter of the time either file holds any payload at all.
+    Returns the two payloads and whether one of them is spoiled."""
+    g = random_egk(random.Random(draw(st.integers(0, 2**16))), max_r=3, max_m=4, max_n=4)
+    datum = {"p": draw(st.sampled_from((2, 3))), "n": list(g.sizes), "m": list(g.exps)}
+    datum["zeta"] = list(g.zeta)
+    sig = draw(st.one_of(st.none(), st.permutations(range(1, g.n + 1)).map(list)))
+    spoiled = draw(st.booleans())
+    if spoiled:
+        key = draw(st.sampled_from(("p", "n", "m", "zeta", "sigma")))
+        if key == "p":
+            datum["p"] = draw(junk)
+        elif key == "sigma":
+            sig = sig or list(range(1, g.n + 1))
+            sig[draw(st.integers(0, g.n - 1))] = draw(junk)
+        else:
+            datum[key][draw(st.integers(0, len(datum[key]) - 1))] = draw(junk)
+    sig = None if sig is None else {"sigma": sig}
+    if draw(st.integers(0, 3)) == 0:
+        datum, spoiled = draw(payload), False
+    if draw(st.integers(0, 3)) == 0:
+        sig, spoiled = draw(payload), False
+    return datum, sig, spoiled
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=synth_inputs())
+def test_synth_answers_any_payload_with_one_json_document(inputs):
+    datum, sig, spoiled = inputs
+    files = {"--egk": datum}
+    if sig is not None:
+        files["--sigma"] = sig
+    code = run_files(["synth"], files)
+    # a float, bool, string or null where an integer belongs is never truncated
+    assert code == 1 or not spoiled

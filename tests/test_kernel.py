@@ -1,5 +1,6 @@
 """The in-place elimination kernel against the dense congruences it replaces,
-and golden certificate digests that pin the reducers' output byte for byte."""
+the integer dense routines against naive Fraction references, and golden
+certificate digests that pin the reducers' output byte for byte."""
 
 import hashlib
 import json
@@ -12,7 +13,7 @@ from gkinv import linalg, reducer
 from gkinv.cli import _cert_payload
 from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import random_form, random_unimodular, transform
-from gkinv.padic import PrimeContext
+from gkinv.padic import INF, PrimeContext, valuation
 
 
 def _random_matrix(rng, n, symmetric=False):
@@ -74,6 +75,119 @@ def test_solve_matches_inverse_product():
         b = _random_matrix(rng, n)
         assert linalg.solve(a, b) == linalg.matmul(linalg.inverse(a), b)
         assert linalg.matmul(a, linalg.inverse(a)) == linalg.identity(n)
+
+
+def naive_congruence(b, u):
+    """t(U) B U entry by entry in Fraction arithmetic."""
+    n, m = len(b), len(u[0]) if u else 0
+    return tuple(
+        tuple(
+            sum(Fraction(u[k][i]) * b[k][l] * u[l][j] for k in range(n) for l in range(n))
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
+def naive_det(m):
+    """Cofactor expansion along the first row, in Fraction arithmetic."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * Fraction(m[0][j]) * naive_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+# Denominators that mix powers of p = 2, 3 with primes other than p.
+MIXED_DENS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 27, 49, 1024)
+
+
+def _mixed_matrix(rng, n, symmetric=False, singular=False):
+    m = [
+        [Fraction(rng.randint(-30, 30), rng.choice(MIXED_DENS)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if singular and n > 1:
+        # the last row and column: a rational combination of the others
+        c = [Fraction(rng.randint(-3, 3), rng.choice(MIXED_DENS)) for _ in range(n - 1)]
+        m[-1] = [sum(ci * m[i][j] for i, ci in enumerate(c)) for j in range(n)]
+        if symmetric:
+            for i in range(n):
+                m[i][-1] = m[-1][i]
+            m[-1][-1] = sum(ci * m[-1][i] for i, ci in enumerate(c))
+    return linalg.mat(m)
+
+
+# (matrix, its determinant)
+SPECIAL = [
+    ((), 1),
+    (((0,),), 0),
+    (((Fraction(-7, 12),),), Fraction(-7, 12)),
+    (((2, 1), (1, 1)), 1),  # plain ints
+    (((0, 1), (1, 0)), -1),  # zero leading pivot: a row swap
+    (((0, 0, 3), (0, 2, 0), (5, 0, 0)), -30),
+    (((0, 1, 2), (0, 3, 4), (5, 6, 7)), -10),  # a swap at the first step
+    (((1, 2, 3), (2, 4, 6), (0, 0, 1)), 0),  # a zero pivot with no row to swap in
+    (((1, 2), (2, 4)), 0),
+    (((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(1, 7))), Fraction(1, 210)),
+    (
+        ((Fraction(3, 8), Fraction(-5, 9)), (Fraction(-5, 9), Fraction(7, 1024))),
+        Fraction(-203099, 663552),
+    ),
+]
+
+
+@pytest.mark.parametrize("m,expected", SPECIAL, ids=range(len(SPECIAL)))
+def test_det_matches_cofactor_expansion_on_special_matrices(m, expected):
+    d = linalg.det(m)
+    assert type(d) is Fraction and d == naive_det(m) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dense_routines_match_naive_fraction_references(n):
+    rng = random.Random(f"dense/{n}")
+    for trial in range(12):
+        b = _mixed_matrix(rng, n, symmetric=True, singular=trial % 3 == 0)
+        u = _mixed_matrix(rng, n, singular=trial % 4 == 1)
+        for m in (b, u):
+            assert linalg.det(m) == naive_det(m)
+        # a zero leading pivot: the first column's top entry cleared
+        z = linalg.mat([[0, *row[1:]] if i == 0 else row for i, row in enumerate(u)])
+        assert linalg.det(z) == naive_det(z)
+        c = linalg.congruence(b, u)
+        assert c == naive_congruence(b, u)
+        assert all(type(x) is Fraction for row in c for x in row)
+        assert all(x is linalg.mat([[0]])[0][0] for row in c for x in row if not x)
+        ints = tuple(tuple(x.numerator for x in row) for row in u)
+        assert linalg.congruence(ints, ints) == naive_congruence(ints, ints)
+    assert linalg.congruence((), ()) == ()
+
+
+def old_valuation(x, ctx):
+    """valuation as it was before it stopped copying Fraction inputs."""
+    x = Fraction(x)
+    if x == 0:
+        return INF
+    v, num, den = 0, x.numerator, x.denominator
+    while num % ctx.p == 0:
+        num, v = num // ctx.p, v + 1
+    while den % ctx.p == 0:
+        den, v = den // ctx.p, v - 1
+    return v
+
+
+def test_valuation_matches_its_copying_version():
+    values = [0, Fraction(0), 1, -1, 12, -48, 2**40, -(3**7) * 5]
+    values += [Fraction(a, b) for a in (-250, -9, -1, 1, 6, 375) for b in (1, 2, 4, 9, 10, 125)]
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        for x in values:
+            assert valuation(x, ctx) == old_valuation(x, ctx), (p, x)
+    assert valuation(0, ctx) is INF and valuation(Fraction(0), ctx) is INF
 
 
 # SHA-256 of the certificates of both corpora, one `gkinv reduce` JSON line
