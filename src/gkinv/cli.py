@@ -37,6 +37,11 @@ from .selfcheck import run_suites
 # a denominator needs a non-zero digit
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
+# bounds on the work of one ``synth`` datum: the matrix size, and the bits of
+# its largest prime power (max(m) times the bit length of p)
+SYNTH_MAX_N = 32
+SYNTH_MAX_BITS = 512
+
 
 class CliError(Exception):
     def __init__(self, code: int, payload: dict):
@@ -217,6 +222,13 @@ def _cmd_synth(args) -> int:
         datum = EGKDatum(sizes, exps, zeta)
     except (KeyError, TypeError, ValueError) as ex:
         raise CliError(1, {"error": "bad_egk_payload", "detail": str(ex)})
+    bits = max(exps, default=0) * ctx.p.bit_length()
+    if sum(sizes) > SYNTH_MAX_N or bits > SYNTH_MAX_BITS:
+        detail = (
+            f"datum too large: sum(n) must be at most {SYNTH_MAX_N} and "
+            f"max(m) * bit_length(p) at most {SYNTH_MAX_BITS}"
+        )
+        raise CliError(1, {"error": "bad_egk_payload", "detail": detail})
     sigma = None
     if args.sigma:
         sig_payload = _load_json(args.sigma)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .forms import HalfIntegralForm, validate_form
 from .involutions import GKType, blocks, is_standard, standard_involutions
-from .padic import PrimeContext, legendre, valuation, zpow
+from .padic import PrimeContext, nonsquare_unit, valuation, zpow
 
 SIGNS3 = (0, 1, -1)
 
@@ -169,18 +169,21 @@ def shrink_last(g: EGKDatum) -> EGKDatum:
 
 
 def lift(g: EGKDatum) -> NaiveEGK:
-    """A naive datum mapping onto ``g`` under ``collapse``."""
+    """A naive datum mapping onto ``g`` under ``collapse``: each block ends
+    with its own sign, and a coordinate inside block s takes the sign that
+    ``shrink_last`` would give the block cut there."""
     ok, bad = validate_egk(g)
     if not ok:
         raise EGKError("; ".join(bad))
-    if g.n == 1:
-        return NaiveEGK((g.exps[0],), (g.zeta[0],))
-    if g.sizes[-1] == 1:
-        g2 = EGKDatum(g.sizes[:-1], g.exps[:-1], g.zeta[:-1])
-    else:
-        g2 = shrink_last(g)
-    h2 = lift(g2)
-    return NaiveEGK(h2.a + (g.exps[-1],), h2.eps + (g.zeta[-1],))
+    a: list[int] = []
+    eps: list[int] = []
+    for s, (size, m) in enumerate(zip(g.sizes, g.exps)):
+        for k in range(1, size):
+            allowed = _allowed_zeta(g.sizes[:s] + (k,), g.exps, g.zeta[:s])
+            eps.append(1 if 1 in allowed else allowed[0])
+        eps.append(g.zeta[s])
+        a.extend([m] * size)
+    return NaiveEGK(tuple(a), tuple(eps))
 
 
 def enumerate_egk(max_r: int, max_m: int, max_n: int) -> list[EGKDatum]:
@@ -246,9 +249,7 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
     ok, bad = validate_naive(h)
     if not ok:
         raise EGKError("; ".join(bad))
-    u = 2
-    while legendre(u, ctx) == 1:
-        u += 1
+    u = nonsquare_unit(ctx)
     diag: list[Fraction] = []
     for i, (a, eps) in enumerate(zip(h.a, h.eps), 1):
         for unit in (1, u):

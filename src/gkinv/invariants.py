@@ -23,10 +23,10 @@ from .padic import QuadExtKind, hilbert_symbol, quad_ext, valuation, xi_code, zp
 from .reducer import ReductionError, is_reduced, reduce_form
 
 
-def gk(form: HalfIntegralForm, budget: int = 100_000) -> tuple[int, ...]:
+def gk(form: HalfIntegralForm) -> tuple[int, ...]:
     """The GK invariant, through a verified reduction certificate.  The sum
     identity against ``delta`` is asserted on every call."""
-    cert = reduce_form(form, budget)
+    cert = reduce_form(form)
     if sum(cert.exps) != delta(form):
         raise ReductionError(
             f"certificate mass {sum(cert.exps)} contradicts delta {delta(form)}"
@@ -140,12 +140,12 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
     return valuation(b[0][0], ctx) == a1 and valuation(b[1][1], ctx) == a2
 
 
-def egk_of(form: HalfIntegralForm, budget: int = 100_000) -> EGKDatum:
+def egk_of(form: HalfIntegralForm) -> EGKDatum:
     """Extended GK datum: block data of the invariant plus the per-block
     leading-subform indicators of a reduced representative."""
     if form.n == 0:
         raise FormError("the empty form has no extended GK datum")
-    cert = reduce_form(form, budget)
+    cert = reduce_form(form)
     r = cert.reduced
     bl = blocks(cert.exps)
     zeta = []

@@ -22,7 +22,6 @@ from .padic import INF, PrimeContext, frac_mod, unit_part, valuation
 class SearchBudget:
     max_transforms: int = 10_000
     seed: int = 0
-    residue_precision: int | None = None
 
 
 _brute_cache: dict[tuple[int, int, int, int, int, int], int] = {}
@@ -167,13 +166,9 @@ def _int_det(c: list[list[int]]) -> int:
     return int(v)
 
 
-def gk_lower_search(
-    form: HalfIntegralForm, budget: SearchBudget | int = 10_000
-) -> tuple[int, ...]:
+def gk_lower_search(form: HalfIntegralForm, budget: SearchBudget) -> tuple[int, ...]:
     """Best admissible sequence found over randomly sampled unimodular
     transforms; a certified lower bound for gk, never an upper one."""
-    if isinstance(budget, int):
-        budget = SearchBudget(max_transforms=budget)
     if not form.nondegenerate:
         raise FormError("degenerate form")
     ctx = form.ctx
@@ -182,8 +177,7 @@ def gk_lower_search(
     c0, _ = _int_matrix(form)
     n = len(c0)
     cap = int(_iord(_int_det(c0), p))
-    prec = budget.residue_precision or (delta(form) + 2 * e + 4)
-    coef_mod = p**prec
+    coef_mod = p ** (delta(form) + 2 * e + 4)
     best = _greatest_in_s(c0, p, e, cap)
     for _ in range(budget.max_transforms):
         c = [row[:] for row in c0]
@@ -246,12 +240,12 @@ def _shear(c, i, j, x):
         c[j][t] += x * c[i][t]
 
 
-def exhaustive_gk_binary(form: HalfIntegralForm, n: int | None = None) -> tuple[int, int]:
-    """Exact binary GK by enumerating transform representatives mod p^n.
+def exhaustive_gk_binary(form: HalfIntegralForm) -> tuple[int, int]:
+    """Exact binary GK by enumerating transform representatives mod p^k.
 
     Unit diagonal factors do not move entry orders, so representatives
-    L(x) R(y) and swap * L(x) R(y) with x, y mod p^n cover every order
-    pattern once n clears the determinant bound.
+    L(x) R(y) and swap * L(x) R(y) with x, y mod p^k cover every order
+    pattern once k = ord det(2B) + e + 1 clears the determinant bound.
     """
     if form.n != 2 or not form.nondegenerate:
         raise FormError("needs a non-degenerate binary form")
@@ -259,9 +253,7 @@ def exhaustive_gk_binary(form: HalfIntegralForm, n: int | None = None) -> tuple[
     p, e = ctx.p, ctx.e
     c, _ = _int_matrix(form)
     d0 = int(_iord(_int_det(c), p))
-    if n is None:
-        n = d0 + e + 1
-    q = p**n
+    q = p ** (d0 + e + 1)
     c11, c12, c22 = c[0][0], c[0][1], c[1][1]
     best = (-1, -1)
     for swapped in (False, True):

@@ -198,13 +198,19 @@ def xi_code(xi: Rational, ctx: PrimeContext) -> int:
     return 0
 
 
+def nonsquare_unit(ctx: PrimeContext) -> int:
+    """The least integer that is a non-square unit of Z_p, p odd."""
+    u = 2
+    while legendre(u, ctx) == 1:
+        u += 1
+    return u
+
+
 def square_class_reps(ctx: PrimeContext) -> tuple[Fraction, ...]:
     """Fixed representatives of Q_p^x modulo squares."""
     if ctx.p == 2:
         return tuple(Fraction(t) for t in (1, -1, 2, -2, 5, -5, 10, -10))
-    u = 2
-    while legendre(u, ctx) == 1:
-        u += 1
+    u = nonsquare_unit(ctx)
     return tuple(Fraction(t) for t in (1, u, ctx.p, u * ctx.p))
 
 

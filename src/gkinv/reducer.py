@@ -132,8 +132,9 @@ def complete_square(
     ord(b22 + 2 b12 x + b11 x^2) > a2.
 
     Requires ord(b11) = a1, ord(b22) = a2, ord(2 b12) > (a1+a2)/2 and an even
-    non-negative gap.  A residue search over one extra digit suffices; a few
-    more digits are scanned defensively.
+    non-negative gap.  Then x = 2^(gap/2) works: b11 x^2 and b22 both have
+    order exactly a2 with odd unit parts, so their sum has order above a2,
+    and 2 b12 x has order above a2 as well.
     """
     if ctx.p != 2:
         raise FormError("complete_square is specific to p = 2")
@@ -145,12 +146,10 @@ def complete_square(
         raise FormError("diagonal orders must be exact")
     if 2 * valuation(2 * b12, ctx) <= a1 + a2:
         raise FormError("doubled cross entry must exceed the half-sum")
-    scale = Fraction(2) ** (gap // 2)
-    for w in range(8):
-        x = w * scale
-        if valuation(b22 + 2 * b12 * x + b11 * x * x, ctx) > a2:
-            return x
-    raise ReductionError("square completion residue search exhausted")
+    x = Fraction(2) ** (gap // 2)
+    if valuation(b22 + 2 * b12 * x + b11 * x * x, ctx) <= a2:
+        raise ReductionError("square completion failed")
+    return x
 
 
 def _clear_matrix(
@@ -315,8 +314,8 @@ def _standardize(m, u, exps, sigma):
 
 
 def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
-    """Non-dyadic reduction: diagonalize with unimodular congruences, sort the
-    diagonal by valuation, and attach a standard involution."""
+    """Non-dyadic reduction: diagonalize with unimodular congruences, taking
+    a pivot of least order each time, and attach a standard involution."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -343,8 +342,8 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
         perm = tuple(range(k)) + (piv,) + tuple(t for t in idx if t != piv)
         linalg.permute(m, perm, u)
         linalg.eliminate(m, k, u)
-    order = sorted(range(n), key=lambda i: valuation(m[i][i], ctx))
-    linalg.permute(m, order, u)
+    # each pivot has the least order in its tail and elimination keeps the
+    # tail at or above it, so the diagonal orders are already non-decreasing
     exps = tuple(int(valuation(m[i][i], ctx)) for i in range(n))
     sigma = standard_involutions(exps)[0]
     cert = ReductionCertificate(

@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .egk import (
+    _unramified_pair,
     collapse,
     enumerate_egk,
     lift,
@@ -60,6 +62,7 @@ from .padic import (
     PrimeContext,
     hilbert_symbol,
     is_square,
+    nonsquare_unit,
     quad_ext,
     square_class_reps,
     valuation,
@@ -93,15 +96,32 @@ def _random_nonzero(rng: random.Random, ctx: PrimeContext) -> Fraction:
             return Fraction(num, den)
 
 
+_CTXS = tuple(PrimeContext(p) for p in (2, 3, 5))
+
+
+def random_forms(rng: random.Random, count: int, sizes: tuple[int, int], height: int):
+    """``count`` random forms, each drawn as a prime from (2, 3, 5), then a
+    size in the closed range ``sizes``, then ``random_form`` at ``height``.
+    The forms come one at a time, so a caller may draw from ``rng`` between
+    them and still see the same sequence."""
+    for _ in range(count):
+        ctx = rng.choice(_CTXS)
+        yield random_form(rng.randint(*sizes), ctx, rng, height=height)
+
+
+def _det_cap(form: HalfIntegralForm) -> int:
+    """ord det(2B), from the determinant the form already carries."""
+    return int(valuation(Fraction(2) ** form.n * form.det, form.ctx))
+
+
 # ---------------------------------------------------------------- padic
 
 def padic_suite(trials: int = 300, seed: int = 0) -> list[CheckResult]:
     rng = random.Random(seed)
     out: list[CheckResult] = []
-    ctxs = [PrimeContext(p) for p in (2, 3, 5)]
 
     fails = []
-    for ctx in ctxs:
+    for ctx in _CTXS:
         for _ in range(trials):
             a, b, c = (_random_nonzero(rng, ctx) for _ in range(3))
             if hilbert_symbol(a, b, ctx) != hilbert_symbol(b, a, ctx):
@@ -118,7 +138,7 @@ def padic_suite(trials: int = 300, seed: int = 0) -> list[CheckResult]:
     out.append(_result("hilbert symbol algebra", fails))
 
     fails = []
-    for ctx in ctxs:
+    for ctx in _CTXS:
         for _ in range(trials // 3):
             x = _random_nonzero(rng, ctx)
             ext = quad_ext(x, ctx)
@@ -134,7 +154,7 @@ def padic_suite(trials: int = 300, seed: int = 0) -> list[CheckResult]:
     out.append(_result("square classes and quadratic extensions", fails))
 
     fails = []
-    for ctx in ctxs:
+    for ctx in _CTXS:
         reps = square_class_reps(ctx)
         for a in reps:
             for b in reps:
@@ -165,13 +185,10 @@ def _random_gk_group_element(exps, ctx, rng):
 def qform_suite(trials: int = 120, seed: int = 1) -> list[CheckResult]:
     rng = random.Random(seed)
     out: list[CheckResult] = []
-    ctxs = [PrimeContext(p) for p in (2, 3, 5)]
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=3)
+    for b in random_forms(rng, trials, (1, 4), height=3):
+        ctx, n = b.ctx, b.n
         u1 = random_unimodular(n, ctx, rng)
         u2 = random_unimodular(n, ctx, rng)
         lhs = transform(transform(b, u1), u2)
@@ -185,11 +202,9 @@ def qform_suite(trials: int = 120, seed: int = 1) -> list[CheckResult]:
     out.append(_result("transform composition and invariances", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=2)
-        exps = tuple(sorted(rng.randint(0, 2) for _ in range(n)))
+    for b in random_forms(rng, trials, (1, 4), height=2):
+        ctx = b.ctx
+        exps = tuple(sorted(rng.randint(0, 2) for _ in range(b.n)))
         if membership(b, exps, strict=True) and not membership(b, exps):
             fails.append("strict does not imply lax")
         for strict in (False, True):
@@ -202,45 +217,24 @@ def qform_suite(trials: int = 120, seed: int = 1) -> list[CheckResult]:
     out.append(_result("membership preserved by the compatible group", fails))
 
     fails = []
-    for _ in range(trials // 2):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 3)
-        b = random_form(n, ctx, rng, height=2)
-        two_b = tuple(tuple(2 * x for x in row) for row in b.entries)
-        cap = int(valuation(linalg.det(two_b), ctx))
+    for b in random_forms(rng, trials // 2, (1, 3), height=2):
+        cap = _det_cap(b)
         if sum(greatest_in_s(b)) > cap:
-            fails.append(f"mass bound p={ctx.p}")
+            fails.append(f"mass bound p={b.ctx.p}")
         members = _enumerate_s(b, cap)
         if any(sum(m) > cap for m in members):
-            fails.append(f"enumerated member beats the mass bound p={ctx.p}")
+            fails.append(f"enumerated member beats the mass bound p={b.ctx.p}")
     out.append(_result("admissible sequences respect the determinant bound", fails))
     return out
 
 
 def _enumerate_s(form: HalfIntegralForm, cap: int):
-    n = form.n
-    ctx = form.ctx
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for a in range(lo, cap + 1):
-            cand = prefix + [a]
-            pad = cand + [a] * (n - i - 1)
-            if matrix_in_lattice(
-                linalg.submatrix(form.entries, range(i + 1), range(i + 1)),
-                cand,
-                ctx,
-            ):
-                rec(cand)
-
-    rec([])
+    """Every non-decreasing sequence with entries at most ``cap`` that the
+    form meets the valuation bounds of."""
     return [
-        m for m in out if membership(form, m)
+        m
+        for m in combinations_with_replacement(range(cap + 1), form.n)
+        if membership(form, m)
     ]
 
 
@@ -252,7 +246,7 @@ def involution_suite(max_n: int = 6, max_val: int = 3, seed: int = 2) -> list[Ch
     census_fails = []
     for n in range(1, max_n + 1):
         invs = all_involutions(n)
-        for exps in _nondecreasing_seqs(n, max_val):
+        for exps in combinations_with_replacement(range(max_val + 1), n):
             stds = standard_involutions(exps)
             if len(stds) != 2 ** choice_block_count(exps):
                 fails.append(f"count {exps}")
@@ -278,7 +272,7 @@ def involution_suite(max_n: int = 6, max_val: int = 3, seed: int = 2) -> list[Ch
 
     fails = []
     for n in range(2, max_n + 1):
-        for exps in _nondecreasing_seqs(n, 2):
+        for exps in combinations_with_replacement(range(3), n):
             for s in standard_involutions(exps):
                 for k in range(1, n):
                     res = restrict(GKType(exps, s), k)
@@ -288,31 +282,16 @@ def involution_suite(max_n: int = 6, max_val: int = 3, seed: int = 2) -> list[Ch
     return out
 
 
-def _nondecreasing_seqs(n: int, max_val: int):
-    def rec(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, max_val + 1):
-            yield from rec(prefix + [v])
-
-    yield from rec([])
-
-
 # ---------------------------------------------------------------- reducer
 
 def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
     rng = random.Random(seed)
     out: list[CheckResult] = []
     ctx2 = PrimeContext(2)
-    ctxs = [PrimeContext(p) for p in (2, 3, 5)]
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=3)
+    for b in random_forms(rng, trials, (1, 4), height=3):
+        ctx = b.ctx
         cert = reduce_form(b)
         ok, reason = verify_certificate(b, cert)
         if not ok:
@@ -336,10 +315,8 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
     out.append(_result("standard type independent of the basis", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(2, 4)
-        b = random_form(n, ctx, rng, height=2)
+    for b in random_forms(rng, trials, (2, 4), height=2):
+        ctx, n = b.ctx, b.n
         cert = reduce_form(b)
         r, exps = cert.reduced, cert.exps
         u = _random_lower_unipotent(exps, ctx, rng)
@@ -354,10 +331,8 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
     out.append(_result("stability and optimality transforms", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(2, 4)
-        b = random_form(n, ctx, rng, height=2)
+    for b in random_forms(rng, trials, (2, 4), height=2):
+        ctx, n = b.ctx, b.n
         cert = reduce_form(b)
         exps = cert.exps
         for k in range(1, n):
@@ -412,23 +387,17 @@ def _random_lower_unipotent(exps, ctx, rng):
 def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
     rng = random.Random(seed)
     out: list[CheckResult] = []
-    ctxs = [PrimeContext(p) for p in (2, 3, 5)]
     ctx2 = PrimeContext(2)
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=3)
+    for b in random_forms(rng, trials, (1, 4), height=3):
         if sum(gk(b)) != delta(b):
-            fails.append(f"mass identity p={ctx.p}")
+            fails.append(f"mass identity p={b.ctx.p}")
     out.append(_result("invariant mass equals the discriminant formula", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(2, 4)
-        b = random_form(n, ctx, rng, height=2)
+    for b in random_forms(rng, trials, (2, 4), height=2):
+        ctx, n = b.ctx, b.n
         u = random_unimodular(n, ctx, rng)
         if eta(transform(b, u)) != eta(b):
             fails.append(f"clifford invariance p={ctx.p}")
@@ -442,10 +411,8 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
     out.append(_result("clifford invariant transformation laws", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 3)
-        b = random_form(n, ctx, rng, height=2)
+    for b in random_forms(rng, trials, (1, 3), height=2):
+        ctx = b.ctx
         a = rng.randint(0, 3)
         target = rng.choice((1, -1))
         k = _unramified_binary(target, a, ctx)
@@ -457,7 +424,7 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials):
-        ctx = rng.choice(ctxs)
+        ctx = rng.choice(_CTXS)
         scale = rng.randint(0, 2)
         m = rng.randint(1, 2)
         pieces = [
@@ -554,20 +521,13 @@ def _perturb_strictly(form: HalfIntegralForm, exps, rng) -> HalfIntegralForm:
 
 
 def _unramified_binary(target_xi: int, scale: int, ctx: PrimeContext):
+    """p^scale times a unimodular binary form whose discriminant indicator is
+    ``target_xi`` (split or inert)."""
     if ctx.p == 2:
-        rows = (
-            [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
-            if target_xi == 1
-            else [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]
-        )
-    else:
-        u = next(
-            r for r in square_class_reps(ctx)
-            if valuation(r, ctx) == 0 and not is_square(r, ctx)
-        )
-        rows = [[1, 0], [0, -1]] if target_xi == 1 else [[1, 0], [0, -u]]
+        return validate_form(_unramified_pair(target_xi, scale), ctx)
+    u = 1 if target_xi == 1 else nonsquare_unit(ctx)
     f = Fraction(ctx.p) ** scale
-    return validate_form([[f * x for x in row] for row in rows], ctx)
+    return validate_form([[f, 0], [0, -u * f]], ctx)
 
 
 # ---------------------------------------------------------------- egk
@@ -586,13 +546,9 @@ def egk_suite(trials: int = 80, seed: int = 5) -> list[CheckResult]:
     out.append(_result("collapse inverts lift exhaustively", fails))
 
     fails = []
-    for _ in range(trials):
-        p = rng.choice((2, 3, 5))
-        ctx = PrimeContext(p)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=3)
+    for b in random_forms(rng, trials, (1, 4), height=3):
         if not validate_egk(egk_of(b))[0]:
-            fails.append(f"axioms p={p}")
+            fails.append(f"axioms p={b.ctx.p}")
     out.append(_result("computed data satisfy the axioms", fails))
 
     fails = []
@@ -639,10 +595,9 @@ def egk_suite(trials: int = 80, seed: int = 5) -> list[CheckResult]:
 def oracle_suite(trials: int = 40, seed: int = 6) -> list[CheckResult]:
     rng = random.Random(seed)
     out: list[CheckResult] = []
-    ctxs = [PrimeContext(p) for p in (2, 3, 5)]
 
     fails = []
-    for ctx in ctxs:
+    for ctx in _CTXS:
         for _ in range(trials):
             a = _random_nonzero(rng, ctx)
             b = _random_nonzero(rng, ctx)
@@ -663,24 +618,16 @@ def oracle_suite(trials: int = 40, seed: int = 6) -> list[CheckResult]:
     out.append(_result("binary ground truth triple agreement", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        n = rng.randint(1, 4)
-        b = random_form(n, ctx, rng, height=3)
+    for b in random_forms(rng, trials, (1, 4), height=3):
         lo = gk_lower_search(b, SearchBudget(200, seed=rng.randrange(1 << 30)))
         if tuple(lo) > tuple(gk(b)):
-            fails.append(f"lower bound exceeded p={ctx.p}")
+            fails.append(f"lower bound exceeded p={b.ctx.p}")
     out.append(_result("sampled search never exceeds the invariant", fails))
 
     fails = []
-    for _ in range(trials):
-        ctx = rng.choice(ctxs)
-        b = random_form(rng.randint(1, 3), ctx, rng, height=2)
-        two_b = tuple(tuple(2 * x for x in row) for row in b.entries)
-        cap = int(valuation(linalg.det(two_b), ctx))
-        members = _enumerate_s(b, cap)
-        if greatest_in_s(b) != max(members):
-            fails.append(f"descending search misses the maximum p={ctx.p}")
+    for b in random_forms(rng, trials, (1, 3), height=2):
+        if greatest_in_s(b) != max(_enumerate_s(b, _det_cap(b))):
+            fails.append(f"descending search misses the maximum p={b.ctx.p}")
     out.append(_result("greatest admissible sequence matches enumeration", fails))
     return out
 

@@ -6,7 +6,7 @@ budgets.  Random corpora are seed-fixed so reruns are byte-identical.
 
 import random
 import time
-from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from gkinv import linalg
 from gkinv.egk import enumerate_egk, collapse, lift, random_egk, synthesize_reduced, validate_egk, validate_naive
@@ -39,6 +39,7 @@ from gkinv.oracle import (
 )
 from gkinv.padic import PrimeContext, hilbert_symbol, square_class_reps
 from gkinv.reducer import is_reduced, reduce_form, verify_certificate
+from gkinv.selfcheck import _random_nonzero, random_forms
 
 CTX2 = PrimeContext(2)
 
@@ -47,20 +48,8 @@ def _report(num, text):
     print(f"PASS criterion {num}: {text}")
 
 
-def _random_nonzero(rng, ctx, height=3):
-    while True:
-        v = Fraction(rng.randint(-(ctx.p**height), ctx.p**height), rng.randint(1, ctx.p**2))
-        if v:
-            return v
-
-
 def corpus_desk_scale(count=500, seed=2024):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        p = rng.choice((2, 3, 5))
-        out.append(random_form(rng.randint(1, 4), PrimeContext(p), rng, height=4))
-    return out
+    return list(random_forms(random.Random(seed), count, (1, 4), height=4))
 
 
 def test_criterion_01_worked_example():
@@ -172,11 +161,7 @@ def test_criterion_08_hilbert_soundness():
 
 
 def test_criterion_09_oracle_bracket():
-    rng = random.Random(59)
-    search_corpus = []
-    for _ in range(40):
-        p = rng.choice((2, 3, 5))
-        search_corpus.append(random_form(rng.randint(1, 4), PrimeContext(p), rng, height=3))
+    search_corpus = list(random_forms(random.Random(59), 40, (1, 4), height=3))
     bound_corpus = search_corpus + corpus_desk_scale(500)
     for b in bound_corpus:
         two_b = tuple(tuple(2 * x for x in row) for row in b.entries)
@@ -207,7 +192,7 @@ def test_criterion_11_involution_census():
     checked = 0
     for n in range(1, 9):
         invs = all_involutions(n)
-        for exps in _nondecreasing(n, 4):
+        for exps in combinations_with_replacement(range(5), n):
             stds = standard_involutions(exps)
             assert len(stds) == 2 ** choice_block_count(exps)
             sigs = {plus_signature(exps, s) for s in invs if is_admissible(exps, s)}
@@ -216,15 +201,3 @@ def test_criterion_11_involution_census():
     elapsed = time.time() - t0
     assert elapsed < 60
     _report(11, f"census exact on {checked} exponent sequences (n<=8, values<=4) in {elapsed:.1f}s")
-
-
-def _nondecreasing(n, max_val):
-    def rec(prefix):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, max_val + 1):
-            yield from rec(prefix + [v])
-
-    yield from rec([])

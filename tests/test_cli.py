@@ -294,3 +294,40 @@ def test_large_primes_are_decided_quickly(tmp_path):
         assert "Traceback" not in err and proc.returncode == code, (p, err)
         out = json.loads(out)
         assert out == expect if code == 0 else out["error"] == expect
+
+
+def test_synth_work_is_bounded(tmp_path):
+    """A datum past SYNTH_MAX_N coordinates or SYNTH_MAX_BITS bits of prime
+    power exits 1 with bad_egk_payload at once; a datum at both limits is
+    synthesized."""
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for payload, code in [
+        ({"p": 3, "n": [3000], "m": [1], "zeta": [1]}, 1),
+        ({"p": 2, "n": [1], "m": [3000000], "zeta": [1]}, 1),
+        ({"p": 3, "n": [2], "m": [200000], "zeta": [1]}, 1),
+        ({"p": 2, "n": [2], "m": [16384], "zeta": [1]}, 1),
+        ({"p": 3, "n": [33], "m": [0], "zeta": [1]}, 1),
+        ({"p": 2, "n": [32], "m": [256], "zeta": [1]}, 0),
+    ]:
+        path = write(tmp_path, "egk.json", payload)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gkinv.cli", "synth", "--egk", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise AssertionError(f"synth on {payload} ran past 60 s")
+        assert "Traceback" not in err and proc.returncode == code, (payload, err)
+        out = json.loads(out)
+        if code:
+            assert out["error"] == "bad_egk_payload", (payload, out)
+        else:
+            assert len(out["matrix"]) == 32

@@ -66,6 +66,13 @@ def test_lift_surjectivity_exhaustive():
         assert collapse(h) == g
 
 
+def test_lift_of_a_long_block_round_trips():
+    g = EGKDatum((3000,), (1,), (1,))
+    h = lift(g)
+    assert h.a == (1,) * 3000
+    assert collapse(h) == g
+
+
 def test_synthesize_nondyadic_examples():
     t = synthesize_nondyadic(NaiveEGK((0, 1), (1, 0)), CTX3)
     assert [valuation(t.entries[i][i], CTX3) for i in range(2)] == [0, 1]
