@@ -171,9 +171,11 @@ def _reduce_one(payload) -> dict:
 
 
 def _map_items(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
+    # a worker per item at most, and no more workers than cores
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(workers) as pool:
         return pool.map(fn, items)
 
 

@@ -42,14 +42,14 @@ def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
     n = len(m)
     if any(len(row) != n for row in m):
         raise FormError("matrix is not square")
+    e = ctx.e  # ord(2x) = ord(x) + e
     for i in range(n):
-        for j in range(i, n):
+        if valuation(m[i][i], ctx) < 0:
+            raise FormError(f"diagonal entry ({i},{i}) is not p-integral")
+        for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise FormError(f"matrix is not symmetric at ({i},{j})")
-            if i == j:
-                if valuation(m[i][i], ctx) < 0:
-                    raise FormError(f"diagonal entry ({i},{i}) is not p-integral")
-            elif valuation(2 * m[i][j], ctx) < 0:
+            if valuation(m[i][j], ctx) < -e:
                 raise FormError(f"doubled entry ({i},{j}) is not p-integral")
     return HalfIntegralForm(ctx, m, linalg.det(m))
 

@@ -43,9 +43,13 @@ def xi(form: HalfIntegralForm) -> int:
 
 
 def _field_diagonal(entries) -> list[Fraction]:
-    a = linalg.rows(entries)
+    """A diagonal of the form over the field, by the fraction-free steps of
+    ``linalg.eliminate`` on den·B: pivot k is den·prev·d_k, with prev the
+    pivot of the step before (1 at the first)."""
+    a, den = linalg._scaled(entries)
     n = len(a)
     out: list[Fraction] = []
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
@@ -60,8 +64,9 @@ def _field_diagonal(entries) -> list[Fraction]:
                 piv = i
             if piv != k:
                 linalg.swap(a, k, piv)
-        out.append(a[k][k])
-        linalg.eliminate(a, k)
+        out.append(Fraction(a[k][k], den * prev))
+        linalg.eliminate(a, k, prev)
+        prev = a[k][k]
     return out
 
 

@@ -4,12 +4,19 @@ The dense routines build new immutable matrices.  ``congruence`` and ``det``
 scale their matrices to integers over least common denominators (of each
 matrix for ``congruence``, of each row for ``det``), compute in ``int`` and
 divide once at the end, so they never build an intermediate Fraction.  They
-share no code with the in-place kernel, which is what lets the verifier
-check the reducers with them.  The in-place elimination kernel at the end is what both reducers
-run on: each of its steps applies a congruence M <- t(E) M E, and U <- U E
-when a working U is given, to mutable lists of Fraction rows without
-building E.  The arithmetic is exact, so a step gives the same values as
-``congruence(M, E)`` and ``matmul(U, E)``.
+share no code with the in-place kernel's steps, which is what lets the
+verifier check the reducers with them; the only helper in common is
+``_scaled``, which turns a matrix into integers over its common denominator.
+
+The in-place elimination kernel at the end is what both reducers run on:
+each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
+working U is given, to mutable lists of rows without building E.  ``swap``,
+``permute`` and ``shear`` work on rows of any exact numbers (Fraction rows
+in the dyadic search) and give the same values as ``congruence(M, E)`` and
+``matmul(U, E)``.  ``eliminate`` is a fraction-free step on integer rows:
+the Jordan split and the field diagonalization scale B once to integers
+and keep every entry an integer, with a known scale per entry, until they
+build their Fractions at the end.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return top + bot
 
 
-Rows = list[list[Fraction]]
+Rows = list[list]
 
 
 def rows(m) -> Rows:
@@ -189,21 +196,29 @@ def shear(m: Rows, i: int, j: int, c, u: Rows | None = None) -> None:
             row[j] += c * row[i]
 
 
-def eliminate(m: Rows, k: int, u: Rows | None = None) -> None:
-    """Symmetric pivot elimination of row k against the tail: E = 1 - sum over
-    j > k of (m[k][j] / m[k][k]) e_k t(e_j), which needs m[k][k] != 0.  These
-    shears share their source k, so they commute and apply as all the column
-    steps, then all the row steps."""
-    d = m[k][k]
-    fs = [(j, -m[k][j] / d) for j in range(k + 1, len(m)) if m[k][j]]
-    if not fs:
-        return
-    for w in (m,) if u is None else (m, u):
-        for row in w:
-            x = row[k]
-            if x:
-                for j, f in fs:
-                    row[j] += f * x
-    rk = m[k]
-    for j, f in fs:
-        m[j] = [x + f * y for x, y in zip(m[j], rk)]
+def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:
+    """One fraction-free symmetric pivot step (Bareiss) on integer rows: with
+    p = m[k][k] != 0, each tail entry (i, j > k) becomes
+    (p·m[i][j] - m[i][k]·m[k][j]) // prev, and each tail column j of U
+    becomes (p·u[:, j] - m[k][j]·u[:, k]) // prev.
+
+    This is the exact step E = 1 - sum over j > k of (m[k][j] / p) e_k t(e_j)
+    on scaled rows: if the tail of m is prev·T and the tail columns of U are
+    prev·V, afterwards they are p·T' and p·V' for the exact results T', V'.
+    Every division is exact.  Started on an integer matrix S with prev = 1
+    and U = 1, and with prev the pivot of the step before, each tail entry
+    of m is a bordered minor of S (Sylvester's identity) and each tail entry
+    of U, by Cramer's rule for the leading block of S, a minor of S, so
+    both are integers.  Swaps, permutations and shears among tail coordinates between
+    steps are integer congruences that commute with the earlier steps, so
+    the entries stay minors of S transformed by them.  Row and column k are
+    left as they are (the exact step clears them off the diagonal); callers
+    read only the pivots and the tail."""
+    p, tail = m[k][k], m[k][k + 1 :]
+    for ri in m[k + 1 :]:
+        c = ri[k]
+        ri[k + 1 :] = [(p * x - c * y) // prev for x, y in zip(ri[k + 1 :], tail)]
+    if u is not None:
+        for row in u:
+            c = row[k]
+            row[k + 1 :] = [(p * x - y * c) // prev for x, y in zip(row[k + 1 :], tail)]

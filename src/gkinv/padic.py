@@ -85,6 +85,8 @@ def _int_valuation(n: int, p: int) -> int:
 
 def valuation(x: Rational, ctx: PrimeContext) -> int | float:
     """p-adic order of x; +inf for x = 0."""
+    if type(x) is int:
+        return _int_valuation(x, ctx.p) if x else INF
     if type(x) is not Fraction:
         x = Fraction(x)
     if not x.numerator:

@@ -315,39 +315,48 @@ def _standardize(m, u, exps, sigma):
 
 def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
     """Non-dyadic reduction: diagonalize with unimodular congruences, taking
-    a pivot of least order each time, and attach a standard involution."""
+    a pivot of least order each time, and attach a standard involution.
+
+    The steps run fraction-free on the integer rows den·B (``linalg.eliminate``),
+    so the tail at step k is the exact tail times den·prev_k, with prev_k the
+    pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
+    times prev_k.  Both den and the pivots' scale are the same for every tail
+    entry, and den is prime to p, so the pivot orders compare as they would
+    on the exact rows; the Fractions are built once, at the end."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
         raise FormError("degenerate form")
     ctx = form.ctx
     n = form.n
-    m, u = linalg.rows(form.entries), linalg.rows(linalg.identity(n))
+    m, den = linalg._scaled(form.entries)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    prev, prevs = 1, []
     for k in range(n):
         idx = range(k, n)
-        best = None
-        for i in idx:
-            for j in range(i, n):
-                v = _ordb(m, ctx, i, j)
-                if v is not INF and (best is None or v < best[0]):
-                    best = (v, i, j)
-        _, i, j = best
-        if i != j and all(valuation(m[t][t], ctx) > best[0] for t in idx):
+        # ord(2x) = ord(x) at odd p, so _ordb is the plain valuation here
+        ords = {(i, j): valuation(m[i][j], ctx) for i in idx for j in range(i, n)}
+        v, i, j = min((v, i, j) for (i, j), v in ords.items())
+        if i != j and all(ords[t, t] > v for t in idx):
             # expose a minimal-order diagonal entry: the sum vector works
             linalg.shear(m, j, i, 1, u)
-        piv = min(
-            (t for t in idx if valuation(m[t][t], ctx) is not INF),
-            key=lambda t: valuation(m[t][t], ctx),
-        )
+            ords[i, i] = valuation(m[i][i], ctx)
+        piv = min(idx, key=lambda t: ords[t, t])
         perm = tuple(range(k)) + (piv,) + tuple(t for t in idx if t != piv)
         linalg.permute(m, perm, u)
-        linalg.eliminate(m, k, u)
+        prevs.append(prev)
+        linalg.eliminate(m, k, prev, u)
+        prev = m[k][k]
     # each pivot has the least order in its tail and elimination keeps the
     # tail at or above it, so the diagonal orders are already non-decreasing
-    exps = tuple(int(valuation(m[i][i], ctx)) for i in range(n))
+    diag = [Fraction(m[k][k], den * pk) for k, pk in enumerate(prevs)]
+    exps = tuple(int(valuation(d, ctx)) for d in diag)
     sigma = standard_involutions(exps)[0]
+    reduced = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
     cert = ReductionCertificate(
-        linalg.mat(u), validate_form(m, ctx), GKType(exps, sigma)
+        linalg.mat([[Fraction(x, pk) for x, pk in zip(row, prevs)] for row in u]),
+        validate_form(reduced, ctx),
+        GKType(exps, sigma),
     )
     ok, reason = verify_certificate(form, cert)
     if not ok:

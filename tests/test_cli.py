@@ -3,9 +3,11 @@ import os
 import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import gkinv
+from gkinv import cli
 from gkinv.cli import main
 
 
@@ -156,6 +158,45 @@ def test_reduce_batch_with_worker_pool(tmp_path, capsys):
     code, out2 = run_cli(["reduce", "--input", path, "--jobs", "2"], capsys)
     assert code == 0 and out1 == out2
     assert [c["ua"] for c in json.loads(out1)] == [[0, 1], [0, 0]]
+
+
+def test_worker_pool_is_bounded(tmp_path, capsys, monkeypatch):
+    """--jobs N asks for min(N, items, cores) workers.  The pool here is a
+    fake that records its size and maps in this process, so no worker is
+    ever started, whatever N is."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(it) for it in items]
+
+    monkeypatch.setattr(cli, "multiprocessing", types.SimpleNamespace(Pool=RecordingPool))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pair = write(tmp_path, "pair.json", [DIAG11, {"p": 3, "matrix": [["0", "1/2"], ["1/2", "0"]]}])
+    ten = write(tmp_path, "ten.json", [DIAG11] * 10)
+    runs = [
+        (["reduce", "--input", pair, "--jobs", "100000"], [2]),
+        (["reduce", "--input", ten, "--jobs", "100000"], [4]),
+        (["compute", "--what", "gk", "--input", ten, "--jobs", "3"], [3]),
+    ]
+    for args, expected in runs:
+        sizes.clear()
+        code, out = run_cli(args, capsys)
+        assert code == 0 and sizes == expected
+        assert out == run_cli(args[:-1] + ["1"], capsys)[1]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker, no pool
+    sizes.clear()
+    assert run_cli(["reduce", "--input", ten, "--jobs", "100000"], capsys)[0] == 0
+    assert sizes == []
 
 
 def test_batch_mode_preserves_order(tmp_path, capsys):

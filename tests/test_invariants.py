@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from gkinv import linalg
 from gkinv.egk import EGKDatum, random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
+    direct_sum,
     leading,
     random_form,
     random_unimodular,
@@ -14,6 +16,7 @@ from gkinv.forms import (
     validate_form,
 )
 from gkinv.invariants import (
+    _field_diagonal,
     check_inverse_bounds,
     classify_binary,
     egk_of,
@@ -54,6 +57,81 @@ def test_eta_examples():
 
 def test_eta_diagonalization_handles_zero_diagonal():
     assert eta(validate_form(H, CTX2)) == eta(validate_form([[1, 0], [0, -1]], CTX2))
+
+
+def naive_field_diagonal(b):
+    """A diagonal of B over Q by dense Fraction Gaussian elimination, with
+    eta's pivot rule: a later nonzero diagonal is swapped in, or else
+    e_i += e_j at the first nonzero off-diagonal entry (i, j) of the tail."""
+    a = [[Fraction(x) for x in row] for row in b]
+    n, out = len(a), []
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is None:
+                i, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j])
+                for row in a:
+                    row[i] += row[j]
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                piv = i
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        out.append(a[k][k])
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return out
+
+
+def eta_of_diagonal(d, ctx):
+    """The Clifford invariant of diag(d) as a product of Hilbert symbols."""
+    n, det = len(d), Fraction(1)
+    for x in d:
+        det *= x
+    val = hilbert_symbol(-1, -1, ctx) ** ((n + 1) // 4)
+    val *= hilbert_symbol(-1, det, ctx) ** ((n - 1) // 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            val *= hilbert_symbol(d[i], d[j], ctx)
+    return val
+
+
+def _zero_diagonal_forms(rng):
+    """Hyperbolic planes H and 3·H at p = 2 and p = 3, alone, as H ⊕ H and in
+    sums with random forms, and p = 2 reduced forms with pairs."""
+    h3 = [[0, Fraction(3, 2)], [Fraction(3, 2), 0]]
+    hh = direct_sum(validate_form(H, CTX3), validate_form(H, CTX3))
+    forms = [validate_form(H, CTX2), validate_form(h3, CTX3), validate_form(H, CTX3), hh]
+    for k in range(24):
+        ctx = (CTX2, CTX3)[k % 2]
+        forms.append(direct_sum(validate_form(H, ctx), random_form(1 + k % 4, ctx, rng)))
+        forms.append(direct_sum(random_form(1 + k % 3, ctx, rng), validate_form(h3, ctx)))
+    for k in range(12):
+        g = random_egk(rng, max_r=3, max_m=6, max_n=2 + k % 5)
+        forms.append(synthesize_reduced(g, CTX2))
+    return forms
+
+
+def test_eta_matches_a_naive_diagonalization(monkeypatch):
+    """eta's fraction-free field diagonal equals the dense Fraction one, and
+    eta equals the Hilbert-symbol product over it, on forms that reach the
+    swap and the exposing shear of the diagonalization."""
+    forms = _zero_diagonal_forms(random.Random("eta/naive"))
+    calls = {"swap": 0, "shear": 0}
+    for name in calls:
+        step = getattr(linalg, name)
+
+        def counted(*args, _step=step, _name=name):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    for form in forms:
+        d = naive_field_diagonal(form.entries)
+        assert _field_diagonal(form.entries) == d
+        assert eta(form) == eta_of_diagonal(d, form.ctx)
+    assert calls["swap"] and calls["shear"], calls
 
 
 def test_classify_binary_examples():

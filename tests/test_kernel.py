@@ -1,5 +1,6 @@
-"""The in-place elimination kernel against the dense congruences it replaces,
-the integer dense routines against naive Fraction references, and golden
+"""The in-place kernel against the dense congruences it replaces, its
+fraction-free elimination step against the exact Fraction elimination, the
+integer dense routines against naive Fraction references, and golden
 certificate digests that pin the reducers' output byte for byte."""
 
 import hashlib
@@ -59,11 +60,6 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
         _check_step(m0, u0, _elementary(n, {(i, j): c}), lambda m, u: linalg.shear(m, i, j, c, u))
-    for k in range(n):
-        if m0[k][k] == 0:
-            continue
-        e = _elementary(n, {(k, j): -m0[k][j] / m0[k][k] for j in range(k + 1, n)})
-        _check_step(m0, u0, e, lambda m, u: linalg.eliminate(m, k, u))
 
 
 def test_solve_matches_inverse_product():
@@ -188,6 +184,83 @@ def test_valuation_matches_its_copying_version():
         for x in values:
             assert valuation(x, ctx) == old_valuation(x, ctx), (p, x)
     assert valuation(0, ctx) is INF and valuation(Fraction(0), ctx) is INF
+
+
+def fraction_step(m, u, k):
+    """The exact symmetric elimination at pivot k: t(E) M E and U E with
+    E = 1 - sum over j > k of (m[k][j] / m[k][k]) e_k t(e_j), entry by entry."""
+    e = _elementary(len(m), {(k, j): -m[k][j] / m[k][k] for j in range(k + 1, len(m))})
+    return naive_congruence(m, e), linalg.matmul(u, e)
+
+
+def _random_symmetric(rng, n):
+    """Mixed denominators; some diagonals zero, and all of them in a third of
+    the cases, so pivots are reached through swaps and exposing shears."""
+    m = _mixed_matrix(rng, n, symmetric=True)
+    zero_all = rng.random() < 1 / 3
+    return linalg.mat(
+        [[0 if i == j and (zero_all or rng.random() < 0.4) else x for j, x in enumerate(row)]
+         for i, row in enumerate(m)]
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_step_matches_fraction_elimination(seed):
+    """The fraction-free step against the exact Fraction elimination, one
+    pivot at a time, with tail swaps and shears between the steps: the
+    tail of the integer rows stays den·prev times the exact tail, U's tail
+    columns prev times the exact ones, and every division is exact."""
+    rng = random.Random(f"bareiss/{seed}")
+    seen = {"swap": 0, "shear": 0, "tail move": 0}
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        b = _random_symmetric(rng, n)
+        if linalg.det(b) == 0:
+            continue
+        m, u = linalg.rows(b), linalg.rows(linalg.identity(n))
+        w, den = linalg._scaled(b)
+        wu = [[int(i == j) for j in range(n)] for i in range(n)]
+        prev, prevs = 1, []
+        for k in range(n):
+            if n - k > 1 and rng.random() < 0.5:  # a tail-only swap or shear
+                i, j = rng.sample(range(k, n), 2)
+                c = rng.randint(-3, 3)
+                for a, v in ((m, u), (w, wu)):
+                    if c:
+                        linalg.shear(a, i, j, c, v)
+                    else:
+                        linalg.swap(a, i, j, v)
+                seen["tail move"] += 1
+            if m[k][k] == 0:
+                piv = next((t for t in range(k + 1, n) if m[t][t] != 0), None)
+                if piv is None:  # e_i += e_j exposes 2·m[i][j] on the diagonal
+                    i, j = next(
+                        (i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0
+                    )
+                    for a, v in ((m, u), (w, wu)):
+                        linalg.shear(a, j, i, 1, v)
+                    piv = i
+                    seen["shear"] += 1
+                else:
+                    seen["swap"] += 1
+                for a, v in ((m, u), (w, wu)):
+                    linalg.swap(a, k, piv, v)
+            p, tail = w[k][k], range(k + 1, n)
+            assert p == den * prev * m[k][k] != 0
+            assert all((p * w[i][j] - w[i][k] * w[k][j]) % prev == 0 for i in tail for j in tail)
+            assert all((p * row[j] - w[k][j] * row[k]) % prev == 0 for row in wu for j in tail)
+            m, u = (linalg.rows(x) for x in fraction_step(m, u, k))
+            prevs.append(prev)
+            linalg.eliminate(w, k, prev, wu)
+            prev = p
+            assert all(w[i][j] == den * p * m[i][j] for i in tail for j in tail)
+            assert all(row[j] == p * x[j] for row, x in zip(wu, u) for j in tail)
+        assert all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        assert [Fraction(w[k][k], den * d) for k, d in enumerate(prevs)] == [
+            m[k][k] for k in range(n)
+        ]
+        assert [[Fraction(x, d) for x, d in zip(row, prevs)] for row in wu] == u
+    assert all(seen.values()), seen
 
 
 # SHA-256 of the certificates of both corpora, one `gkinv reduce` JSON line

@@ -134,6 +134,26 @@ def test_jordan_examples():
         jordan_split(validate_form([[1]], CTX2))
 
 
+def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
+    """3·H has no nonzero diagonal, so the split shears e_0 += e_1 before its
+    first pivot; the fraction-free step then gives the exact certificate."""
+    shears = []
+    shear = linalg.shear
+
+    def recorded(m, i, j, c, u=None):
+        shears.append((i, j, c))
+        return shear(m, i, j, c, u)
+
+    monkeypatch.setattr(linalg, "shear", recorded)
+    b = validate_form([[0, Fraction(3, 2)], [Fraction(3, 2), 0]], CTX3)
+    cert = jordan_split(b)
+    assert shears == [(1, 0, 1)]
+    assert cert.exps == (1, 1)
+    assert cert.u == linalg.mat([[1, Fraction(-1, 2)], [1, Fraction(1, 2)]])
+    assert cert.reduced.entries == linalg.mat([[3, 0], [0, Fraction(-3, 4)]])
+    assert verify_certificate(b, cert) == (True, "ok")
+
+
 def test_reduce_worked_example():
     b = validate_form([[1, 0], [0, 1]], CTX2)
     cert = reduce_form(b)
