@@ -32,7 +32,6 @@ from .reducer import (
     reduce_form,
     verify_certificate,
 )
-from .selfcheck import run_suites
 
 # a denominator needs a non-zero digit
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
@@ -263,6 +262,8 @@ def _cmd_rand(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selfcheck import run_suites
+
     results = run_suites(args.suite, trials=args.trials, seed=args.seed)
     bad = 0
     for r in results:

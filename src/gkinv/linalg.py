@@ -7,16 +7,21 @@ divide once at the end, so they never build an intermediate Fraction.  They
 share no code with the in-place kernel's steps, which is what lets the
 verifier check the reducers with them; the only helper in common is
 ``_scaled``, which turns a matrix into integers over its common denominator.
+There is one solve: ``solve_int`` is fraction-free Gauss-Jordan elimination
+on integer matrices and returns A^-1 B as Y / L in lowest terms; ``solve``
+scales [A | B] row by row as ``det`` does and calls it, and ``inverse`` is
+``solve`` against the identity.
 
 The in-place elimination kernel at the end is what both reducers run on:
 each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
 working U is given, to mutable lists of rows without building E.  ``swap``,
-``permute`` and ``shear`` work on rows of any exact numbers (Fraction rows
-in the dyadic search) and give the same values as ``congruence(M, E)`` and
-``matmul(U, E)``.  ``eliminate`` is a fraction-free step on integer rows:
-the Jordan split and the field diagonalization scale B once to integers
-and keep every entry an integer, with a known scale per entry, until they
-build their Fractions at the end.
+``permute``, ``shear`` and ``scale`` work on rows of any exact numbers and
+give the same values as ``congruence(M, E)`` and ``matmul(U, E)``;
+``eliminate`` is a fraction-free step.  The reducers and the field
+diagonalization scale B once to integers and keep every entry an integer,
+with a known scale, until they build their Fractions at the end: the Jordan
+split and the field diagonalization through ``eliminate``, the dyadic search
+through ``solve_int`` and integer shears and scalings.
 """
 
 from __future__ import annotations
@@ -117,22 +122,49 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * prev, d)
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """A^-1 B for invertible A, by Gauss-Jordan elimination on [A | B]."""
+def solve_int(a, b) -> tuple[list[list[int]], int]:
+    """(Y, L) with A^-1 B = Y / L in lowest terms and L > 0, for integer
+    matrices A (invertible) and B: fraction-free Gauss-Jordan elimination
+    (Nakos, Turner and Williams) on [A | B].
+
+    Step k maps every row r other than the pivot row s to (p·r - c·s) / prev,
+    with p = s[k], c = r[k] and prev the previous pivot.  After step k each
+    entry is a minor of [A | B] with its rows permuted by the swaps (Bareiss
+    below the pivot rows, Cramer's rule for the leading block on and above
+    them), so every division is exact, and at the end [A | B] has become
+    [d·1 | d·A^-1 B] with d = ±det A.  One gcd brings Y / L to lowest terms,
+    so L is the least common denominator of A^-1 B's entries."""
     n = len(a)
     w = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if w[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        w[k], w[piv] = w[piv], w[k]
-        inv = 1 / w[k][k]
-        w[k] = [x * inv for x in w[k]]
+        if not w[k][k]:
+            piv = next((i for i in range(k + 1, n) if w[i][k]), None)
+            if piv is None:
+                raise ZeroDivisionError("matrix is singular")
+            w[k], w[piv] = w[piv], w[k]
+        rk = w[k]
+        p = rk[k]
         for i in range(n):
-            if i != k and w[i][k] != 0:
-                f = w[i][k]
-                w[i] = [x - f * y for x, y in zip(w[i], w[k])]
-    return tuple(tuple(row[n:]) for row in w)
+            if i != k:
+                c = w[i][k]
+                w[i] = [(p * x - c * y) // prev for x, y in zip(w[i], rk)]
+        prev = p
+    y = [row[n:] for row in w]
+    g = math.gcd(prev, *(x for row in y for x in row))
+    if prev < 0:
+        g = -g
+    return [[x // g for x in row] for row in y], prev // g
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix:
+    """A^-1 B for invertible A: each row of [A | B] is scaled to integers by
+    its own least common denominator, as in ``det`` (A^-1 B is unchanged),
+    ``solve_int`` eliminates, and each entry is divided once by L."""
+    n = len(a)
+    ab = [_scaled((tuple(ra) + tuple(rb),))[0][0] for ra, rb in zip(a, b)]
+    y, l = solve_int([r[:n] for r in ab], [r[n:] for r in ab])
+    return mat([Fraction(x, l) for x in row] for row in y)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -194,6 +226,15 @@ def shear(m: Rows, i: int, j: int, c, u: Rows | None = None) -> None:
     if u is not None:
         for row in u:
             row[j] += c * row[i]
+
+
+def scale(m: Rows, idx, c, u: Rows | None = None) -> None:
+    """E = diagonal, c at each coordinate in idx and 1 elsewhere."""
+    for i in idx:
+        m[i] = [c * x for x in m[i]]
+    for row in m if u is None else m + u:
+        for i in idx:
+            row[i] *= c
 
 
 def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:

@@ -76,6 +76,9 @@ class PrimeContext:
 def _int_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p == 2:
+        # n & -n keeps the lowest set bit, in two's complement for n < 0 too
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

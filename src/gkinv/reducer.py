@@ -23,6 +23,15 @@ This is the constructive order of the reduction argument, so there is no
 backtracking: a failed clear, a prefix with no move or a failed shear
 raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
 passes (one per move, shears included); ``verify_certificate`` is the net.
+
+Both reducers work on integer rows and build the certificate's Fractions
+once, at the end.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
+den the common denominator of B and E an odd integer, so the 2-adic order
+of an exact entry is the order of its integer minus ord(den) and every move
+is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C as
+Y / L in lowest terms from ``linalg.solve_int`` and applies the integer
+congruence L·E_X, which multiplies E by L; an even L is exactly a clear that
+leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
 """
 
 from __future__ import annotations
@@ -127,7 +136,7 @@ def complete_square(
     a1: int,
     a2: int,
     ctx: PrimeContext,
-) -> Fraction:
+) -> int:
     """Dyadic square completion: x with ord(x) >= (a2-a1)/2 and
     ord(b22 + 2 b12 x + b11 x^2) > a2.
 
@@ -146,36 +155,49 @@ def complete_square(
         raise FormError("diagonal orders must be exact")
     if 2 * valuation(2 * b12, ctx) <= a1 + a2:
         raise FormError("doubled cross entry must exceed the half-sum")
-    x = Fraction(2) ** (gap // 2)
+    x = 2 ** (gap // 2)
     if valuation(b22 + 2 * b12 * x + b11 * x * x, ctx) <= a2:
         raise ReductionError("square completion failed")
     return x
 
 
-def _clear_matrix(
-    m: linalg.Rows, u: linalg.Rows, exps, sigma, ctx: PrimeContext
-) -> bool:
+def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     """Zero the cross rows of the reduced prefix against the tail, skipping
-    fixed-point rows: each tail column loses X times the paired prefix
-    columns, X = A^-1 C, and the rows follow.  Updates m and u in place;
-    returns False, with both untouched, when X leaves the integers (such a
-    prefix cannot extend)."""
+    fixed-point rows, on integer rows.  With X = A^-1 C = Y / L in lowest
+    terms (``linalg.solve_int``), apply the integer congruence L·E_X, where
+    E_X takes X times the paired prefix columns off each tail column, to m
+    and u in place: scale the tail coordinates by L, shear by -Y, scale the
+    prefix coordinates by L.  Returns L, which is odd; returns None, with
+    both untouched, when L is even, that is when X leaves Z_2 (such a prefix
+    cannot extend)."""
     k = len(exps)
     paired = [i for i in range(k) if sigma[i] != i]
     tail = range(k, len(m))
     if not paired or not tail:
-        return True
-    x = linalg.solve(
+        return 1
+    y, l = linalg.solve_int(
         linalg.submatrix(m, paired, paired), linalg.submatrix(m, paired, tail)
     )
-    if any(valuation(v, ctx) < 0 for row in x for v in row):
-        return False
+    if l % 2 == 0:
+        return None
+    if l != 1:
+        linalg.scale(m, tail, l, u)
+    # in (prefix, tail) blocks diag(1, L)·[[1, -Y], [0, 1]]·diag(L, 1) = L·E_X;
     # the shears run from prefix to tail coordinates, so they commute
-    for i, row in zip(paired, x):
+    for i, row in zip(paired, y):
         for j, v in zip(tail, row):
             if v:
                 linalg.shear(m, i, j, -v, u)
-    return True
+    if l != 1:
+        linalg.scale(m, range(k), l, u)
+    return l
+
+
+def _fractions(m, d: int) -> Matrix:
+    """The matrix m / d, for integer rows m."""
+    if d == 1:
+        return linalg.mat(m)
+    return linalg.mat([Fraction(x, d) if x else 0 for x in row] for row in m)
 
 
 def clear_rows(
@@ -190,23 +212,31 @@ def clear_rows(
         raise FormError("leading block is degenerate")
     if not is_reduced(lead, gk_type):
         raise FormError("leading block is not reduced for the given type")
-    cleared, u = linalg.rows(form.entries), linalg.rows(linalg.identity(form.n))
-    if not _clear_matrix(cleared, u, gk_type.exps, gk_type.sigma, form.ctx):
+    cleared, den = linalg._scaled(form.entries)
+    u = [[int(i == j) for j in range(form.n)] for i in range(form.n)]
+    l = _clear_matrix(cleared, u, gk_type.exps, gk_type.sigma)
+    if l is None:
         raise ReductionError("clearing transform is not integral")
-    return linalg.mat(u), validate_form(cleared, form.ctx)
+    reduced = validate_form(_fractions(cleared, den * l * l), form.ctx)
+    return _fractions(u, l), reduced
 
 
-def _ordb(m, ctx: PrimeContext, i: int, j: int):
-    if i == j:
-        return valuation(m[i][i], ctx)
-    return valuation(2 * m[i][j], ctx)
+def _ordb(m, ctx: PrimeContext, s: int, i: int, j: int):
+    """The 2-adic order of the exact entry (i, j), doubled off the diagonal,
+    for integer rows m that are the exact ones times 2^s·(odd)."""
+    x = m[i][j]
+    if not x:
+        return INF
+    v = valuation(x, ctx) - s
+    return v if i == j else v + 1
 
 
-def _candidates(m, exps, sigma, det_cap, ctx: PrimeContext):
-    """Every admissible move (c, kind, x, y) from the reduced prefix: kind 0
-    pairs fixed point x with tail coordinate y, 1 splits the tail pair (x, y),
-    2 admits the fixed point x, 3 shears tail diagonal y against the fixed
-    point x whose exponent it collides with in parity."""
+def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
+    """Every admissible move (c, kind, x, y) from the reduced prefix of the
+    form m / (2^s·odd): kind 0 pairs fixed point x with tail coordinate y, 1
+    splits the tail pair (x, y), 2 admits the fixed point x, 3 shears tail
+    diagonal y against the fixed point x whose exponent it collides with in
+    parity."""
     k, n = len(exps), len(m)
     amin = exps[-1] if exps else 0
     cap = (det_cap - sum(exps)) // (n - k)
@@ -215,19 +245,19 @@ def _candidates(m, exps, sigma, det_cap, ctx: PrimeContext):
     moves = []
     for h in fixed:
         for j in tail:
-            v = _ordb(m, ctx, h, j)
+            v = _ordb(m, ctx, s, h, j)
             if v is INF:
                 continue
-            c = int(2 * v) - exps[h]
+            c = 2 * v - exps[h]
             if c < amin or c > cap:
                 continue
-            if _ordb(m, ctx, j, j) < c:
+            if _ordb(m, ctx, s, j, j) < c:
                 continue
             moves.append((c, 0, h, j))
-    tail_ords = {(i, j): _ordb(m, ctx, i, j) for i in tail for j in tail if i <= j}
+    tail_ords = {(i, j): _ordb(m, ctx, s, i, j) for i in tail for j in tail if i <= j}
     finite = [v for v in tail_ords.values() if v is not INF]
     if finite:
-        c_tail = int(min(finite))
+        c_tail = min(finite)
         if amin <= c_tail <= cap:
             collision = next((h for h in fixed if (exps[h] - c_tail) % 2 == 0), None)
             for (i, j), v in tail_ords.items():
@@ -243,29 +273,42 @@ def _candidates(m, exps, sigma, det_cap, ctx: PrimeContext):
 
 
 def _dyadic_search(form: HalfIntegralForm, budget: int):
-    """(M, U, exps, sigma) with M = B[U] reduced, as working rows: clear the
-    prefix, then take the smallest move, until the prefix is everything.
-    Each pass spends one step of the budget."""
+    """(M, U, exps, sigma, d, e) with B[U / e] = M / d reduced, for integer
+    working rows M and U: clear the prefix, then take the smallest move,
+    until the prefix is everything.  Each pass spends one step of the budget.
+
+    The rows start as den·B and 1, with den the common denominator of B,
+    and every step is an integer congruence, so M = den·e²·B[U / e] with e
+    the product of the clearing scales L, all odd.  The order of an exact
+    entry is then its integer's order minus s = ord(den), and each move is
+    chosen as it would be on the exact rows."""
     ctx, n = form.ctx, form.n
     # ord det(2B), from the determinant validation already computed
     det_cap = int(valuation(Fraction(2) ** n * form.det, ctx))
-    m, u = linalg.rows(form.entries), linalg.rows(linalg.identity(n))
+    m, den = linalg._scaled(form.entries)
+    s = valuation(den, ctx)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    e = 1
     exps, sigma = (), ()
     while len(exps) < n:
         if budget <= 0:
             raise BudgetExhausted("reduction budget exhausted")
         budget -= 1
         at = f"at prefix exps={list(exps)} sigma={list(sigma)}"
-        if not _clear_matrix(m, u, exps, sigma, ctx):
+        l = _clear_matrix(m, u, exps, sigma)
+        if l is None:
             raise ReductionError(f"clearing transform is not integral {at}")
-        moves = _candidates(m, exps, sigma, det_cap, ctx)
+        e *= l
+        moves = _candidates(m, s, exps, sigma, det_cap, ctx)
         if not moves:
             raise ReductionError(f"no admissible move {at}")
         c, kind, x, y = min(moves)
         k = len(exps)
         if kind == 3:  # parity collision: shear the tail diagonal away
+            d = den * e * e
+            b11, b12, b22 = (Fraction(m[i][j], d) for i, j in ((x, x), (x, y), (y, y)))
             try:
-                sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x], c, ctx)
+                sh = complete_square(b11, b12, b22, exps[x], c, ctx)
             except (FormError, ReductionError) as ex:
                 what = f"collision shear of {y} against {x} to exponent {c}"
                 raise ReductionError(f"{what} failed {at}: {ex}") from ex
@@ -285,7 +328,7 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
             exps += (c,)
         rest = tuple(i for i in range(k, n) if i not in chosen)
         linalg.permute(m, tuple(range(k)) + chosen + rest, u)
-    return m, u, exps, sigma
+    return m, u, exps, sigma, den * e * e, e
 
 
 def _standardize(m, u, exps, sigma):
@@ -374,10 +417,10 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
         )
     if form.ctx.p != 2:
         return jordan_split(form)
-    m, u, exps, sigma = _dyadic_search(form, budget)
+    m, u, exps, sigma, d, e = _dyadic_search(form, budget)
     sigma = _standardize(m, u, exps, sigma)
     cert = ReductionCertificate(
-        linalg.mat(u), validate_form(m, form.ctx), GKType(exps, sigma)
+        _fractions(u, e), validate_form(_fractions(m, d), form.ctx), GKType(exps, sigma)
     )
     ok, reason = verify_certificate(form, cert)
     if not ok:

@@ -273,6 +273,22 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_out_selfcheck_and_oracle():
+    """Only ``selftest`` uses the property suites, and through them the
+    oracle, so every other command starts without importing either."""
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, gkinv.cli; "
+        "print([m for m in ('gkinv.selfcheck', 'gkinv.oracle') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_bad_batch_item_exits_cleanly_with_worker_pool(tmp_path):
     path = write(tmp_path, "bad.json", [DIAG11, {"p": 2, "matrix": [["x"]]}])
     src = str(Path(gkinv.__file__).resolve().parents[1])

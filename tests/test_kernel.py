@@ -1,10 +1,13 @@
 """The in-place kernel against the dense congruences it replaces, its
 fraction-free elimination step against the exact Fraction elimination, the
-integer dense routines against naive Fraction references, and golden
-certificate digests that pin the reducers' output byte for byte."""
+fraction-free solve against Cramer's rule, the dyadic clear on integer rows
+against the exact Fraction clear, the integer dense routines against naive
+Fraction references, and golden certificate digests that pin the reducers'
+output byte for byte."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -60,6 +63,10 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
         _check_step(m0, u0, _elementary(n, {(i, j): c}), lambda m, u: linalg.shear(m, i, j, c, u))
+    idx = rng.sample(range(n), rng.randint(1, n))
+    c = rng.choice((-3, 5, Fraction(7, 3)))
+    scaling = _elementary(n, {(i, i): c for i in idx})
+    _check_step(m0, u0, scaling, lambda m, u: linalg.scale(m, idx, c, u))
 
 
 def test_solve_matches_inverse_product():
@@ -116,6 +123,146 @@ def _mixed_matrix(rng, n, symmetric=False, singular=False):
                 m[i][-1] = m[-1][i]
             m[-1][-1] = sum(ci * m[-1][i] for i, ci in enumerate(c))
     return linalg.mat(m)
+
+
+def cramer_solve(a, b):
+    """A^-1 B by Cramer's rule over cofactor determinants, in Fractions."""
+    n, d = len(a), naive_det(a)
+    if d == 0:
+        raise ZeroDivisionError("matrix is singular")
+    cols = range(len(b[0]) if b else 0)
+    return [
+        [
+            naive_det([[b[r][j] if c == i else a[r][c] for c in range(n)] for r in range(n)])
+            / d
+            for j in cols
+        ]
+        for i in range(n)
+    ]
+
+
+# (A, B) for the integer solve: zero pivots that need a row swap, at the
+# first step and after one elimination step, and singular matrices
+SOLVE_SPECIAL = [
+    (((0, 1), (1, 0)), ((3, -4), (5, 0))),
+    (((0, 2, 1), (0, 3, 4), (5, 6, 7)), ((1,), (0,), (-2,))),
+    (((1, 2, 3), (2, 4, 5), (3, 5, 6)), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    (((2, 4), (3, 6)), ((1,), (1,))),
+    (((1, 2, 3), (2, 4, 6), (0, 0, 1)), ((1,), (2,), (3,))),
+    (((0, 0), (0, 5)), ((1,), (1,))),
+]
+
+
+@pytest.mark.parametrize("a,b", SOLVE_SPECIAL, ids=range(len(SOLVE_SPECIAL)))
+def test_solve_int_special_cases(a, b):
+    if naive_det(a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve_int(a, b)
+        with pytest.raises(ZeroDivisionError):
+            linalg.solve(a, b)
+        return
+    y, l = linalg.solve_int(a, b)
+    assert [[Fraction(v, l) for v in row] for row in y] == cramer_solve(a, b)
+    assert linalg.solve(a, b) == linalg.mat(cramer_solve(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_solve_int_matches_cramer(n):
+    """Y / L is A^-1 B in lowest terms (L > 0, gcd(L, Y) = 1) on random
+    integer matrices, zero entries and singular ones included, and ``solve``
+    gives the same values on mixed-denominator matrices."""
+    rng = random.Random(f"solve_int/{n}")
+    seen = {"L = 1": 0, "L > 1": 0, "singular": 0}
+    for trial in range(40):
+        a = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        width = rng.randint(0, 4)
+        b = [[rng.randint(-20, 20) for _ in range(width)] for _ in range(n)]
+        if naive_det(a) == 0:
+            seen["singular"] += 1
+            with pytest.raises(ZeroDivisionError):
+                linalg.solve_int(a, b)
+            continue
+        y, l = linalg.solve_int(a, b)
+        assert l > 0 and math.gcd(l, *(v for row in y for v in row)) == 1
+        assert [[Fraction(v, l) for v in row] for row in y] == cramer_solve(a, b)
+        seen["L = 1" if l == 1 else "L > 1"] += 1
+        fa, fb = _mixed_matrix(rng, n, singular=trial % 5 == 0), _mixed_matrix(rng, n)
+        if naive_det(fa) == 0:
+            with pytest.raises(ZeroDivisionError):
+                linalg.solve(fa, fb)
+        else:
+            x = linalg.solve(fa, fb)
+            assert x == linalg.mat(cramer_solve(fa, fb))
+            assert all(type(v) is Fraction for row in x for v in row)
+    assert all(seen.values()) or n == 1, seen
+
+
+def _clear_case(rng, kind):
+    """Integer rows m (symmetric) and u with a prefix type whose paired block
+    A = t(V)·D·V, V unimodular, has det D = ±1 (kind "unit"), odd (kind
+    "odd") or even (kind "even"), so X = A^-1 C has L = 1, odd L or, mostly,
+    even L."""
+    k = rng.randint(2, 4)
+    n = k + rng.randint(1, 3)
+    sigma = list(range(k))
+    i, j = rng.sample(range(k), 2)
+    sigma[i], sigma[j] = j, i
+    if k == 4 and rng.random() < 0.5:
+        i, j = (t for t in range(k) if sigma[t] == t)
+        sigma[i], sigma[j] = j, i
+    paired = [t for t in range(k) if sigma[t] != t]
+    diag = {"unit": (1, -1, 1, -1), "odd": (3, 5, -7, 9), "even": (2, 3, 4, 1)}[kind]
+    v = [[int(r == c) for c in paired] for r in paired]
+    for _ in range(6):
+        r, c = rng.sample(range(len(paired)), 2)
+        x = rng.randint(-3, 3)
+        for row in v:
+            row[c] += x * row[r]
+    size = range(len(paired))
+    a = [[sum(v[t][r] * diag[t] * v[t][c] for t in size) for c in size] for r in size]
+    m = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            m[r][c] = m[c][r] = rng.randint(-12, 12)
+    for r, i in enumerate(paired):
+        for c, j in enumerate(paired):
+            m[i][j] = a[r][c]
+    u = [[rng.randint(-3, 3) + (r == c) * 5 for c in range(n)] for r in range(n)]
+    return m, u, tuple(range(k)), tuple(sigma), paired
+
+
+def test_clear_matrix_on_integer_rows_matches_the_exact_clear():
+    """``_clear_matrix`` on integer rows against the exact Fraction clear
+    E_X = 1 - sum of X[i][j] e_i t(e_j), X = A^-1 C: it returns the odd
+    L and leaves L²·t(E_X) M E_X and L·U E_X, or refuses with both rows
+    untouched when X has an even denominator."""
+    rng = random.Random("clear/int")
+    seen = {"L = 1": 0, "odd L > 1": 0, "refused": 0}
+    for trial in range(90):
+        m, u, exps, sigma, paired = _clear_case(rng, ("unit", "odd", "even")[trial % 3])
+        m0, u0 = [row[:] for row in m], [row[:] for row in u]
+        n, k = len(m), len(exps)
+        tail = range(k, n)
+        x = cramer_solve([[m[i][j] for j in paired] for i in paired],
+                         [[m[i][j] for j in tail] for i in paired])
+        big_l = math.lcm(*(v.denominator for row in x for v in row))
+        l = reducer._clear_matrix(m, u, exps, sigma)
+        if big_l % 2 == 0:
+            assert l is None and m == m0 and u == u0
+            seen["refused"] += 1
+            continue
+        assert l == big_l
+        e = _elementary(
+            n, {(i, j): -x[r][c] for r, i in enumerate(paired) for c, j in enumerate(tail)}
+        )
+        want_m = naive_congruence(m0, e)
+        want_u = linalg.matmul(linalg.mat(u0), e)
+        assert m == [[l * l * v for v in row] for row in want_m]
+        assert u == [[l * v for v in row] for row in want_u]
+        assert all(type(v) is int for row in m + u for v in row)
+        assert all(m[i][j] == 0 for i in paired for j in tail)
+        seen["L = 1" if l == 1 else "odd L > 1"] += 1
+    assert all(v >= 10 for v in seen.values()), seen
 
 
 # (matrix, its determinant)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,30 @@ def test_valuation_examples():
     assert valuation(0, CTX2) == INF
     assert valuation(0, CTX5) == INF
     assert valuation(0, CTX3) > 10**9  # sentinel orders above every integer
+
+
+def loop_order(n, p):
+    """ord_p(n) for an int n != 0, by repeated division."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+def test_int_order_matches_repeated_division():
+    """The lowest-set-bit order at p = 2, and the loop at odd p, on ints of
+    both signs up to 4000 bits, with powers of p mixed in."""
+    rng = random.Random("padic/int-order")
+    values = [1, -1, 2, -2, 3, -96, 2**4000, -(2**3999), 5**1000 * 3]
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(1, 3800)) or 1
+        n *= rng.choice((2, 3, 5)) ** rng.randint(0, 80)
+        values.append(n if rng.random() < 0.5 else -n)
+    for ctx in (CTX2, CTX3, CTX5):
+        for n in values:
+            assert valuation(n, ctx) == loop_order(n, ctx.p), (ctx.p, n)
+            assert valuation(Fraction(3, n), ctx) == -loop_order(n, ctx.p) + (ctx.p == 3)
+        assert valuation(0, ctx) is INF
 
 
 def test_is_square_examples():
