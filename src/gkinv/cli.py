@@ -24,7 +24,7 @@ from fractions import Fraction
 from .egk import EGKDatum, EGKError, lift, synthesize_nondyadic, synthesize_reduced
 from .forms import FormError, HalfIntegralForm, delta, random_form, validate_form
 from .invariants import egk_of, eta, gk, xi
-from .involutions import GKType
+from .involutions import GKType, is_standard
 from .padic import PrimeContext
 from .reducer import (
     ReductionCertificate,
@@ -238,10 +238,13 @@ def _cmd_synth(args) -> int:
         except (KeyError, TypeError) as ex:
             raise CliError(1, {"error": "bad_sigma_payload", "detail": str(ex)})
     try:
+        h = lift(datum)
+        if sigma is not None and not is_standard(h.a, sigma):
+            raise EGKError("involution is not standard for the datum's exponents")
         if ctx.p == 2:
             form = synthesize_reduced(datum, ctx, sigma)
         else:
-            form = synthesize_nondyadic(lift(datum), ctx)
+            form = synthesize_nondyadic(h, ctx)
     except EGKError as ex:
         raise CliError(1, {"error": "invalid_egk_datum", "detail": str(ex)})
     _emit(_form_payload(form))
@@ -251,6 +254,10 @@ def _cmd_synth(args) -> int:
 def _cmd_rand(args) -> int:
     import random
 
+    for flag in ("n", "count", "height"):
+        if getattr(args, flag) < 0:
+            detail = f"--{flag} must be non-negative, got {getattr(args, flag)}"
+            raise CliError(1, {"error": "bad_rand_option", "detail": detail})
     ctx = PrimeContext(args.p)
     rng = random.Random(args.seed)
     forms = [

@@ -152,26 +152,11 @@ def collapse(h: NaiveEGK) -> EGKDatum:
     return g
 
 
-def shrink_last(g: EGKDatum) -> EGKDatum:
-    """Shorten the last block by one coordinate, choosing the dropped sign the
-    way the surjectivity construction does: forced where the axioms force it,
-    +1 where they leave it free."""
-    if g.sizes[-1] < 2:
-        raise EGKError("last block is a single coordinate; drop it instead")
-    sizes2 = g.sizes[:-1] + (g.sizes[-1] - 1,)
-    allowed = _allowed_zeta(sizes2, g.exps, g.zeta[:-1])
-    z = 1 if 1 in allowed else allowed[0]
-    out = EGKDatum(sizes2, g.exps, g.zeta[:-1] + (z,))
-    ok, bad = validate_egk(out)
-    if not ok:
-        raise EGKError("shrink produced an invalid datum: " + "; ".join(bad))
-    return out
-
-
 def lift(g: EGKDatum) -> NaiveEGK:
     """A naive datum mapping onto ``g`` under ``collapse``: each block ends
-    with its own sign, and a coordinate inside block s takes the sign that
-    ``shrink_last`` would give the block cut there."""
+    with its own sign, and a coordinate inside block s takes the sign of the
+    block cut there, forced where the axioms force it and +1 where they leave
+    it free.  ``synthesize_reduced`` reads its block signs from here."""
     ok, bad = validate_egk(g)
     if not ok:
         raise EGKError("; ".join(bad))
@@ -304,82 +289,48 @@ def synthesize_reduced(
     zero.  When ``sigma`` is omitted the first standard involution is used.
     """
     from .invariants import eta, xi
+    from .reducer import is_reduced
 
     if ctx.p != 2:
         raise EGKError("reduced synthesis is the dyadic path")
-    ok, bad = validate_egk(g)
-    if not ok:
-        raise EGKError("; ".join(bad))
-    exps = g.expand_exps()
+    h = lift(g)  # raises EGKError on a datum that breaks the axioms
+    exps = h.a
     if sigma is None:
         sigma = standard_involutions(exps)[0]
     sigma = tuple(sigma)
     if not is_standard(exps, sigma):
         raise EGKError("involution is not standard for the datum's exponents")
-
-    def rec(g: EGKDatum, sigma) -> tuple[tuple[Fraction, ...], ...]:
-        n = g.n
-        if n == 0:
-            return ()
-        exps = g.expand_exps()
-        last = n - 1
-        m_r = g.exps[-1]
-        if sigma[last] == last:
-            g2 = (
-                EGKDatum(g.sizes[:-1], g.exps[:-1], g.zeta[:-1])
-                if g.sizes[-1] == 1
-                else shrink_last(g)
-            )
-            b2 = rec(g2, sigma[:last])
-            return linalg.block_diag(b2, ((Fraction(2) ** m_r,),))
-        if exps[sigma[last]] < exps[last]:
-            i0 = sigma[last]
-            if g.sizes[-1] != 1:
-                raise EGKError("raised coordinate must close a singleton block")
-            g2 = EGKDatum(g.sizes[:-1], g.exps[:-1], g.zeta[:-1])
-            sigma2 = tuple(
-                i if sigma[i] == last else sigma[i] for i in range(last)
-            )
-            b2 = rec(g2, sigma2)
-            keep = [i for i in range(last) if i != i0]
-            minor = validate_form(linalg.submatrix(b2, keep, keep), ctx)
-            target = g.zeta[-1] * (xi(minor) if n % 2 == 0 else eta(minor))
-            pair = _complete_pair(
-                b2[i0][i0], exps[i0], m_r, target, ctx
-            )
-            rows = [
-                [b2[i][j] if i < last and j < last else Fraction(0)
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            rows[i0][last] = rows[last][i0] = pair[0]
-            rows[last][last] = pair[1]
-            return linalg.mat(rows)
-        # equal pair closing the last block
-        if sigma[last] != last - 1:
-            raise EGKError("equal pair must be adjacent")
-        if g.sizes[-1] == 2:
-            g2 = EGKDatum(g.sizes[:-1], g.exps[:-1], g.zeta[:-1])
-            prev_zeta = g.zeta[-2] if g.r > 1 else 1
-            if n % 2 == 0:
-                target = g.zeta[-1] * prev_zeta if g.zeta[-1] else 1
-            else:
-                msum = sum(m * k for m, k in zip(g.exps, g.sizes))
-                target = (
-                    g.zeta[-1] * prev_zeta if (msum - g.exps[-1]) % 2 else 1
-                )
-        else:
-            g2 = EGKDatum(
-                g.sizes[:-1] + (g.sizes[-1] - 2,), g.exps, g.zeta
-            )
-            target = 1
-        b2 = rec(g2, sigma[: n - 2])
-        return linalg.block_diag(b2, _unramified_pair(target, m_r))
-
-    entries = rec(g, sigma)
-    form = validate_form(entries, ctx)
-    from .reducer import is_reduced
-
+    n = len(exps)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for s, (size, m) in enumerate(zip(g.sizes, g.exps)):
+        end = start + size - 1
+        # the block's inner coordinates see its own sign, or the sign of the
+        # block cut one short when it ends in a fixed or lowered coordinate
+        z = g.zeta[s]
+        if size > 1 and (sigma[end] == end or exps[sigma[end]] > m):
+            z = h.eps[end - 1]
+        for j in range(start, end + 1):
+            i = sigma[j]
+            if i == j or exps[i] > m:  # fixed, or lowered: fixed until i arrives
+                rows[j][j] = Fraction(2) ** m
+            elif exps[i] < m:  # raised: complete the pair with its partner i
+                keep = [k for k in range(j) if k != i]
+                minor = validate_form(linalg.submatrix(rows, keep, keep), ctx)
+                target = z * (xi(minor) if j % 2 else eta(minor))
+                rows[i][j], rows[j][j] = _complete_pair(rows[i][i], exps[i], m, target, ctx)
+                rows[j][i] = rows[i][j]
+            elif i < j:  # equal pair (i, j), adjacent in a standard involution
+                target = 1
+                if i == start:  # the pair opens its block
+                    prev = g.zeta[s - 1] if s else 1
+                    if j % 2:
+                        target = z * prev if z else 1
+                    elif sum(exps[:j]) % 2:
+                        target = z * prev
+                (rows[i][i], rows[i][j]), (rows[j][i], rows[j][j]) = _unramified_pair(target, m)
+        start = end + 1
+    form = validate_form(rows, ctx)
     if not is_reduced(form, GKType(exps, sigma)):
         raise EGKError("synthesis produced a non-reduced matrix")
     return form

@@ -232,6 +232,12 @@ def test_synth_dyadic_and_nondyadic(tmp_path, capsys):
     bad = write(tmp_path, "badegk.json", {"p": 2, "n": [1], "m": [0], "zeta": [-1]})
     code, out = run_cli(["synth", "--egk", bad], capsys)
     assert code == 1
+    sigma = write(tmp_path, "sigma.json", {"sigma": [9, 9, 9]})
+    for p in (2, 3):
+        egk = write(tmp_path, f"egk{p}.json", {"p": p, "n": [2], "m": [0], "zeta": [1]})
+        code, out = run_cli(["synth", "--egk", egk, "--sigma", sigma], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == "invalid_egk_datum"
 
 
 def test_reduce_output_is_byte_identical(tmp_path, capsys):
@@ -247,6 +253,16 @@ def test_rand_determinism(tmp_path, capsys):
     assert out1 == out2
     forms = json.loads(out1)
     assert len(forms) == 2 and forms[0]["p"] == 2
+
+
+def test_rand_rejects_negative_sizes(capsys):
+    for flag in ("--n", "--count", "--height"):
+        opts = {"--n": "3", "--p": "2", "--count": "2", "--height": "2", flag: "-2"}
+        code, out = run_cli(["rand", *(x for kv in opts.items() for x in kv)], capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "bad_rand_option", "detail": f"{flag} must be non-negative, got -2"
+        }
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

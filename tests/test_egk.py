@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -125,6 +128,44 @@ def test_synthesize_reduced_round_trip_all_sigmas():
     for _ in range(30):
         g = random_egk(rng, max_r=3, max_m=4, max_n=6)
         assert egk_of(synthesize_reduced(g, CTX2)) == g
+
+
+# SHA-256 of every synthesized matrix over enumerate_egk(3, 4, 6) and every
+# standard involution of each datum (985 matrices), one JSON line of exact
+# ``num/den`` strings per matrix; any change to a synthesized matrix shows here.
+GOLDEN_SYNTHESIS = "a94f1801970fe0a199a5a22ba8463d66009288f690e9dd0db8302d7ff33ccc93"
+
+
+def test_golden_synthesized_matrices():
+    h = hashlib.sha256()
+    count = 0
+    for g in enumerate_egk(3, 4, 6):
+        for sigma in standard_involutions(g.expand_exps()):
+            form = synthesize_reduced(g, CTX2, sigma)
+            rows = [[f"{x.numerator}/{x.denominator}" for x in row] for row in form.entries]
+            h.update(json.dumps(rows, separators=(",", ":")).encode() + b"\n")
+            count += 1
+    assert count == 985
+    assert h.hexdigest() == GOLDEN_SYNTHESIS
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_synthesis_stack_depth_does_not_grow_with_n():
+    g = EGKDatum((400,), (1,), (1,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        form = synthesize_reduced(g, CTX2)
+    finally:
+        sys.setrecursionlimit(limit)
+    exps = g.expand_exps()
+    assert is_reduced(form, GKType(exps, standard_involutions(exps)[0]))
 
 
 def test_clifford_recursion_even_extension():
