@@ -98,10 +98,10 @@ def delta(form: HalfIntegralForm) -> int:
 
 def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
     """Order of the ideal of represented values; the first gk entry."""
-    n = form.n
-    vals = [valuation(form.entries[i][i], form.ctx) for i in range(n)]
-    vals += [
-        valuation(2 * form.entries[i][j], form.ctx)
+    n, ctx = form.n, form.ctx
+    vals = [valuation(form.entries[i][i], ctx) for i in range(n)]
+    vals += [  # ord(2x) = ord(x) + e
+        valuation(form.entries[i][j], ctx) + ctx.e
         for i in range(n)
         for j in range(i + 1, n)
     ]
@@ -117,12 +117,13 @@ def matrix_in_lattice(
     n = len(entries)
     if len(exps) != n:
         raise FormError("exponent sequence length mismatch")
+    e = ctx.e  # ord(2x) = ord(x) + e
     for i in range(n):
         vi = valuation(entries[i][i], ctx)
         if (vi <= exps[i]) if strict else (vi < exps[i]):
             return False
         for j in range(i + 1, n):
-            w = 2 * valuation(2 * entries[i][j], ctx)
+            w = 2 * (valuation(entries[i][j], ctx) + e)
             bound = exps[i] + exps[j]
             if (w <= bound) if strict else (w < bound):
                 return False
@@ -135,9 +136,13 @@ def membership(form: HalfIntegralForm, exps, strict: bool = False) -> bool:
 
 
 def is_unimodular(u: Matrix, ctx: PrimeContext) -> bool:
-    if any(valuation(x, ctx) < 0 for row in u for x in row):
+    """U in GL_n(Z_p), read on the integer rows du·U: U is p-integral iff p
+    does not divide the common denominator du, and then unimodular iff p
+    does not divide det(du·U) = du^n·det U."""
+    ui, du = linalg._scaled(u)
+    if du % ctx.p == 0:
         return False
-    return valuation(linalg.det(u), ctx) == 0
+    return linalg.det(ui).numerator % ctx.p != 0
 
 
 def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bool:

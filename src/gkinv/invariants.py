@@ -42,13 +42,14 @@ def xi(form: HalfIntegralForm) -> int:
     return xi_code(signed_disc(form), form.ctx)
 
 
-def _field_diagonal(entries) -> list[Fraction]:
-    """A diagonal of the form over the field, by the fraction-free steps of
-    ``linalg.eliminate`` on den·B: pivot k is den·prev·d_k, with prev the
-    pivot of the step before (1 at the first)."""
+def _field_pivots(entries) -> tuple[list[int], int]:
+    """(pivots, den) of a diagonalization of the form over the field, by the
+    fraction-free steps of ``linalg.eliminate`` on den·B: pivot k is the
+    leading (k+1)-minor of den·B after the swaps and shears, so the diagonal
+    entries are d_k = piv_k / (den·piv_{k-1}), with piv_{-1} = 1."""
     a, den = linalg._scaled(entries)
     n = len(a)
-    out: list[Fraction] = []
+    pivots: list[int] = []
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
@@ -64,27 +65,33 @@ def _field_diagonal(entries) -> list[Fraction]:
                 piv = i
             if piv != k:
                 linalg.swap(a, k, piv)
-        out.append(Fraction(a[k][k], den * prev))
         linalg.eliminate(a, k, prev)
         prev = a[k][k]
-    return out
+        pivots.append(prev)
+    return pivots, den
 
 
 def eta(form: HalfIntegralForm) -> int:
-    """Clifford invariant, evaluated as a Hilbert-symbol product over any
-    diagonalization of the form over the field."""
+    """Clifford invariant, evaluated as a Hilbert-symbol product over a
+    diagonalization d_0, ..., d_{n-1} of the form over the field.
+
+    With P_k = d_0⋯d_k, bimultiplicativity and (x, -x) = 1 give
+    prod over i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j), so
+    n - 1 symbols replace n(n-1)/2.  P_k = piv_k / den^(k+1) for the
+    fraction-free pivots, and the symbols read only square classes, so they
+    take the integers piv_k·den^((k+1) mod 2)."""
     if not form.nondegenerate:
         raise FormError("degenerate form")
     n = form.n
     if n == 0:
         return 1
     ctx = form.ctx
-    d = _field_diagonal(form.entries)
+    pivots, den = _field_pivots(form.entries)
+    prods = [piv * den if k % 2 == 0 else piv for k, piv in enumerate(pivots)]
     val = zpow(hilbert_symbol(-1, -1, ctx), (n + 1) // 4)
     val *= zpow(hilbert_symbol(-1, form.det, ctx), (n - 1) // 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= hilbert_symbol(d[i], d[j], ctx)
+    for j in range(1, n):
+        val *= hilbert_symbol(prods[j - 1], -prods[j], ctx)
     return val
 
 
@@ -134,14 +141,12 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
         raise FormError("form must meet the valuation bounds for (a1, a2)")
     ctx = form.ctx
     b = form.entries
+    ord2b = valuation(b[0][1], ctx) + ctx.e  # ord(2 b_12)
     if a1 == a2:
-        return valuation(2 * b[0][1], ctx) == a1
+        return ord2b == a1
     if (a2 - a1) % 2 == 0:
         f = (a2 - a1) // 2
-        return (
-            valuation(b[0][0], ctx) == a1
-            and valuation(2 * b[0][1], ctx) == a1 + f
-        )
+        return valuation(b[0][0], ctx) == a1 and ord2b == a1 + f
     return valuation(b[0][0], ctx) == a1 and valuation(b[1][1], ctx) == a2
 
 

@@ -4,9 +4,10 @@ The dense routines build new immutable matrices.  ``congruence`` and ``det``
 scale their matrices to integers over least common denominators (of each
 matrix for ``congruence``, of each row for ``det``), compute in ``int`` and
 divide once at the end, so they never build an intermediate Fraction.  They
-share no code with the in-place kernel's steps, which is what lets the
-verifier check the reducers with them; the only helper in common is
-``_scaled``, which turns a matrix into integers over its common denominator.
+and ``matmul`` share no code with the in-place kernel's steps, which is what
+lets the verifier check the reducers with ``det`` and ``matmul``; the only
+helper in common is ``_scaled``, which turns a matrix into integers over its
+common denominator.
 There is one solve: ``solve_int`` is fraction-free Gauss-Jordan elimination
 on integer matrices and returns A^-1 B as Y / L in lowest terms; ``solve``
 scales [A | B] row by row as ``det`` does and calls it, and ``inverse`` is

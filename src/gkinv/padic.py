@@ -139,27 +139,42 @@ def is_square(x: Rational, ctx: PrimeContext) -> bool:
     return legendre(u, ctx) == 1
 
 
+def _square_class_int(x: Rational) -> int:
+    """An integer in the square class of x: numerator·denominator, which is
+    x times the square of its denominator."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator * x.denominator
+
+
 def hilbert_symbol(a: Rational, b: Rational, ctx: PrimeContext) -> int:
-    """Local Hilbert symbol: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    """Local Hilbert symbol: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution.
+
+    The symbol depends only on the square classes of a and b, so a Fraction
+    argument is replaced by the integer numerator·denominator and both are
+    read as p^alpha·u with u an integer prime to p (Serre, ch. III)."""
+    a, b = _square_class_int(a), _square_class_int(b)
+    if not a or not b:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    alpha = valuation(a, ctx) % 2
-    beta = valuation(b, ctx) % 2
-    u = unit_part(a, ctx)
-    v = unit_part(b, ctx)
-    if ctx.p == 2:
-        um, vm = frac_mod(u, 8, ctx), frac_mod(v, 8, ctx)
+    p = ctx.p
+    alpha = _int_valuation(a, p)
+    beta = _int_valuation(b, p)
+    u, v = a // p**alpha, b // p**beta
+    alpha, beta = alpha % 2, beta % 2
+    if p == 2:
+        um, vm = u % 8, v % 8
         eps_u, eps_v = (um - 1) // 2 % 2, (vm - 1) // 2 % 2
         om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
         exp = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if exp % 2 else 1
+    half = (p - 1) // 2
     sign = 1
-    if alpha and beta and legendre(-1, ctx) == -1:
+    if alpha and beta and half % 2:  # (-1 / p) = -1 iff p = 3 mod 4
         sign = -sign
-    if beta and legendre(u, ctx) == -1:
+    if beta and pow(u, half, p) != 1:
         sign = -sign
-    if alpha and legendre(v, ctx) == -1:
+    if alpha and pow(v, half, p) != 1:
         sign = -sign
     return sign
 

@@ -45,7 +45,6 @@ from .forms import (
     HalfIntegralForm,
     delta,
     is_unimodular,
-    matrix_in_lattice,
     norm_ideal_ord,
     validate_form,
 )
@@ -84,30 +83,63 @@ def binary_gk(form: HalfIntegralForm) -> tuple[int, int]:
     return (int(a1), delta(form) - int(a1))
 
 
+def _disc_ideal_ord(d: int, v: int, p: int) -> int:
+    """The order of the discriminant ideal of Q_p(sqrt(d)), for an integer
+    d != 0 of order v: at odd p the parity of v; at p = 2, 3 for an odd v,
+    else 0 or 2 as the unit part d / 2^v is 1 or 3 mod 4."""
+    if p != 2:
+        return v % 2
+    if v % 2:
+        return 3
+    return 0 if (d >> v) % 4 == 1 else 2
+
+
 def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
-    """Check the reduced-form conditions for the given GK type."""
+    """Check the reduced-form conditions for the given GK type, in one pass
+    over the integer rows den·R.
+
+    An exact entry's order is its integer's order minus ord(den), and
+    ord(2x) = ord(x) + e.  The lattice bounds ord(b_ii) >= a_i and
+    2·ord(2 b_ij) >= a_i + a_j hold everywhere, strictly off the pairs of the
+    involution, and a fixed point's diagonal has order exactly a_i.  A pair
+    (i, j) must have GK invariant (a_i, a_j): its first entry is the norm
+    order min(ord b_ii, ord b_jj, ord 2b_ij), and the two entries sum to
+    ord(-4 det) - (delta - 1 if delta else 0), read off the integer
+    discriminant D = (2 r_ij)^2 - 4 r_ii r_jj = den^2·(-4 det), with delta
+    the order of the discriminant ideal of its square class."""
     exps, sigma = gk_type.exps, gk_type.sigma
-    if form.n != gk_type.n:
+    n = form.n
+    if n != gk_type.n:
         raise FormError("size mismatch between form and GK type")
-    b = form.entries
     ctx = form.ctx
-    if not matrix_in_lattice(b, exps, ctx):
-        return False
-    for i in range(form.n):
-        j = sigma[i]
-        if j == i:
-            if valuation(b[i][i], ctx) != exps[i]:
-                return False
-        elif i < j:  # exponents are non-decreasing, so exps[i] <= exps[j]
-            pair = validate_form([[b[i][i], b[i][j]], [b[i][j], b[j][j]]], ctx)
-            if not pair.nondegenerate:
-                return False
-            if binary_gk(pair) != (exps[i], exps[j]):
-                return False
-        for j2 in range(i + 1, form.n):
-            if j2 == sigma[i]:
+    r, den = linalg._scaled(form.entries)
+    s = valuation(den, ctx)
+    e = ctx.e
+
+    def ord_of(x: int):
+        return valuation(x, ctx) - s if x else INF
+
+    for i in range(n):
+        row, ai, si = r[i], exps[i], sigma[i]
+        vi = ord_of(row[i])
+        if vi < ai or (si == i and vi != ai):
+            return False
+        for j in range(i + 1, n):
+            if not row[j]:
                 continue
-            if 2 * valuation(2 * b[i][j2], ctx) <= exps[i] + exps[j2]:
+            w = 2 * (ord_of(row[j]) + e)
+            if w < ai + exps[j] or (w == ai + exps[j] and j != si):
+                return False
+        if i < si:
+            rii, rij, rjj = row[i], row[si], r[si][si]
+            d = 4 * (rij * rij - rii * rjj)
+            if not d:
+                return False
+            a1 = min(vi, ord_of(rjj), ord_of(rij) + e)
+            v = valuation(d, ctx)
+            delta = _disc_ideal_ord(d, v, ctx.p)
+            total = v - 2 * s - (delta - 1 if delta else 0)
+            if (a1, total - a1) != (ai, exps[si]):
                 return False
     return True
 
@@ -122,7 +154,7 @@ def dyadic_pair_conditions(form: HalfIntegralForm, gk_type: GKType) -> bool:
         j = sigma[i]
         if j == i:
             continue
-        if 2 * valuation(2 * b[i][j], form.ctx) != exps[i] + exps[j]:
+        if 2 * (valuation(b[i][j], form.ctx) + 1) != exps[i] + exps[j]:
             return False
         if exps[i] < exps[j] and valuation(b[i][i], form.ctx) != exps[i]:
             return False
@@ -153,7 +185,7 @@ def complete_square(
         raise FormError("exponent gap must be even and non-negative")
     if valuation(b11, ctx) != a1 or valuation(b22, ctx) != a2:
         raise FormError("diagonal orders must be exact")
-    if 2 * valuation(2 * b12, ctx) <= a1 + a2:
+    if 2 * (valuation(b12, ctx) + 1) <= a1 + a2:
         raise FormError("doubled cross entry must exceed the half-sum")
     x = 2 ** (gap // 2)
     if valuation(b22 + 2 * b12 * x + b11 * x * x, ctx) <= a2:
@@ -443,7 +475,15 @@ def verify_certificate(
         return False, "negative exponent"
     if not is_unimodular(cert.u, form.ctx):
         return False, "transform is not unimodular"
-    if linalg.congruence(form.entries, cert.u) != cert.reduced.entries:
+    # t(U) B U = R, cross-multiplied on the integer rows db·B, du·U and dr·R
+    bi, db = linalg._scaled(form.entries)
+    ui, du = linalg._scaled(cert.u)
+    ri, dr = linalg._scaled(cert.reduced.entries)
+    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(bi, ui))
+    k = db * du * du
+    if any(
+        [x * dr for x in row] != [y * k for y in rrow] for row, rrow in zip(t, ri)
+    ):
         return False, "transform does not map the source to the claimed matrix"
     if not is_standard(exps, cert.gk_type.sigma):
         return False, "involution is not standard"

@@ -16,7 +16,7 @@ from gkinv.forms import (
     validate_form,
 )
 from gkinv.invariants import (
-    _field_diagonal,
+    _field_pivots,
     check_inverse_bounds,
     classify_binary,
     egk_of,
@@ -31,6 +31,8 @@ from gkinv.reducer import reduce_form
 
 CTX2 = PrimeContext(2)
 CTX3 = PrimeContext(3)
+CTX5 = PrimeContext(5)
+CTX7 = PrimeContext(7)
 
 HALF = Fraction(1, 2)
 H = [[0, HALF], [HALF, 0]]
@@ -98,14 +100,15 @@ def eta_of_diagonal(d, ctx):
 
 
 def _zero_diagonal_forms(rng):
-    """Hyperbolic planes H and 3·H at p = 2 and p = 3, alone, as H ⊕ H and in
-    sums with random forms, and p = 2 reduced forms with pairs."""
+    """Hyperbolic planes H and 3·H at p = 2, 3, 5 and 7, alone, as H ⊕ H and
+    in sums with random forms up to n = 10, and p = 2 reduced forms with
+    pairs."""
     h3 = [[0, Fraction(3, 2)], [Fraction(3, 2), 0]]
     hh = direct_sum(validate_form(H, CTX3), validate_form(H, CTX3))
     forms = [validate_form(H, CTX2), validate_form(h3, CTX3), validate_form(H, CTX3), hh]
-    for k in range(24):
-        ctx = (CTX2, CTX3)[k % 2]
-        forms.append(direct_sum(validate_form(H, ctx), random_form(1 + k % 4, ctx, rng)))
+    for k in range(32):
+        ctx = (CTX2, CTX3, CTX5, CTX7)[k % 4]
+        forms.append(direct_sum(validate_form(H, ctx), random_form(1 + k % 8, ctx, rng)))
         forms.append(direct_sum(random_form(1 + k % 3, ctx, rng), validate_form(h3, ctx)))
     for k in range(12):
         g = random_egk(rng, max_r=3, max_m=6, max_n=2 + k % 5)
@@ -114,10 +117,13 @@ def _zero_diagonal_forms(rng):
 
 
 def test_eta_matches_a_naive_diagonalization(monkeypatch):
-    """eta's fraction-free field diagonal equals the dense Fraction one, and
-    eta equals the Hilbert-symbol product over it, on forms that reach the
-    swap and the exposing shear of the diagonalization."""
+    """eta's fraction-free field diagonal, d_k = piv_k / (den·piv_{k-1}),
+    equals the dense Fraction one, and eta equals the Hilbert-symbol product
+    over it, on forms that reach the swap and the exposing shear of the
+    diagonalization."""
     forms = _zero_diagonal_forms(random.Random("eta/naive"))
+    assert {f.ctx.p for f in forms} == {2, 3, 5, 7}
+    assert max(f.n for f in forms) == 10
     calls = {"swap": 0, "shear": 0}
     for name in calls:
         step = getattr(linalg, name)
@@ -129,7 +135,9 @@ def test_eta_matches_a_naive_diagonalization(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     for form in forms:
         d = naive_field_diagonal(form.entries)
-        assert _field_diagonal(form.entries) == d
+        pivots, den = _field_pivots(form.entries)
+        prevs = [1] + pivots[:-1]
+        assert [Fraction(pk, den * pj) for pk, pj in zip(pivots, prevs)] == d
         assert eta(form) == eta_of_diagonal(d, form.ctx)
     assert calls["swap"] and calls["shear"], calls
 

@@ -122,6 +122,28 @@ def test_hilbert_examples():
         hilbert_symbol(0, 1, CTX2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hilbert_symbol_on_ints_and_fractions_matches_brute(p):
+    """hilbert_symbol reads an int as it is and a Fraction through
+    numerator·denominator; on square-class representatives of both signs,
+    times random squares, both agree with the residue search."""
+    ctx = PrimeContext(p)
+    rng = random.Random(f"padic/hilbert/{p}")
+    reps = [s * r for r in square_class_reps(ctx) for s in (1, -1)]
+    for a in reps:
+        for b in reps:
+            want = hilbert_brute(a, b, ctx)
+            for _ in range(4):
+                s = rng.randint(1, 50) * p ** rng.randint(0, 3)
+                t = rng.randint(1, 50) * p ** rng.randint(0, 3)
+                ai, bi = int(a * s * s), int(b * t * t)
+                assert type(ai) is int and hilbert_symbol(ai, bi, ctx) == want
+                fs = Fraction(rng.randint(1, 50), rng.randint(1, 50) * p ** rng.randint(0, 3))
+                ft = Fraction(s, rng.randint(1, 50))
+                assert hilbert_symbol(a * fs * fs, b * ft * ft, ctx) == want
+                assert hilbert_symbol(ai, b * ft * ft, ctx) == want
+
+
 def test_hilbert_dyadic_value_two_five():
     # both independent routes give -1: mod 8 the form 2x^2 + 5y^2 misses
     # every odd square class

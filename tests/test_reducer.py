@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 from gkinv import linalg, reducer
+from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
+    matrix_in_lattice,
     membership,
     random_form,
+    random_unimodular,
+    signed_disc,
     transform,
     validate_form,
 )
-from gkinv.involutions import GKType
-from gkinv.padic import PrimeContext, valuation
+from gkinv.involutions import GKType, standard_involutions
+from gkinv.padic import PrimeContext, quad_ext, valuation
 from gkinv.reducer import (
     BudgetExhausted,
     ReductionError,
@@ -42,6 +46,84 @@ def test_is_reduced_worked_examples():
     assert is_reduced(b2, GKType((0, 2, 2), (0, 2, 1)))
     diag = validate_form([[1, 0], [0, 1]], CTX2)
     assert not is_reduced(diag, GKType((0, 1), (0, 1)))
+
+
+def naive_is_reduced(form, gk_type, deltas):
+    """The reduced-form conditions on Fractions: the lattice bounds, each
+    fixed point's exact diagonal order, each pair's 2x2 form with GK invariant
+    (a_i, a_j), and the strict bound off the pairs.  Adds (p, delta) of every
+    non-degenerate pair to ``deltas``."""
+    exps, sigma, b, ctx = gk_type.exps, gk_type.sigma, form.entries, form.ctx
+    if not matrix_in_lattice(b, exps, ctx):
+        return False
+    for i in range(form.n):
+        j = sigma[i]
+        if j == i:
+            if valuation(b[i][i], ctx) != exps[i]:
+                return False
+        elif i < j:
+            pair = validate_form([[b[i][i], b[i][j]], [b[i][j], b[j][j]]], ctx)
+            if not pair.nondegenerate:
+                return False
+            deltas.add((ctx.p, quad_ext(signed_disc(pair), ctx).d))
+            if binary_gk(pair) != (exps[i], exps[j]):
+                return False
+        for j2 in range(i + 1, form.n):
+            if j2 != sigma[i] and 2 * valuation(2 * b[i][j2], ctx) <= exps[i] + exps[j2]:
+                return False
+    return True
+
+
+def _is_reduced_cases(rng):
+    """(R, type) cases: reduced forms of certificates at p = 2, 3, 5, 7 and
+    synthesized p = 2 forms with pairs, under their standard involutions,
+    with one exponent shifted by one under each standard involution of the
+    shifted list, and with one symmetric entry of R perturbed."""
+    reduced = []
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        for k in range(30):
+            b = random_form(1 + k % 5, ctx, rng, height=rng.choice((1, 3)))
+            reduced.append(reduce_form(b).reduced)
+    for k in range(40):
+        g = random_egk(rng, max_r=3, max_m=6, max_n=2 + k % 5)
+        r = synthesize_reduced(g, CTX2)
+        reduced.append(reduce_form(transform(r, random_unimodular(r.n, CTX2, rng))).reduced)
+        reduced.append(r)
+    for r in reduced:
+        ctx, n = r.ctx, r.n
+        exps = reduce_form(r).exps
+        for sigma in standard_involutions(exps):
+            yield r, GKType(exps, sigma)
+        for k in range(n):
+            for step in (1, -1):
+                shifted = exps[:k] + (exps[k] + step,) + exps[k + 1 :]
+                if min(shifted) < 0 or list(shifted) != sorted(shifted):
+                    continue
+                for sigma in standard_involutions(shifted):
+                    yield r, GKType(shifted, sigma)
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(row) for row in r.entries]
+        x = rng.choice((1, -1, 3)) * ctx.p ** rng.randint(0, 2)
+        if i != j and ctx.p == 2 and rng.random() < 0.5:
+            x = Fraction(x, 2)
+        rows[i][j] += x
+        rows[j][i] = rows[i][j]
+        sigma = standard_involutions(exps)[0]
+        yield validate_form(rows, ctx), GKType(exps, sigma)
+
+
+def test_is_reduced_matches_the_fraction_definition():
+    """The one-pass integer check gives the verdict of the Fraction
+    definition, on cases that reach every order of the discriminant ideal of
+    a pair and both verdicts."""
+    deltas, verdicts = set(), {True: 0, False: 0}
+    for r, gk_type in _is_reduced_cases(random.Random("reducer/is_reduced")):
+        want = naive_is_reduced(r, gk_type, deltas)
+        assert is_reduced(r, gk_type) == want, (r.entries, gk_type)
+        verdicts[want] += 1
+    assert deltas >= {(2, 0), (2, 2), (2, 3)} | {(p, d) for p in (3, 5, 7) for d in (0, 1)}
+    assert min(verdicts.values()) >= 50, verdicts
 
 
 def test_dyadic_shortcut_matches_pair_condition():
@@ -196,6 +278,24 @@ def test_verify_rejects_bad_certificates():
     assert not ok
     narrow = ReductionCertificate(((1,), (0,)), cert.reduced, cert.gk_type)
     assert verify_certificate(b, narrow) == (False, "size mismatch")
+    # denominators divisible by p (for U = 1/2 only the denominator shows
+    # it: det(2·U) = 1 is a unit), and a p-integral U with p | det U
+    half = Fraction(1, 2)
+    for u in ([[1, half], [0, 1]], [[half, 0], [0, half]], [[1, 1], [1, 3]]):
+        swapped = ReductionCertificate(linalg.mat(u), cert.reduced, cert.gk_type)
+        assert verify_certificate(b, swapped) == (False, "transform is not unimodular")
+    # a unimodular U that maps B to another matrix
+    elsewhere = ReductionCertificate(linalg.mat([[1, 2], [0, 1]]), cert.reduced, cert.gk_type)
+    assert verify_certificate(b, elsewhere) == (
+        False,
+        "transform does not map the source to the claimed matrix",
+    )
+    # U and R agree, the involution is standard, but R is not reduced
+    unreduced = ReductionCertificate(linalg.identity(2), b, GKType((0, 1), (0, 1)))
+    assert verify_certificate(b, unreduced) == (
+        False,
+        "matrix is not reduced for the claimed type",
+    )
 
 
 def test_verify_rejects_admissible_but_nonstandard_involution():
