@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .forms import HalfIntegralForm, validate_form
+from .forms import HalfIntegralForm, _from_rows
 from .involutions import GKType, blocks, is_standard, standard_involutions
 from .padic import PrimeContext, nonsquare_unit, valuation, zpow
 
@@ -235,13 +234,12 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
     if not ok:
         raise EGKError("; ".join(bad))
     u = nonsquare_unit(ctx)
-    diag: list[Fraction] = []
+    diag: list[int] = []
     for i, (a, eps) in enumerate(zip(h.a, h.eps), 1):
         for unit in (1, u):
-            cand = diag + [Fraction(unit * ctx.p**a)]
-            form = validate_form(
-                [[cand[r] if r == c else 0 for c in range(i)] for r in range(i)],
-                ctx,
+            cand = diag + [unit * ctx.p**a]
+            form = _from_rows(
+                [[cand[r] if r == c else 0 for c in range(i)] for r in range(i)], 1, ctx
             )
             got = xi(form) if i % 2 == 0 else eta(form)
             if got == eps:
@@ -250,9 +248,7 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
         else:
             raise EGKError(f"no unit class realizes sign {eps} at position {i}")
     n = h.n
-    return validate_form(
-        [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], ctx
-    )
+    return _from_rows([[diag[r] if r == c else 0 for c in range(n)] for r in range(n)], 1, ctx)
 
 
 def naive_datum_of_diagonal(form: HalfIntegralForm) -> NaiveEGK:
@@ -264,20 +260,20 @@ def naive_datum_of_diagonal(form: HalfIntegralForm) -> NaiveEGK:
         xi(leading(form, i)) if i % 2 == 0 else eta(leading(form, i))
         for i in range(1, form.n + 1)
     )
-    a = tuple(
-        int(valuation(form.entries[i][i], form.ctx)) for i in range(form.n)
-    )
+    v = valuation(form.den, form.ctx)
+    a = tuple(valuation(form.rows[i][i], form.ctx) - v for i in range(form.n))
     return NaiveEGK(a, eps)
 
 
-_HYPERBOLIC = ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
-_INERT_PAIR = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+# the synthesized forms are built as their integer rows 2B over den 2
+_HYPERBOLIC = ((0, 1), (1, 0))
+_INERT_PAIR = ((2, 1), (1, 2))
 
 
-def _unramified_pair(target_xi: int, scale: int) -> tuple[tuple[Fraction, ...], ...]:
+def _unramified_pair(target_xi: int, scale: int) -> tuple[tuple[int, ...], ...]:
+    """2B for 2^scale times the split or the inert unimodular binary form."""
     base = _HYPERBOLIC if target_xi >= 0 else _INERT_PAIR
-    f = Fraction(2) ** scale
-    return tuple(tuple(f * x for x in row) for row in base)
+    return tuple(tuple(x << scale for x in row) for row in base)
 
 
 def synthesize_reduced(
@@ -301,7 +297,7 @@ def synthesize_reduced(
     if not is_standard(exps, sigma):
         raise EGKError("involution is not standard for the datum's exponents")
     n = len(exps)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]  # 2B
     start = 0
     for s, (size, m) in enumerate(zip(g.sizes, g.exps)):
         end = start + size - 1
@@ -313,10 +309,10 @@ def synthesize_reduced(
         for j in range(start, end + 1):
             i = sigma[j]
             if i == j or exps[i] > m:  # fixed, or lowered: fixed until i arrives
-                rows[j][j] = Fraction(2) ** m
+                rows[j][j] = 2 << m
             elif exps[i] < m:  # raised: complete the pair with its partner i
                 keep = [k for k in range(j) if k != i]
-                minor = validate_form(linalg.submatrix(rows, keep, keep), ctx)
+                minor = _from_rows(linalg.submatrix(rows, keep, keep), 2, ctx)
                 target = z * (xi(minor) if j % 2 else eta(minor))
                 rows[i][j], rows[j][j] = _complete_pair(rows[i][i], exps[i], m, target, ctx)
                 rows[j][i] = rows[i][j]
@@ -330,26 +326,27 @@ def synthesize_reduced(
                         target = z * prev
                 (rows[i][i], rows[i][j]), (rows[j][i], rows[j][j]) = _unramified_pair(target, m)
         start = end + 1
-    form = validate_form(rows, ctx)
+    form = _from_rows(rows, 2, ctx)
     if not is_reduced(form, GKType(exps, sigma)):
         raise EGKError("synthesis produced a non-reduced matrix")
     return form
 
 
-def _complete_pair(b00, a0: int, a1: int, target_xi: int, ctx: PrimeContext):
+def _complete_pair(r00: int, a0: int, a1: int, target_xi: int, ctx: PrimeContext):
     """Cross entry and corner completing a diagonal value to a binary block
-    with invariant pair (a0, a1) and the requested square-class indicator."""
+    with invariant pair (a0, a1) and the requested square-class indicator,
+    all three doubled, as entries of 2B."""
     from .reducer import binary_gk
     from .invariants import xi
 
     g = (a0 + a1) // 2
-    corners = [Fraction(0)] + [Fraction(v * 2**a1) for v in (1, 3, 5, 7)]
+    corners = [0] + [v << (a1 + 1) for v in (1, 3, 5, 7)]
     for w in (1, 3, 5, 7):
-        b01 = Fraction(w * 2**g, 2)
-        for b11 in corners:
-            pair = validate_form([[b00, b01], [b01, b11]], ctx)
+        r01 = w << g
+        for r11 in corners:
+            pair = _from_rows([[r00, r01], [r01, r11]], 2, ctx)
             if not pair.nondegenerate:
                 continue
             if binary_gk(pair) == (a0, a1) and xi(pair) == target_xi:
-                return b01, b11
+                return r01, r11
     raise EGKError("no pair completion found")

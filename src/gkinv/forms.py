@@ -4,6 +4,10 @@ A half-integral symmetric matrix has p-integral diagonal entries and
 p-integral doubled off-diagonal entries.  Forms are immutable after
 validation; every transform allocates a new value, which keeps reduction
 certificates trustworthy.
+
+A form keeps the integer rows den·B over the least common denominator den
+(as FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` does), and builds ``entries``,
+B in Fractions, on first read; ``_from_rows`` is its one constructor.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .linalg import Matrix
@@ -23,35 +28,55 @@ class FormError(ValueError):
 
 @dataclass(frozen=True)
 class HalfIntegralForm:
+    """B = rows / den, with den > 0 the least common denominator of B's
+    entries, and det B.  Built by ``validate_form`` or ``_from_rows``."""
+
     ctx: PrimeContext
-    entries: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     det: Fraction
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def nondegenerate(self) -> bool:
         return self.det != 0
 
+    @cached_property
+    def entries(self) -> Matrix:
+        return linalg.over(self.rows, self.den)
+
+
+def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
+    """The form ri / den, for integer rows ri and den > 0, checked on the
+    integers.  Only a row that fails a whole-row check is scanned, so errors
+    come in the order (i, i), then (i, j) for j > i, row by row."""
+    n = len(ri)
+    if any(len(row) != n for row in ri):
+        raise FormError("matrix is not square")
+    ri, den = linalg.lowest(ri, den)
+    ri = tuple(map(tuple, ri))
+    s = valuation(den, ctx)
+    q = ctx.p**s  # x / den is p-integral iff q | x
+    q2 = ctx.p ** max(s - ctx.e, 0)  # 2x / den is p-integral iff q2 | x
+    for i, (row, col) in enumerate(zip(ri, zip(*ri))):
+        if row[i] % q:
+            raise FormError(f"diagonal entry ({i},{i}) is not p-integral")
+        if row[i + 1 :] != col[i + 1 :] or (q2 != 1 and any(x % q2 for x in row[i + 1 :])):
+            for j in range(i + 1, n):
+                if row[j] != col[j]:
+                    raise FormError(f"matrix is not symmetric at ({i},{j})")
+                if row[j] % q2:
+                    raise FormError(f"doubled entry ({i},{j}) is not p-integral")
+    det = linalg.det_int([list(row) for row in ri])
+    return HalfIntegralForm(ctx, ri, den, Fraction(det, den**n))
+
 
 def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
     """Check symmetry and half-integrality; record the exact determinant."""
-    m = linalg.mat(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise FormError("matrix is not square")
-    e = ctx.e  # ord(2x) = ord(x) + e
-    for i in range(n):
-        if valuation(m[i][i], ctx) < 0:
-            raise FormError(f"diagonal entry ({i},{i}) is not p-integral")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise FormError(f"matrix is not symmetric at ({i},{j})")
-            if valuation(m[i][j], ctx) < -e:
-                raise FormError(f"doubled entry ({i},{j}) is not p-integral")
-    return HalfIntegralForm(ctx, m, linalg.det(m))
+    return _from_rows(*linalg._scaled(linalg.mat(rows)), ctx)
 
 
 def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:
@@ -59,21 +84,25 @@ def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:
     u = linalg.mat(u)
     if len(u) != form.n or any(len(row) != form.n for row in u):
         raise FormError("transform size mismatch")
-    return validate_form(linalg.congruence(form.entries, u), form.ctx)
+    ui, du = linalg._scaled(u)
+    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(form.rows, ui))
+    return _from_rows(t, form.den * du * du, form.ctx)
 
 
 def leading(form: HalfIntegralForm, m: int) -> HalfIntegralForm:
     """Upper-left m x m subform."""
     if not 0 <= m <= form.n:
         raise FormError(f"leading size {m} out of range")
-    idx = range(m)
-    return validate_form(linalg.submatrix(form.entries, idx, idx), form.ctx)
+    return _from_rows([row[:m] for row in form.rows[:m]], form.den, form.ctx)
 
 
 def direct_sum(b1: HalfIntegralForm, b2: HalfIntegralForm) -> HalfIntegralForm:
     if b1.ctx != b2.ctx:
         raise FormError("direct sum across different primes")
-    return validate_form(linalg.block_diag(b1.entries, b2.entries), b1.ctx)
+    d1, d2 = b1.den, b2.den
+    rows = [[d2 * x for x in row] + [0] * b2.n for row in b1.rows]
+    rows += [[0] * b1.n + [d1 * x for x in row] for row in b2.rows]
+    return _from_rows(rows, d1 * d2, b1.ctx)
 
 
 def signed_disc(form: HalfIntegralForm) -> Fraction:
@@ -98,14 +127,12 @@ def delta(form: HalfIntegralForm) -> int:
 
 def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
     """Order of the ideal of represented values; the first gk entry."""
-    n, ctx = form.n, form.ctx
-    vals = [valuation(form.entries[i][i], ctx) for i in range(n)]
+    n, ctx, r = form.n, form.ctx, form.rows
+    vals = [valuation(r[i][i], ctx) for i in range(n)]
     vals += [  # ord(2x) = ord(x) + e
-        valuation(form.entries[i][j], ctx) + ctx.e
-        for i in range(n)
-        for j in range(i + 1, n)
+        valuation(r[i][j], ctx) + ctx.e for i in range(n) for j in range(i + 1, n)
     ]
-    return min(vals) if vals else INF
+    return min(vals) - valuation(form.den, ctx) if vals else INF
 
 
 def matrix_in_lattice(
@@ -135,14 +162,22 @@ def membership(form: HalfIntegralForm, exps, strict: bool = False) -> bool:
     return matrix_in_lattice(form.entries, tuple(exps), form.ctx, strict)
 
 
-def is_unimodular(u: Matrix, ctx: PrimeContext) -> bool:
-    """U in GL_n(Z_p), read on the integer rows du·U: U is p-integral iff p
-    does not divide the common denominator du, and then unimodular iff p
-    does not divide det(du·U) = du^n·det U."""
-    ui, du = linalg._scaled(u)
-    if du % ctx.p == 0:
+def is_unimodular(u, ctx: PrimeContext) -> bool:
+    """U in GL_n(Z_p), for a square matrix of ints or Fractions: its entries
+    are p-integral and det U is a unit, decided exactly by elimination over
+    F_p on the entries reduced mod p, as det(U mod p) = det U mod p."""
+    p = ctx.p
+    if any(x.denominator % p == 0 for row in u for x in row):
         return False
-    return linalg.det(ui).numerator % ctx.p != 0
+    a = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in u]
+    while a:  # eliminate the first column and drop the pivot row
+        piv = next((r for r in a if r[0]), None)
+        if piv is None:
+            return False
+        a.remove(piv)
+        c = pow(piv[0], -1, p)
+        a = [[(x - r[0] * c * y) % p for x, y in zip(r, piv)][1:] if r[0] else r[1:] for r in a]
+    return True
 
 
 def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bool:
@@ -226,7 +261,6 @@ def random_form(
                 if i == j and ctx.p == 2 and v % 2:
                     v += rng.choice((-1, 1))
                 c[i][j] = c[j][i] = v
-        rows = [[Fraction(c[i][j], 2) for j in range(n)] for i in range(n)]
-        form = validate_form(rows, ctx)
+        form = _from_rows(c, 2, ctx)
         if form.nondegenerate:
             return form

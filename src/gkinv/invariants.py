@@ -4,19 +4,18 @@ invariant, binary classification, and the extended GK datum of a form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .egk import EGKDatum, validate_egk
 from .forms import (
     FormError,
     HalfIntegralForm,
+    _from_rows,
     delta,
     leading,
     membership,
     norm_ideal_ord,
     signed_disc,
-    validate_form,
 )
 from .involutions import GKType, blocks
 from .padic import QuadExtKind, hilbert_symbol, quad_ext, valuation, xi_code, zpow
@@ -42,12 +41,12 @@ def xi(form: HalfIntegralForm) -> int:
     return xi_code(signed_disc(form), form.ctx)
 
 
-def _field_pivots(entries) -> tuple[list[int], int]:
+def _field_pivots(form: HalfIntegralForm) -> tuple[list[int], int]:
     """(pivots, den) of a diagonalization of the form over the field, by the
     fraction-free steps of ``linalg.eliminate`` on den·B: pivot k is the
     leading (k+1)-minor of den·B after the swaps and shears, so the diagonal
     entries are d_k = piv_k / (den·piv_{k-1}), with piv_{-1} = 1."""
-    a, den = linalg._scaled(entries)
+    a, den = [list(row) for row in form.rows], form.den
     n = len(a)
     pivots: list[int] = []
     prev = 1
@@ -86,7 +85,7 @@ def eta(form: HalfIntegralForm) -> int:
     if n == 0:
         return 1
     ctx = form.ctx
-    pivots, den = _field_pivots(form.entries)
+    pivots, den = _field_pivots(form)
     prods = [piv * den if k % 2 == 0 else piv for k, piv in enumerate(pivots)]
     val = zpow(hilbert_symbol(-1, -1, ctx), (n + 1) // 4)
     val *= zpow(hilbert_symbol(-1, form.det, ctx), (n - 1) // 2)
@@ -118,10 +117,7 @@ def classify_binary(form: HalfIntegralForm, check: bool = True) -> BinaryClass:
         raise FormError("classification needs a non-degenerate binary form")
     ctx = form.ctx
     m = int(norm_ideal_ord(form))
-    scaled = validate_form(
-        [[x / Fraction(ctx.p) ** m for x in row] for row in form.entries], ctx
-    )
-    d = signed_disc(scaled)
+    d = signed_disc(_from_rows(form.rows, form.den * ctx.p**m, ctx))
     ext = quad_ext(d, ctx)
     vd = int(valuation(d, ctx))
     if (vd - ext.d) % 2:

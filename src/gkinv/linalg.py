@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals for small matrices.
 
+A matrix is a tuple of rows of Fractions; forms and certificates keep
+integer rows over a least common denominator (``_scaled``, ``lowest``) and
+build their matrices with ``over`` when read.
+
 The dense routines build new immutable matrices.  ``congruence`` and ``det``
 scale their matrices to integers over least common denominators (of each
 matrix for ``congruence``, of each row for ``det``), compute in ``int`` and
-divide once at the end, so they never build an intermediate Fraction.  They
-and ``matmul`` share no code with the in-place kernel's steps, which is what
-lets the verifier check the reducers with ``det`` and ``matmul``; the only
-helper in common is ``_scaled``, which turns a matrix into integers over its
-common denominator.
+divide once at the end, so they never build an intermediate Fraction;
+``det_int``, the Bareiss core of ``det``, also gives every form its det.
+They and ``matmul`` share no code with the in-place kernel's steps, which is
+what lets the verifier check the reducers with ``matmul``.
 There is one solve: ``solve_int`` is fraction-free Gauss-Jordan elimination
 on integer matrices and returns A^-1 B as Y / L in lowest terms; ``solve``
 scales [A | B] row by row as ``det`` does and calls it, and ``inverse`` is
@@ -19,10 +22,10 @@ working U is given, to mutable lists of rows without building E.  ``swap``,
 ``permute``, ``shear`` and ``scale`` work on rows of any exact numbers and
 give the same values as ``congruence(M, E)`` and ``matmul(U, E)``;
 ``eliminate`` is a fraction-free step.  The reducers and the field
-diagonalization scale B once to integers and keep every entry an integer,
-with a known scale, until they build their Fractions at the end: the Jordan
-split and the field diagonalization through ``eliminate``, the dyadic search
-through ``solve_int`` and integer shears and scalings.
+diagonalization start from a form's integer rows den·B and keep every entry
+an integer, with a known scale, to the end: the Jordan split and the field
+diagonalization through ``eliminate``, the dyadic search through
+``solve_int`` and integer shears and scalings.
 """
 
 from __future__ import annotations
@@ -81,31 +84,37 @@ def congruence(b: Matrix, u: Matrix) -> Matrix:
     return mat([Fraction(x, d) if x else _ZERO for x in row] for row in t)
 
 
-def det(m: Matrix) -> Fraction:
-    """Fraction-free (Bareiss) elimination on the integer rows d_i·M_i, with
-    d_i the least common denominator of row i, then one division by the
-    product of the d_i.
+def over(m, d: int) -> Matrix:
+    """The matrix m / d, for integer rows m and d > 0."""
+    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in m)
+
+
+def lowest(m, d: int) -> tuple[list[list[int]], int]:
+    """(m / g, d / g) for integer rows m and d > 0, with g the gcd of d and
+    every entry of m, so that d becomes the least common denominator of m / d."""
+    g = math.gcd(d, *(math.gcd(*row) for row in m))
+    return (m, d) if g == 1 else ([[x // g for x in row] for row in m], d // g)
+
+
+def det_int(a: list[list[int]]) -> int:
+    """det A for a square integer matrix A, by fraction-free (Bareiss)
+    elimination on its rows, which it overwrites.
 
     Step k maps a lower row r to (p·r - c·y) / prev, with p and y the pivot
     and the pivot row, c = r[k] and prev the previous pivot.  Every entry it
-    gives is a minor of the scaled matrix, so the division is exact.  A row
-    with c = 0 would only be scaled by p / prev, so it is left as it is and
-    base[i] keeps the pivot of the step that last changed it: its Bareiss
-    value is r·prev / base[i], and its next real step divides by base[i].
-    Triangular and diagonal matrices then cost no elimination at all."""
-    n = len(m)
-    a, d = [], 1
-    for row in m:
-        (r,), dr = _scaled((row,))
-        a.append(r)
-        d *= dr
+    gives is a minor of A, so the division is exact.  A row with c = 0 would
+    only be scaled by p / prev, so it is left as it is and base[i] keeps the
+    pivot of the step that last changed it: its Bareiss value is
+    r·prev / base[i], and its next real step divides by base[i].  Triangular
+    and diagonal matrices then cost no elimination at all."""
+    n = len(a)
     base = [1] * n
     sign, prev = 1, 1
     for k in range(n):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                return _ZERO
+                return 0
             a[k], a[piv] = a[piv], a[k]
             base[k], base[piv] = base[piv], base[k]
             sign = -sign
@@ -120,7 +129,15 @@ def det(m: Matrix) -> Fraction:
                 ri[k + 1 :] = [(x * p - c * y) // base[i] for x, y in zip(ri[k + 1 :], tail)]
                 base[i] = p
         prev = p
-    return Fraction(sign * prev, d)
+    return sign * prev
+
+
+def det(m: Matrix) -> Fraction:
+    """``det_int`` on the integer rows d_i·M_i, with d_i the least common
+    denominator of row i, then one division by the product of the d_i."""
+    scaled = [_scaled((row,)) for row in m]
+    x = det_int([r for (r,), _ in scaled])
+    return Fraction(x, math.prod(d for _, d in scaled)) if x else _ZERO
 
 
 def solve_int(a, b) -> tuple[list[list[int]], int]:
@@ -183,14 +200,6 @@ def perm_matrix(new_to_old: tuple[int, ...]) -> Matrix:
 
 def submatrix(m: Matrix, rows, cols) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    zero = Fraction(0)
-    top = tuple(row + (zero,) * nb for row in a)
-    bot = tuple((zero,) * na + row for row in b)
-    return top + bot
 
 
 Rows = list[list]

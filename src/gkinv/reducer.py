@@ -24,8 +24,9 @@ backtracking: a failed clear, a prefix with no move or a failed shear
 raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
-Both reducers work on integer rows and build the certificate's Fractions
-once, at the end.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
+Both reducers work on the form's integer rows and hand the certificate its
+R and U as integer rows over their denominators, so no Fraction is built on
+the way.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
 den the common denominator of B and E an odd integer, so the 2-adic order
 of an exact entry is the order of its integer minus ord(den) and every move
 is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C as
@@ -36,17 +37,19 @@ leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .forms import (
     FormError,
     HalfIntegralForm,
+    _from_rows,
     delta,
     is_unimodular,
     norm_ideal_ord,
-    validate_form,
 )
 from .involutions import GKType, is_standard, standard_involutions
 from .linalg import Matrix
@@ -61,13 +64,39 @@ class BudgetExhausted(ReductionError):
     """The search budget ran out before a certificate was found."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReductionCertificate:
-    """Unimodular U with R = B[U] reduced of the stated standard GK type."""
+    """Unimodular U with R = B[U] reduced of the stated standard GK type.
 
-    u: Matrix
+    U is kept as its integer rows du·U over du > 0, the least common
+    denominator of its entries, and ``u``, U as a matrix of Fractions, is
+    built on first read.  The constructor takes U as a matrix of ints or
+    Fractions, of any shape (the verifier rejects a wrong one); the reducers
+    build certificates from integer rows with ``_of_rows``."""
+
+    u_rows: tuple[tuple[int, ...], ...]
+    du: int
     reduced: HalfIntegralForm
     gk_type: GKType
+
+    def __init__(self, u, reduced: HalfIntegralForm, gk_type: GKType):
+        self._set(*linalg._scaled(linalg.mat(u)), reduced, gk_type)
+
+    @classmethod
+    def _of_rows(cls, ui, du: int, reduced, gk_type) -> ReductionCertificate:
+        """The certificate of U = ui / du, for integer rows ui and du > 0."""
+        cert = cls.__new__(cls)
+        cert._set(*linalg.lowest(ui, du), reduced, gk_type)
+        return cert
+
+    def _set(self, ui, du, reduced, gk_type) -> None:
+        values = (tuple(map(tuple, ui)), du, reduced, gk_type)
+        for name, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def u(self) -> Matrix:
+        return linalg.over(self.u_rows, self.du)
 
     @property
     def exps(self) -> tuple[int, ...]:
@@ -112,8 +141,8 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
     if n != gk_type.n:
         raise FormError("size mismatch between form and GK type")
     ctx = form.ctx
-    r, den = linalg._scaled(form.entries)
-    s = valuation(den, ctx)
+    r = form.rows
+    s = valuation(form.den, ctx)
     e = ctx.e
 
     def ord_of(x: int):
@@ -225,34 +254,6 @@ def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     return l
 
 
-def _fractions(m, d: int) -> Matrix:
-    """The matrix m / d, for integer rows m."""
-    if d == 1:
-        return linalg.mat(m)
-    return linalg.mat([Fraction(x, d) if x else 0 for x in row] for row in m)
-
-
-def clear_rows(
-    form: HalfIntegralForm, gk_type: GKType
-) -> tuple[Matrix, HalfIntegralForm]:
-    """Public row clearing against a reduced leading block."""
-    m = gk_type.n
-    lead = validate_form(
-        linalg.submatrix(form.entries, range(m), range(m)), form.ctx
-    )
-    if not lead.nondegenerate:
-        raise FormError("leading block is degenerate")
-    if not is_reduced(lead, gk_type):
-        raise FormError("leading block is not reduced for the given type")
-    cleared, den = linalg._scaled(form.entries)
-    u = [[int(i == j) for j in range(form.n)] for i in range(form.n)]
-    l = _clear_matrix(cleared, u, gk_type.exps, gk_type.sigma)
-    if l is None:
-        raise ReductionError("clearing transform is not integral")
-    reduced = validate_form(_fractions(cleared, den * l * l), form.ctx)
-    return _fractions(u, l), reduced
-
-
 def _ordb(m, ctx: PrimeContext, s: int, i: int, j: int):
     """The 2-adic order of the exact entry (i, j), doubled off the diagonal,
     for integer rows m that are the exact ones times 2^s·(odd)."""
@@ -317,7 +318,7 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
     ctx, n = form.ctx, form.n
     # ord det(2B), from the determinant validation already computed
     det_cap = int(valuation(Fraction(2) ** n * form.det, ctx))
-    m, den = linalg._scaled(form.entries)
+    m, den = [list(row) for row in form.rows], form.den
     s = valuation(den, ctx)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     e = 1
@@ -397,14 +398,14 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
     pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows; the Fractions are built once, at the end."""
+    on the exact rows; the certificate takes the rows at the end."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
         raise FormError("degenerate form")
     ctx = form.ctx
     n = form.n
-    m, den = linalg._scaled(form.entries)
+    m = [list(row) for row in form.rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     prev, prevs = 1, []
     for k in range(n):
@@ -423,14 +424,19 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
         linalg.eliminate(m, k, prev, u)
         prev = m[k][k]
     # each pivot has the least order in its tail and elimination keeps the
-    # tail at or above it, so the diagonal orders are already non-decreasing
-    diag = [Fraction(m[k][k], den * pk) for k, pk in enumerate(prevs)]
-    exps = tuple(int(valuation(d, ctx)) for d in diag)
+    # tail at or above it, so the diagonal orders are already non-decreasing;
+    # den is a unit, so pivot k / prev_k has the order of the exact entry
+    exps = tuple(valuation(m[k][k], ctx) - valuation(pk, ctx) for k, pk in enumerate(prevs))
     sigma = standard_involutions(exps)[0]
-    reduced = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)]
-    cert = ReductionCertificate(
-        linalg.mat([[Fraction(x, pk) for x, pk in zip(row, prevs)] for row in u]),
-        validate_form(reduced, ctx),
+    # R_kk = m[k][k] / (den·prev_k) and U[:, k] = u[:, k] / prev_k, both over
+    # the common multiple l of the prev_k
+    l = math.lcm(*prevs)
+    c = [l // pk for pk in prevs]
+    diag = [[m[i][i] * c[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    cert = ReductionCertificate._of_rows(
+        [[x * ck for x, ck in zip(row, c)] for row in u],
+        l,
+        _from_rows(diag, form.den * l, ctx),
         GKType(exps, sigma),
     )
     ok, reason = verify_certificate(form, cert)
@@ -444,15 +450,13 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
     if not form.nondegenerate:
         raise FormError("degenerate form")
     if form.n == 0:
-        return ReductionCertificate(
-            (), validate_form((), form.ctx), GKType((), ())
-        )
+        return ReductionCertificate._of_rows((), 1, form, GKType((), ()))
     if form.ctx.p != 2:
         return jordan_split(form)
     m, u, exps, sigma, d, e = _dyadic_search(form, budget)
     sigma = _standardize(m, u, exps, sigma)
-    cert = ReductionCertificate(
-        _fractions(u, e), validate_form(_fractions(m, d), form.ctx), GKType(exps, sigma)
+    cert = ReductionCertificate._of_rows(
+        u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma)
     )
     ok, reason = verify_certificate(form, cert)
     if not ok:
@@ -465,22 +469,21 @@ def verify_certificate(
 ) -> tuple[bool, str]:
     """Independent check of a reduction certificate.  Never raises on bad
     certificates; returns (False, reason)."""
-    exps = cert.gk_type.exps
-    sizes = {len(exps), cert.reduced.n, len(cert.u), *map(len, cert.u)}
+    exps, ui, du = cert.gk_type.exps, cert.u_rows, cert.du
+    sizes = {len(exps), cert.reduced.n, len(ui), *map(len, ui)}
     if sizes != {form.n}:
         return False, "size mismatch"
     if any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
         return False, "exponents not non-decreasing"
     if any(a < 0 for a in exps):
         return False, "negative exponent"
-    if not is_unimodular(cert.u, form.ctx):
+    # U = du·U / du with du least is p-integral iff p does not divide du
+    if du % form.ctx.p == 0 or not is_unimodular(ui, form.ctx):
         return False, "transform is not unimodular"
-    # t(U) B U = R, cross-multiplied on the integer rows db·B, du·U and dr·R
-    bi, db = linalg._scaled(form.entries)
-    ui, du = linalg._scaled(cert.u)
-    ri, dr = linalg._scaled(cert.reduced.entries)
-    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(bi, ui))
-    k = db * du * du
+    # t(U) B U = R, cross-multiplied on the integer rows den·B, du·U and den·R
+    ri, dr = cert.reduced.rows, cert.reduced.den
+    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(form.rows, ui))
+    k = form.den * du * du
     if any(
         [x * dr for x in row] != [y * k for y in rrow] for row, rrow in zip(t, ri)
     ):

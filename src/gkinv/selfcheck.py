@@ -27,6 +27,7 @@ from .egk import (
 )
 from .forms import (
     HalfIntegralForm,
+    _from_rows,
     delta,
     direct_sum,
     in_gk_group,
@@ -524,7 +525,7 @@ def _unramified_binary(target_xi: int, scale: int, ctx: PrimeContext):
     """p^scale times a unimodular binary form whose discriminant indicator is
     ``target_xi`` (split or inert)."""
     if ctx.p == 2:
-        return validate_form(_unramified_pair(target_xi, scale), ctx)
+        return _from_rows(_unramified_pair(target_xi, scale), 2, ctx)
     u = 1 if target_xi == 1 else nonsquare_unit(ctx)
     f = Fraction(ctx.p) ** scale
     return validate_form([[f, 0], [0, -u * f]], ctx)

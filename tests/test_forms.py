@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from gkinv import linalg
+from gkinv.egk import lift, random_egk, synthesize_nondyadic, synthesize_reduced
 from gkinv.forms import (
     FormError,
+    _from_rows,
     delta,
     direct_sum,
     in_gk_group,
+    is_unimodular,
     leading,
     membership,
     norm_ideal_ord,
@@ -136,3 +140,82 @@ def test_random_unimodular_is_unimodular():
         for _ in range(25):
             u = random_unimodular(3, ctx, rng)
             assert is_unimodular(u, ctx)
+
+
+def test_integer_rows_round_trip():
+    """validate_form(form.entries) rebuilds the same rows, den, det and
+    hash, for random forms and synthesized ones (den 1 and den 2)."""
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7):
+        ctx = PrimeContext(p)
+        forms = [random_form(rng.randint(1, 5), ctx, rng, height=3) for _ in range(15)]
+        for _ in range(10):
+            g = random_egk(rng, max_r=3, max_m=4, max_n=5)
+            if p == 2:
+                forms.append(synthesize_reduced(g, ctx))
+            else:
+                forms.append(synthesize_nondyadic(lift(g), ctx))
+        for form in forms:
+            again = validate_form(form.entries, ctx)
+            assert (again.rows, again.den, again.det) == (form.rows, form.den, form.det)
+            assert again == form and hash(again) == hash(form)
+            assert form.den == math.lcm(*(x.denominator for row in form.entries for x in row))
+            assert all(type(x) is int for row in form.rows for x in row)
+
+
+@pytest.mark.parametrize(
+    "p, rows, den, message",
+    [
+        (2, [[0, 1], [1, 0]], 2, None),  # doubled entry of order exactly -1
+        (2, [[0, 1], [1, 0]], 4, "doubled entry (0,1) is not p-integral"),
+        (3, [[3, 1], [1, 3]], 3, "doubled entry (0,1) is not p-integral"),
+        (2, [[2, 1], [0, 2]], 2, "matrix is not symmetric at (0,1)"),
+        (3, [[1, 4, 0], [4, 1, 0], [0, 1, 1]], 1, "matrix is not symmetric at (1,2)"),
+        (2, [[1, 2, 3], [2, 1, 4]], 1, "matrix is not square"),
+        (2, [[2, 0], [0, 1]], 2, "diagonal entry (1,1) is not p-integral"),
+        (5, [[5, 0], [0, 1]], 5, "diagonal entry (1,1) is not p-integral"),
+        (2, [[1, 1], [3, 1]], 2, "diagonal entry (0,0) is not p-integral"),
+    ],
+)
+def test_error_boundaries_match(p, rows, den, message):
+    """The integer constructor and validate_form accept and reject at the
+    same boundaries, with the same message."""
+    ctx = PrimeContext(p)
+    fractions = [[Fraction(x, den) for x in row] for row in rows]
+    if message is None:
+        assert _from_rows(rows, den, ctx) == validate_form(fractions, ctx)
+        return
+    for build in (lambda: _from_rows(rows, den, ctx), lambda: validate_form(fractions, ctx)):
+        with pytest.raises(FormError) as err:
+            build()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_unimodular_matches_det_mod_p(p):
+    """The F_p elimination gives the verdict of the exact determinant:
+    p does not divide det U, for random integer matrices, matrices that
+    are singular mod p but not singular, and entries of 300+ bits."""
+    rng = random.Random(p)
+    ctx = PrimeContext(p)
+    cases = []
+    for n in range(1, 7):
+        for _ in range(20):
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            big = [[rng.getrandbits(320) - (1 << 319) for _ in range(n)] for _ in range(n)]
+            cases.append(big)
+            # row 0 made congruent mod p to a combination of the others
+            lin = [row[:] for row in big]
+            if n > 1:
+                c = [rng.randrange(p) for _ in range(n - 1)]
+                lin[0] = [
+                    sum(ci * lin[i + 1][j] for i, ci in enumerate(c)) + p * rng.getrandbits(300)
+                    for j in range(n)
+                ]
+            cases.append(lin)
+    singular_mod_p = 0
+    for m in cases:
+        d = linalg.det(m)
+        assert is_unimodular(m, ctx) == (d % p != 0), m
+        singular_mod_p += d != 0 and d % p == 0
+    assert singular_mod_p >= 50

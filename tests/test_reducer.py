@@ -8,6 +8,8 @@ from gkinv import linalg, reducer
 from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
+    _from_rows,
+    leading,
     matrix_in_lattice,
     membership,
     random_form,
@@ -21,8 +23,8 @@ from gkinv.padic import PrimeContext, quad_ext, valuation
 from gkinv.reducer import (
     BudgetExhausted,
     ReductionError,
+    _clear_matrix,
     binary_gk,
-    clear_rows,
     complete_square,
     dyadic_pair_conditions,
     is_reduced,
@@ -132,6 +134,18 @@ def test_dyadic_shortcut_matches_pair_condition():
         b = random_form(rng.randint(1, 4), CTX2, rng, height=3)
         cert = reduce_form(b)
         assert dyadic_pair_conditions(cert.reduced, cert.gk_type)
+
+
+def clear_rows(form, gk_type):
+    """(U, B[U]) for ``_clear_matrix`` on the integer rows of a form whose
+    leading block is reduced of the given type."""
+    if not is_reduced(leading(form, gk_type.n), gk_type):
+        raise FormError("leading block is not reduced for the given type")
+    m = [list(row) for row in form.rows]
+    u = [[int(i == j) for j in range(form.n)] for i in range(form.n)]
+    l = _clear_matrix(m, u, gk_type.exps, gk_type.sigma)
+    assert l is not None
+    return linalg.over(u, l), _from_rows(m, form.den * l * l, form.ctx)
 
 
 def test_clear_rows_noop_cases():
@@ -361,3 +375,43 @@ def test_optimality_group_criterion_small():
         moved = transform(r, u)
         assert membership(moved, exps) == in_gk_group(u, exps, CTX2)
         assert reduce_form(moved).exps == exps
+
+
+def test_certificate_constructors_agree():
+    """A certificate built from a Fraction U equals the reducer's, built
+    from integer rows, in u_rows, du, == and hash."""
+    rng = random.Random(41)
+    for ctx in (CTX2, CTX3, CTX5):
+        for _ in range(10):
+            cert = reduce_form(random_form(rng.randint(1, 5), ctx, rng, height=4))
+            again = reducer.ReductionCertificate(cert.u, cert.reduced, cert.gk_type)
+            assert (again.u_rows, again.du) == (cert.u_rows, cert.du)
+            assert again == cert and hash(again) == hash(cert)
+            assert again.u == cert.u
+
+
+def test_reduction_stays_on_integer_rows(monkeypatch):
+    """reduce_form and egk_of on a fresh form never validate a Fraction
+    matrix or scale one to integers, and build no Fraction matrix."""
+    import sys
+
+    from gkinv.invariants import egk_of
+    from test_kernel import dyadic_corpus, odd_corpus
+
+    forms = [validate_form(f.entries, f.ctx) for f in dyadic_corpus(10)[5:] + odd_corpus(4)]
+    calls = []
+    for name, original in (("validate_form", validate_form), ("_scaled", linalg._scaled)):
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("gkinv")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for form in forms:
+        cert = reduce_form(form)
+        egk_of(form)
+        assert calls == []
+        assert "entries" not in vars(form) and "entries" not in vars(cert.reduced)
+        assert "u" not in vars(cert)
