@@ -7,8 +7,9 @@ a top-level array is batch mode.  Certificates are
 All rationals are exact ``num/den`` strings, never floats; the prime and the
 integer lists (``ua``, ``sigma``, and ``n``, ``m``, ``zeta`` for ``synth``)
 must be JSON integers, and a float, a bool or a string there is rejected
-rather than truncated.  Exit codes: 0 success, 1 invalid input, 2 internal
-failure or rejected verification.
+rather than truncated.  No integer, numerator or denominator may have more
+than ``NUMBER_MAX_DIGITS`` digits.  Exit codes: 0 success, 1 invalid input,
+2 internal failure or rejected verification.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ from .reducer import (
 # a denominator needs a non-zero digit
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
+# the most digits an integer, a numerator or a denominator of the input may
+# have: CPython's default limit on converting a string to an int, held here
+# whatever the interpreter's own setting, so an oversize entry is a named
+# error and never a long conversion
+NUMBER_MAX_DIGITS = 4300
+
 # bounds on the work of one ``synth`` datum: the matrix size, and the bits of
 # its largest prime power (max(m) times the bit length of p)
 SYNTH_MAX_N = 32
@@ -60,11 +67,26 @@ def _json_int(x, error: str) -> int:
     return x
 
 
+def _check_digits(digits: str) -> None:
+    """Exit 1 with ``number_too_large`` past NUMBER_MAX_DIGITS digits."""
+    if len(digits) > NUMBER_MAX_DIGITS:
+        detail = f"a number has {len(digits)} digits, more than {NUMBER_MAX_DIGITS}"
+        raise CliError(1, {"error": "number_too_large", "detail": detail})
+
+
+def _parse_json_int(literal: str) -> int:
+    # json.load hands every integer literal here before any int is built
+    _check_digits(literal.lstrip("-"))
+    return int(literal)
+
+
 def _parse_rational(s) -> Fraction:
     if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL.match(s.strip()):
         raise CliError(1, {"error": "bad_rational", "value": str(s)})
+    for digits in s.strip().lstrip("+-").split("/"):
+        _check_digits(digits)
     return Fraction(s.strip())
 
 
@@ -82,7 +104,7 @@ def _fmt_matrix(m) -> list[list[str]]:
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_json_int)
     except FileNotFoundError:
         raise CliError(1, {"error": "file_not_found", "path": path})
     except json.JSONDecodeError as ex:

@@ -7,7 +7,11 @@ certificates trustworthy.
 
 A form keeps the integer rows den·B over the least common denominator den
 (as FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` does), and builds ``entries``,
-B in Fractions, on first read; ``_from_rows`` is its one constructor.
+B in Fractions, on first read; ``_from_rows`` is its one constructor.  In
+the same instance dict, outside the fields and so outside ==, hash and repr,
+``reducer.reduce_form`` keeps the certificate it has verified for the form,
+so ``gk`` and ``egk_of`` after ``reduce_form`` on the same object do not
+search again.
 """
 
 from __future__ import annotations

@@ -445,22 +445,40 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
     return cert
 
 
+# the instance-dict key under which a form keeps its verified certificate,
+# as ``cached_property`` keeps ``entries``: not a field, so it is not part of
+# ==, hash or repr, and no constructor or public name can set it
+_CERT = "_reduction"
+
+
 def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCertificate:
-    """Produce a verified reduction certificate for a non-degenerate form."""
+    """Produce a verified reduction certificate for a non-degenerate form.
+
+    The form keeps the certificate once ``verify_certificate`` has accepted
+    it, and a later call on the same object returns it whatever ``budget``
+    says: the budget bounds a search, and that call makes none.  So ``gk``,
+    ``egk_of`` and ``classify_binary`` after ``reduce_form`` pay for one
+    search and one verification.  A call that raises leaves the form as it
+    was, and an equal form built apart runs its own search."""
+    cert = vars(form).get(_CERT)
+    if cert is not None:
+        return cert
     if not form.nondegenerate:
         raise FormError("degenerate form")
     if form.n == 0:
         return ReductionCertificate._of_rows((), 1, form, GKType((), ()))
     if form.ctx.p != 2:
-        return jordan_split(form)
-    m, u, exps, sigma, d, e = _dyadic_search(form, budget)
-    sigma = _standardize(m, u, exps, sigma)
-    cert = ReductionCertificate._of_rows(
-        u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma)
-    )
-    ok, reason = verify_certificate(form, cert)
-    if not ok:
-        raise ReductionError(f"certificate rejected: {reason}")
+        cert = jordan_split(form)
+    else:
+        m, u, exps, sigma, d, e = _dyadic_search(form, budget)
+        sigma = _standardize(m, u, exps, sigma)
+        cert = ReductionCertificate._of_rows(
+            u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma)
+        )
+        ok, reason = verify_certificate(form, cert)
+        if not ok:
+            raise ReductionError(f"certificate rejected: {reason}")
+    vars(form)[_CERT] = cert
     return cert
 
 

@@ -404,3 +404,46 @@ def test_synth_work_is_bounded(tmp_path):
             assert out["error"] == "bad_egk_payload", (payload, out)
         else:
             assert len(out["matrix"]) == 32
+
+
+
+def test_number_size_is_bounded(tmp_path, capsys):
+    """An integer, a numerator or a denominator of NUMBER_MAX_DIGITS digits is
+    read, and one more digit exits 1 with number_too_large, in this process
+    and in one that lifts the interpreter's own digit limit."""
+    assert cli.NUMBER_MAX_DIGITS == 4300
+    cases = []
+    for k in (cli.NUMBER_MAX_DIGITS, cli.NUMBER_MAX_DIGITS + 1):
+        ok = k == cli.NUMBER_MAX_DIGITS
+        big, odd = "1" + "0" * (k - 1), "1" * k  # 10**(k-1); odd is a unit at p = 2
+        for text, gk in (
+            ('{"p": 5, "matrix": [[%s]]}' % big, [k - 1]),
+            ('{"p": 5, "matrix": [["%s"]]}' % big, [k - 1]),
+            ('{"p": 2, "matrix": [["1/%s"]]}' % odd, [0]),
+        ):
+            path = tmp_path / f"f{len(cases)}.json"
+            path.write_text(text)  # json.dumps would take str() of a big int
+            cases.append((str(path), (0, {"gk": gk}) if ok else (1, "number_too_large")))
+
+    def outcome(code, out):
+        out = json.loads(out)
+        return code, out if code == 0 else out["error"]
+
+    for path, expect in cases:
+        assert outcome(*run_cli(["compute", "--what", "gk", "--input", path], capsys)) == expect
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONINTMAXSTRDIGITS="0",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    for path, expect in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gkinv.cli", "compute", "--what", "gk", "--input", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert outcome(proc.returncode, proc.stdout) == expect

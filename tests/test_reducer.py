@@ -348,11 +348,88 @@ def test_failed_collision_shear_is_a_reduction_error(monkeypatch):
 
     monkeypatch.setattr(reducer, "complete_square", refuse)
     with pytest.raises(ReductionError) as info:
-        reduce_form(form)
+        # an equal form built apart: ``form`` keeps its certificate
+        reduce_form(validate_form(form.entries, form.ctx))
     assert len(refused) == 1
     prefix = re.search(r"exps=\[([\d, ]*)\]", str(info.value)).group(1)
     prefix = tuple(int(a) for a in prefix.split(","))
     assert prefix == exps[: len(prefix)] and len(prefix) < len(exps)
+
+
+def _count_searches(monkeypatch):
+    """Count the searches (``_dyadic_search`` or ``jordan_split``) and the
+    certificate checks that ``reduce_form`` runs."""
+    calls = {"search": 0, "verify": 0}
+    for name, kind in (
+        ("_dyadic_search", "search"),
+        ("jordan_split", "search"),
+        ("verify_certificate", "verify"),
+    ):
+
+        def counted(*args, _original=getattr(reducer, name), _kind=kind):
+            calls[_kind] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reducer, name, counted)
+    return calls
+
+
+def _fresh_forms():
+    """A dyadic form whose search makes collision shears, a dyadic binary
+    form, an odd form of size 6 and an odd binary form, none reduced yet."""
+    from test_kernel import dyadic_corpus, odd_corpus
+
+    dyadic = dyadic_corpus(15)
+    return [dyadic[14], dyadic[0], odd_corpus(1)[0], random_form(2, CTX3, random.Random(2))]
+
+
+def test_a_form_keeps_its_verified_certificate(monkeypatch):
+    """reduce_form, egk_of, gk and classify_binary on one form object run one
+    search and one verification between them; the form's ==, hash and repr
+    do not change, and an equal form built apart runs its own search."""
+    from gkinv.invariants import classify_binary, egk_of, gk
+
+    calls = _count_searches(monkeypatch)
+    for form in _fresh_forms():
+        twin = _from_rows(form.rows, form.den, form.ctx)
+        calls.update(search=0, verify=0)
+        cert = reduce_form(form)
+        egk_of(form)
+        assert gk(form) == cert.exps
+        if form.n == 2:
+            assert classify_binary(form, check=True).predicted_gk == cert.exps
+        assert reduce_form(form) is cert
+        assert calls == {"search": 1, "verify": 1}
+        assert form == twin and hash(form) == hash(twin) and repr(form) == repr(twin)
+        assert reduce_form(twin) == cert and reduce_form(twin) is not cert
+        assert calls == {"search": 2, "verify": 2}
+
+
+def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
+    """BudgetExhausted and a rejected certificate store nothing, so the next
+    call searches again and succeeds; a kept certificate is returned whatever
+    the budget."""
+    calls = _count_searches(monkeypatch)
+    forms = _fresh_forms()
+    dyadic = forms[0]
+    before = dict(vars(dyadic))
+    with pytest.raises(BudgetExhausted):
+        reduce_form(dyadic, budget=1)
+    assert vars(dyadic) == before
+    verify = reducer.verify_certificate
+    monkeypatch.setattr(reducer, "verify_certificate", lambda *args: (False, "refused"))
+    for form in forms:
+        before = dict(vars(form))
+        with pytest.raises(ReductionError, match="refused"):
+            reduce_form(form)
+        assert vars(form) == before
+    monkeypatch.setattr(reducer, "verify_certificate", verify)
+    for form in forms:
+        calls.update(search=0, verify=0)
+        cert = reduce_form(form)
+        assert calls == {"search": 1, "verify": 1}
+        assert verify_certificate(form, cert) == (True, "ok")
+    assert reduce_form(dyadic, budget=1) is reduce_form(dyadic)
 
 
 def test_reduce_empty_and_unary():
