@@ -42,6 +42,7 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 # whatever the interpreter's own setting, so an oversize entry is a named
 # error and never a long conversion
 NUMBER_MAX_DIGITS = 4300
+_NUMBER_BOUND = 10**NUMBER_MAX_DIGITS  # the least number with one digit more
 
 # bounds on the work of one ``synth`` datum: the matrix size, and the bits of
 # its largest prime power (max(m) times the bit length of p)
@@ -91,7 +92,12 @@ def _parse_rational(s) -> Fraction:
 
 
 def _fmt_rational(x: Fraction) -> str:
+    """x as JSON text, held to NUMBER_MAX_DIGITS digits like the input, so
+    ``verify`` reads back every certificate that ``reduce`` prints."""
     x = Fraction(x)
+    if abs(x.numerator) >= _NUMBER_BOUND or x.denominator >= _NUMBER_BOUND:
+        detail = f"an output number has more than {NUMBER_MAX_DIGITS} digits"
+        raise CliError(1, {"error": "number_too_large", "detail": detail})
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -14,9 +14,11 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import HalfIntegralForm, _from_rows
+from .forms import HalfIntegralForm, _from_rows, leading
+from .invariants import eta, xi
 from .involutions import GKType, blocks, is_standard, standard_involutions
 from .padic import PrimeContext, nonsquare_unit, valuation, zpow
+from .reducer import binary_gk, is_reduced
 
 SIGNS3 = (0, 1, -1)
 
@@ -226,8 +228,6 @@ def random_egk(
 def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
     """Diagonal form over Q_p, p odd, whose per-prefix invariants realize the
     naive datum; the unit class of each new entry is picked by direct check."""
-    from .invariants import eta, xi  # deferred: invariants imports this module
-
     if ctx.p == 2:
         raise EGKError("diagonal synthesis needs p odd")
     ok, bad = validate_naive(h)
@@ -253,9 +253,6 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
 
 def naive_datum_of_diagonal(form: HalfIntegralForm) -> NaiveEGK:
     """Per-prefix invariants of a non-dyadic diagonal form with sorted orders."""
-    from .invariants import eta, xi
-    from .forms import leading
-
     eps = tuple(
         xi(leading(form, i)) if i % 2 == 0 else eta(leading(form, i))
         for i in range(1, form.n + 1)
@@ -284,9 +281,6 @@ def synthesize_reduced(
     Clean means every entry off the diagonal and off the involution pairs is
     zero.  When ``sigma`` is omitted the first standard involution is used.
     """
-    from .invariants import eta, xi
-    from .reducer import is_reduced
-
     if ctx.p != 2:
         raise EGKError("reduced synthesis is the dyadic path")
     h = lift(g)  # raises EGKError on a datum that breaks the axioms
@@ -336,9 +330,6 @@ def _complete_pair(r00: int, a0: int, a1: int, target_xi: int, ctx: PrimeContext
     """Cross entry and corner completing a diagonal value to a binary block
     with invariant pair (a0, a1) and the requested square-class indicator,
     all three doubled, as entries of 2B."""
-    from .reducer import binary_gk
-    from .invariants import xi
-
     g = (a0 + a1) // 2
     corners = [0] + [v << (a1 + 1) for v in (1, 3, 5, 7)]
     for w in (1, 3, 5, 7):

@@ -6,11 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .egk import EGKDatum, validate_egk
 from .forms import (
     FormError,
     HalfIntegralForm,
-    _from_rows,
     delta,
     leading,
     membership,
@@ -117,7 +115,7 @@ def classify_binary(form: HalfIntegralForm, check: bool = True) -> BinaryClass:
         raise FormError("classification needs a non-degenerate binary form")
     ctx = form.ctx
     m = int(norm_ideal_ord(form))
-    d = signed_disc(_from_rows(form.rows, form.den * ctx.p**m, ctx))
+    d = signed_disc(form) / ctx.p ** (2 * m)  # the discriminant of B / p^m
     ext = quad_ext(d, ctx)
     vd = int(valuation(d, ctx))
     if (vd - ext.d) % 2:
@@ -149,6 +147,9 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
 def egk_of(form: HalfIntegralForm) -> EGKDatum:
     """Extended GK datum: block data of the invariant plus the per-block
     leading-subform indicators of a reduced representative."""
+    # deferred: egk imports this module at its top, for eta and xi
+    from .egk import EGKDatum, validate_egk
+
     if form.n == 0:
         raise FormError("the empty form has no extended GK datum")
     cert = reduce_form(form)

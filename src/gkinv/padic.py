@@ -1,11 +1,11 @@
 """Exact scalar arithmetic over Q_p: valuations, squares, Hilbert symbols.
 
-Scalars are `fractions.Fraction` values throughout.  A rational number
-determines an element of Q_p, and every classification implemented here
-(square classes, Hilbert symbols, quadratic extension discriminants)
-depends on only finitely many p-adic digits, so exact rationals remove
-precision management entirely.  ord(0) is +infinity, encoded as
-``math.inf`` so that it orders above every integer.
+Scalars are ints or `fractions.Fraction` values.  A rational number
+determines an element of Q_p, and the classifications implemented here
+(square classes, Hilbert symbols, quadratic extension discriminants) read
+only its square class, as p^v·u with u an integer prime to p
+(``_unit_class``), so exact rationals remove precision management.  ord(0)
+is +infinity, encoded as ``math.inf`` so that it orders above every integer.
 """
 
 from __future__ import annotations
@@ -115,52 +115,52 @@ def frac_mod(x: Rational, modulus: int, ctx: PrimeContext) -> int:
     return (x.numerator * inv) % modulus
 
 
+def _unit_class(x: Rational, p: int, at_zero: str) -> tuple[int, int]:
+    """(v, u), u an integer prime to p, with p^v·u in the square class of x:
+    x is read as numerator·denominator, x times its denominator squared
+    (Serre, ch. III).  So v is ord x only mod 2, and ``valuation`` stays the
+    order.  x = 0 raises ValueError(at_zero)."""
+    if type(x) is not int:
+        x = Fraction(x)
+        x = x.numerator * x.denominator
+    if not x:
+        raise ValueError(at_zero)
+    v = _int_valuation(x, p)
+    return v, x // p**v
+
+
+def _is_square_unit(u: int, p: int) -> bool:
+    """True iff the integer u, prime to p, is a square in Z_p."""
+    return u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
+
+
 def legendre(u: Rational, ctx: PrimeContext) -> int:
     """Legendre symbol of a p-adic unit, p odd."""
-    if ctx.p == 2:
+    p = ctx.p
+    if p == 2:
         raise ValueError("Legendre symbol needs p odd")
-    r = frac_mod(u, ctx.p, ctx)
-    if r == 0:
+    v, w = _unit_class(u, p, "input is not a unit")
+    if v and valuation(u, ctx) < 0:
+        raise ValueError(f"{Fraction(u)} is not p-integral at p={p}")
+    if v:
         raise ValueError("input is not a unit")
-    return 1 if pow(r, (ctx.p - 1) // 2, ctx.p) == 1 else -1
+    return 1 if _is_square_unit(w, p) else -1
 
 
 def is_square(x: Rational, ctx: PrimeContext) -> bool:
     """True iff x is a square in Q_p^x.  Rejects x = 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("is_square is undefined at 0")
-    v = valuation(x, ctx)
-    if v % 2 != 0:
-        return False
-    u = unit_part(x, ctx)
-    if ctx.p == 2:
-        return frac_mod(u, 8, ctx) == 1
-    return legendre(u, ctx) == 1
-
-
-def _square_class_int(x: Rational) -> int:
-    """An integer in the square class of x: numerator·denominator, which is
-    x times the square of its denominator."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator * x.denominator
+    v, u = _unit_class(x, ctx.p, "is_square is undefined at 0")
+    return v % 2 == 0 and _is_square_unit(u, ctx.p)
 
 
 def hilbert_symbol(a: Rational, b: Rational, ctx: PrimeContext) -> int:
     """Local Hilbert symbol: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution.
 
-    The symbol depends only on the square classes of a and b, so a Fraction
-    argument is replaced by the integer numerator·denominator and both are
-    read as p^alpha·u with u an integer prime to p (Serre, ch. III)."""
-    a, b = _square_class_int(a), _square_class_int(b)
-    if not a or not b:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
+    The symbol depends only on the square classes of a and b, read as
+    p^alpha·u and p^beta·v (Serre, ch. III)."""
     p = ctx.p
-    alpha = _int_valuation(a, p)
-    beta = _int_valuation(b, p)
-    u, v = a // p**alpha, b // p**beta
+    alpha, u = _unit_class(a, p, "Hilbert symbol needs nonzero arguments")
+    beta, v = _unit_class(b, p, "Hilbert symbol needs nonzero arguments")
     alpha, beta = alpha % 2, beta % 2
     if p == 2:
         um, vm = u % 8, v % 8
@@ -188,34 +188,29 @@ class QuadExtKind:
     d: int
 
 
+def _disc_ideal_ord(v: int, u: int, p: int) -> int:
+    """The order of the discriminant ideal of Q_p(sqrt(p^v·u)), u an integer
+    prime to p: at odd p the parity of v; at p = 2, 3 for an odd v, else 0 or
+    2 as u is 1 or 3 mod 4.  u is read only at p = 2."""
+    if p != 2:
+        return v % 2
+    if v % 2:
+        return 3
+    return 0 if u % 4 == 1 else 2
+
+
 def quad_ext(xi: Rational, ctx: PrimeContext) -> QuadExtKind:
     """Classify the quadratic algebra Q_p(sqrt(xi)) and its discriminant order."""
-    xi = Fraction(xi)
-    if xi == 0:
-        raise ValueError("quad_ext is undefined at 0")
-    if is_square(xi, ctx):
+    v, u = _unit_class(xi, ctx.p, "quad_ext is undefined at 0")
+    if v % 2 == 0 and _is_square_unit(u, ctx.p):
         return QuadExtKind(SPLIT, 0)
-    v = valuation(xi, ctx) % 2
-    if ctx.p != 2:
-        if v:
-            return QuadExtKind(RAMIFIED, 1)
-        return QuadExtKind(INERT, 0)
-    if v:
-        return QuadExtKind(RAMIFIED, 3)
-    um = frac_mod(unit_part(xi, ctx), 8, ctx)
-    if um == 5:
-        return QuadExtKind(INERT, 0)
-    return QuadExtKind(RAMIFIED, 2)  # unit part 3 or 7 mod 8
+    d = _disc_ideal_ord(v, u, ctx.p)
+    return QuadExtKind(RAMIFIED if d else INERT, d)
 
 
 def xi_code(xi: Rational, ctx: PrimeContext) -> int:
     """1 / -1 / 0 according as Q_p(sqrt(xi)) is split / inert / ramified."""
-    kind = quad_ext(xi, ctx).kind
-    if kind == SPLIT:
-        return 1
-    if kind == INERT:
-        return -1
-    return 0
+    return {SPLIT: 1, INERT: -1, RAMIFIED: 0}[quad_ext(xi, ctx).kind]
 
 
 def nonsquare_unit(ctx: PrimeContext) -> int:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
@@ -51,9 +50,9 @@ from .forms import (
     is_unimodular,
     norm_ideal_ord,
 )
-from .involutions import GKType, is_standard, standard_involutions
+from .involutions import GKType, blocks, is_standard, standard_involutions
 from .linalg import Matrix
-from .padic import INF, PrimeContext, valuation
+from .padic import INF, PrimeContext, Rational, _disc_ideal_ord, valuation
 
 
 class ReductionError(RuntimeError):
@@ -112,17 +111,6 @@ def binary_gk(form: HalfIntegralForm) -> tuple[int, int]:
     return (int(a1), delta(form) - int(a1))
 
 
-def _disc_ideal_ord(d: int, v: int, p: int) -> int:
-    """The order of the discriminant ideal of Q_p(sqrt(d)), for an integer
-    d != 0 of order v: at odd p the parity of v; at p = 2, 3 for an odd v,
-    else 0 or 2 as the unit part d / 2^v is 1 or 3 mod 4."""
-    if p != 2:
-        return v % 2
-    if v % 2:
-        return 3
-    return 0 if (d >> v) % 4 == 1 else 2
-
-
 def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
     """Check the reduced-form conditions for the given GK type, in one pass
     over the integer rows den·R.
@@ -166,7 +154,7 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
                 return False
             a1 = min(vi, ord_of(rjj), ord_of(rij) + e)
             v = valuation(d, ctx)
-            delta = _disc_ideal_ord(d, v, ctx.p)
+            delta = _disc_ideal_ord(v, d >> v, ctx.p)
             total = v - 2 * s - (delta - 1 if delta else 0)
             if (a1, total - a1) != (ai, exps[si]):
                 return False
@@ -191,9 +179,9 @@ def dyadic_pair_conditions(form: HalfIntegralForm, gk_type: GKType) -> bool:
 
 
 def complete_square(
-    b11: Fraction | int,
-    b12: Fraction | int,
-    b22: Fraction | int,
+    b11: Rational,
+    b12: Rational,
+    b22: Rational,
     a1: int,
     a2: int,
     ctx: PrimeContext,
@@ -208,7 +196,6 @@ def complete_square(
     """
     if ctx.p != 2:
         raise FormError("complete_square is specific to p = 2")
-    b11, b12, b22 = Fraction(b11), Fraction(b12), Fraction(b22)
     gap = a2 - a1
     if gap < 0 or gap % 2:
         raise FormError("exponent gap must be even and non-negative")
@@ -316,8 +303,8 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
     entry is then its integer's order minus s = ord(den), and each move is
     chosen as it would be on the exact rows."""
     ctx, n = form.ctx, form.n
-    # ord det(2B), from the determinant validation already computed
-    det_cap = int(valuation(Fraction(2) ** n * form.det, ctx))
+    # ord det(2B) = n·e + ord det B, from the determinant validation
+    det_cap = n * ctx.e + valuation(form.det, ctx)
     m, den = [list(row) for row in form.rows], form.den
     s = valuation(den, ctx)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -338,10 +325,9 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
         c, kind, x, y = min(moves)
         k = len(exps)
         if kind == 3:  # parity collision: shear the tail diagonal away
-            d = den * e * e
-            b11, b12, b22 = (Fraction(m[i][j], d) for i, j in ((x, x), (x, y), (y, y)))
+            # on the integers each order is the exact one plus s: raise both
             try:
-                sh = complete_square(b11, b12, b22, exps[x], c, ctx)
+                sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x] + s, c + s, ctx)
             except (FormError, ReductionError) as ex:
                 what = f"collision shear of {y} against {x} to exponent {c}"
                 raise ReductionError(f"{what} failed {at}: {ex}") from ex
@@ -367,8 +353,6 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
 def _standardize(m, u, exps, sigma):
     """Permute the working rows m, u within equal-exponent blocks so the
     involution is standard; returns the new involution."""
-    from .involutions import blocks
-
     bl = blocks(exps)
     target: list[int] = []
     for s in range(bl.r):

@@ -1,10 +1,14 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import gkinv
 from gkinv import cli
@@ -447,3 +451,49 @@ def test_number_size_is_bounded(tmp_path, capsys):
         )
         assert "Traceback" not in proc.stderr
         assert outcome(proc.returncode, proc.stdout) == expect
+
+
+def test_fmt_rational_holds_the_digit_bound():
+    """The one number formatter writes at most NUMBER_MAX_DIGITS digits, the
+    most the input reader takes, and names a larger number."""
+    top = 10**cli.NUMBER_MAX_DIGITS
+    nines = "9" * cli.NUMBER_MAX_DIGITS
+    assert cli._fmt_rational(top - 1) == nines
+    assert cli._fmt_rational(Fraction(-1, top - 1)) == "-1/" + nines
+    for x in (top, -top, Fraction(1, top), Fraction(top + 1, 3)):
+        with pytest.raises(cli.CliError) as ex:
+            cli._fmt_rational(x)
+        assert ex.value.code == 1 and ex.value.payload["error"] == "number_too_large"
+
+
+def test_oversize_certificate_number_is_named(tmp_path, capsys):
+    """A valid p = 3 form with random 4,299-digit entries has a certificate
+    whose entries run past NUMBER_MAX_DIGITS digits: ``reduce`` exits 1 with
+    number_too_large and one JSON document, in process and in a worker pool,
+    and ``compute --what gk`` on the same form still answers."""
+    rng = random.Random("cli/oversize-certificate")
+    a, b, c = (rng.randrange(10**4298, 10**4299) for _ in range(3))
+    form = {"p": 3, "matrix": [[a, b], [b, c]]}
+    path = write(tmp_path, "big.json", form)
+    code, out = run_cli(["compute", "--what", "gk", "--input", path], capsys)
+    assert code == 0 and len(json.loads(out)["gk"]) == 2
+    batch = write(tmp_path, "batch.json", [DIAG11, form])
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for input_path in (path, batch):
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gkinv.cli", "reduce", "--input", input_path,
+                 "--jobs", jobs],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode == 1, (input_path, jobs)
+            (doc,) = proc.stdout.splitlines()
+            assert json.loads(doc) == {
+                "error": "number_too_large",
+                "detail": f"an output number has more than {cli.NUMBER_MAX_DIGITS} digits",
+            }

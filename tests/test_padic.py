@@ -5,10 +5,16 @@ import pytest
 
 from gkinv.oracle import hilbert_brute
 from gkinv.padic import (
+    INERT,
     INF,
+    RAMIFIED,
+    SPLIT,
     PrimeContext,
+    QuadExtKind,
+    frac_mod,
     hilbert_symbol,
     is_square,
+    legendre,
     quad_ext,
     square_class_reps,
     unit_part,
@@ -192,3 +198,99 @@ def test_prime_context_rejects_composite():
         PrimeContext(6)
     assert PrimeContext(2).e == 1
     assert PrimeContext(7).e == 0
+
+
+# The Fraction definitions that the integer square-class reader replaced:
+# each reads the unit part x / p^ord(x) through frac_mod.
+
+
+def legendre_by_fractions(u, ctx):
+    if ctx.p == 2:
+        raise ValueError("Legendre symbol needs p odd")
+    r = frac_mod(u, ctx.p, ctx)
+    if r == 0:
+        raise ValueError("input is not a unit")
+    return 1 if pow(r, (ctx.p - 1) // 2, ctx.p) == 1 else -1
+
+
+def is_square_by_fractions(x, ctx):
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("is_square is undefined at 0")
+    if valuation(x, ctx) % 2:
+        return False
+    u = unit_part(x, ctx)
+    if ctx.p == 2:
+        return frac_mod(u, 8, ctx) == 1
+    return legendre_by_fractions(u, ctx) == 1
+
+
+def quad_ext_by_fractions(xi, ctx):
+    xi = Fraction(xi)
+    if xi == 0:
+        raise ValueError("quad_ext is undefined at 0")
+    if is_square_by_fractions(xi, ctx):
+        return QuadExtKind(SPLIT, 0)
+    odd = valuation(xi, ctx) % 2
+    if ctx.p != 2:
+        return QuadExtKind(RAMIFIED, 1) if odd else QuadExtKind(INERT, 0)
+    if odd:
+        return QuadExtKind(RAMIFIED, 3)
+    if frac_mod(unit_part(xi, ctx), 8, ctx) == 5:
+        return QuadExtKind(INERT, 0)
+    return QuadExtKind(RAMIFIED, 2)
+
+
+def outcome(fn, x, ctx):
+    """fn(x, ctx), or the type and message of the exception it raises."""
+    try:
+        return fn(x, ctx)
+    except Exception as ex:
+        return type(ex), str(ex)
+
+
+def probe_scalars(ctx, rng):
+    """Zero, ints and Fractions of both signs whose numerator and denominator
+    carry powers of p, and square-class representatives times random squares
+    (as ints where the product is one)."""
+    p = ctx.p
+    items = [0, Fraction(0), 1, -1, p, -p, Fraction(1, p), Fraction(-p, p**3 + 1)]
+    for _ in range(800):
+        num = rng.randint(1, 10**12) * p ** rng.randint(0, 6)
+        den = rng.randint(1, 10**12) * p ** rng.randint(0, 6)
+        sign = rng.choice((1, -1))
+        items.append(sign * num if rng.random() < 0.3 else Fraction(sign * num, den))
+    for r in square_class_reps(ctx):
+        for sign in (1, -1):
+            for _ in range(40):
+                t = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+                t *= Fraction(p) ** rng.randint(-4, 4)
+                x = sign * r * t * t
+                items.append(int(x) if x.denominator == 1 else x)
+    return items
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+def test_classifiers_match_the_fraction_definitions(p):
+    """is_square, legendre and quad_ext read square classes on the integers;
+    they agree with the Fraction definitions on every probe, rejections
+    included (same exception type, same message), and quad_ext reaches every
+    kind and discriminant order."""
+    ctx = PrimeContext(p)
+    rng = random.Random(f"padic/fraction-definitions/{p}")
+    reached = set()
+    for x in probe_scalars(ctx, rng):
+        for fn, ref in (
+            (is_square, is_square_by_fractions),
+            (legendre, legendre_by_fractions),
+            (quad_ext, quad_ext_by_fractions),
+        ):
+            got = outcome(fn, x, ctx)
+            assert got == outcome(ref, x, ctx), (fn.__name__, x)
+            if fn is quad_ext and isinstance(got, QuadExtKind):
+                reached.add((got.kind, got.d))
+    if p == 2:
+        want = {(SPLIT, 0), (INERT, 0), (RAMIFIED, 2), (RAMIFIED, 3)}
+    else:
+        want = {(SPLIT, 0), (INERT, 0), (RAMIFIED, 1)}
+    assert reached == want
