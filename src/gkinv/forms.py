@@ -167,10 +167,12 @@ def membership(form: HalfIntegralForm, exps, strict: bool = False) -> bool:
 
 
 def is_unimodular(u, ctx: PrimeContext) -> bool:
-    """U in GL_n(Z_p), for a square matrix of ints or Fractions: its entries
-    are p-integral and det U is a unit, decided exactly by elimination over
-    F_p on the entries reduced mod p, as det(U mod p) = det U mod p."""
+    """U in GL_n(Z_p), for a matrix of ints or Fractions (False unless square):
+    its entries are p-integral and det U is a unit, decided by elimination over
+    F_p on the entries reduced mod p, exactly, as det(U mod p) = det U mod p."""
     p = ctx.p
+    if any(len(row) != len(u) for row in u):
+        return False
     if any(x.denominator % p == 0 for row in u for x in row):
         return False
     a = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in u]
@@ -198,6 +200,8 @@ def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bo
     exps = tuple(exps)
     if len(exps) != n:
         raise FormError("exponent sequence length mismatch")
+    if any(len(row) != n for row in u):
+        raise FormError("transform size mismatch")
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise FormError("exponent sequence must be non-decreasing")
     if not is_unimodular(u, ctx):

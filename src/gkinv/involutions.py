@@ -27,12 +27,6 @@ class BlockStructure:
     def r(self) -> int:
         return len(self.sizes)
 
-    def block_of(self, i: int) -> int:
-        for s in range(self.r):
-            if self.starts[s] <= i < self.starts[s] + self.sizes[s]:
-                return s
-        raise IndexError(i)
-
     def indices(self, s: int) -> range:
         return range(self.starts[s], self.starts[s] + self.sizes[s])
 
@@ -110,35 +104,19 @@ def is_admissible(exps, sigma: Involution) -> bool:
 
 
 def is_standard(exps, sigma: Involution) -> bool:
-    """Admissible, with the normalized within-block layout: raised indices
-    first in their block, lowered/fixed indices last, equal pairs adjacent."""
+    """Admissible, with the normalized within-block layout: lowered or fixed
+    indices last in their block, raised ones first, equal pairs adjacent (the
+    matching of indices then follows from admissibility's, by exponent)."""
     if not is_admissible(exps, sigma):
         return False
-    exps = tuple(exps)
-    bl = blocks(exps)
-    fixed, plus, minus = _partition(exps, sigma)
-    for i in fixed + minus:
-        s = bl.block_of(i)
-        if i != bl.starts[s] + bl.sizes[s] - 1:
+    n = len(exps)
+    for i, j in enumerate(sigma):
+        a, b = exps[i], exps[j]
+        if (i == j or a < b) and i + 1 < n and exps[i + 1] == a:
             return False
-    for i in fixed:
-        pool = [j for j in fixed + plus if (exps[j] - exps[i]) % 2 == 0]
-        if i != max(pool):
+        if a > b and i and exps[i - 1] == a:
             return False
-    for i in plus:
-        s = bl.block_of(i)
-        if i != bl.starts[s]:
-            return False
-    for i in minus:
-        cands = [j for j in plus if j > i and (exps[j] - exps[i]) % 2 == 0]
-        if sigma[i] != min(cands):
-            return False
-    for i in plus:
-        cands = [j for j in minus if j < i and (exps[j] - exps[i]) % 2 == 0]
-        if sigma[i] != max(cands):
-            return False
-    for i in range(len(exps)):
-        if sigma[i] != i and exps[i] == exps[sigma[i]] and abs(i - sigma[i]) > 1:
+        if a == b and abs(i - j) > 1:
             return False
     return True
 
@@ -174,12 +152,11 @@ class GKType:
 def choice_block_count(exps) -> int:
     """K: number of even-sized blocks preceded by an odd count of odd-sized
     blocks of equal exponent parity.  Standard involutions number 2^K."""
-    bl = blocks(exps)
-    k = 0
-    for s in range(bl.r):
-        if bl.sizes[s] % 2 == 0 and _k_s(bl, s) % 2 == 1:
-            k += 1
-    return k
+    return len(_choice_blocks(blocks(exps)))
+
+
+def _choice_blocks(bl: BlockStructure) -> list[int]:
+    return [s for s in range(bl.r) if bl.sizes[s] % 2 == 0 and _k_s(bl, s) % 2 == 1]
 
 
 def _k_s(bl: BlockStructure, s: int) -> int:
@@ -199,16 +176,13 @@ def standard_involutions(exps) -> list[Involution]:
     """
     exps = tuple(exps)
     bl = blocks(exps)
-    choice_blocks = [
-        s for s in range(bl.r) if bl.sizes[s] % 2 == 0 and _k_s(bl, s) % 2 == 1
-    ]
+    choice_blocks = _choice_blocks(bl)
     out: list[Involution] = []
     for mask in range(1 << len(choice_blocks)):
         chosen = {choice_blocks[t] for t in range(len(choice_blocks))
                   if mask >> t & 1}
         sigma = list(range(len(exps)))
         open_slot: dict[int, int] = {}  # exponent parity -> dangling index
-        ok = True
         for s in range(bl.r):
             par = bl.values[s] % 2
             if bl.sizes[s] % 2 == 1:
@@ -218,10 +192,7 @@ def standard_involutions(exps) -> list[Involution]:
                 has_plus = has_dangler = s in chosen
             lo = bl.starts[s]
             hi = lo + bl.sizes[s] - 1
-            if has_plus:
-                if par not in open_slot:
-                    ok = False
-                    break
+            if has_plus:  # _k_s is odd, so a slot of this parity is open
                 d = open_slot.pop(par)
                 sigma[d], sigma[lo] = lo, d
             first = lo + (1 if has_plus else 0)
@@ -230,17 +201,15 @@ def standard_involutions(exps) -> list[Involution]:
                 sigma[i], sigma[i + 1] = i + 1, i
             if has_dangler:
                 open_slot[par] = hi
-        if ok:
-            out.append(tuple(sigma))
-    assert len(out) == 1 << len(choice_blocks)
+        out.append(tuple(sigma))
     return out
 
 
 def plus_signature(exps, sigma: Involution) -> tuple[int, ...]:
     """Per-block count of raised indices; a complete class invariant."""
-    bl = blocks(exps)
     _, plus, _ = _partition(exps, sigma)
-    return tuple(sum(1 for i in plus if bl.block_of(i) == s) for s in range(bl.r))
+    raised = [exps[i] for i in plus]
+    return tuple(raised.count(v) for v in blocks(exps).values)
 
 
 def standardize(exps, sigma: Involution) -> Involution:

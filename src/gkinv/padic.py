@@ -54,11 +54,13 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """The base field Q_p.  ``e`` is ord(2): 1 in the dyadic case, else 0."""
+    """The base field Q_p, p an int prime.  ``e`` is ord(2): 1 if p = 2, else 0."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, int):
+            raise ValueError(f"p must be an int, got {self.p!r}")
         if self.p >= MAX_PRIME:
             raise ValueError(f"p must be below {MAX_PRIME}, got {self.p}")
         if not _is_prime(self.p):
@@ -67,10 +69,6 @@ class PrimeContext:
     @property
     def e(self) -> int:
         return 1 if self.p == 2 else 0
-
-    @property
-    def dyadic(self) -> bool:
-        return self.p == 2
 
 
 def _int_valuation(n: int, p: int) -> int:

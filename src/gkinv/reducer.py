@@ -24,9 +24,9 @@ backtracking: a failed clear, a prefix with no move or a failed shear
 raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
-Both reducers work on the form's integer rows and hand the certificate its
-R and U as integer rows over their denominators, so no Fraction is built on
-the way.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
+Both reducers work on the form's integer rows and return R and U as integer
+rows over their denominators; ``reduce_form`` alone builds the certificate
+and verifies it.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
 den the common denominator of B and E an odd integer, so the 2-adic order
 of an exact entry is the order of its integer minus ord(den) and every move
 is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C as
@@ -70,8 +70,8 @@ class ReductionCertificate:
     U is kept as its integer rows du·U over du > 0, the least common
     denominator of its entries, and ``u``, U as a matrix of Fractions, is
     built on first read.  The constructor takes U as a matrix of ints or
-    Fractions, of any shape (the verifier rejects a wrong one); the reducers
-    build certificates from integer rows with ``_of_rows``."""
+    Fractions, of any shape (the verifier rejects a wrong one);
+    ``reduce_form`` builds certificates from integer rows with ``_of_rows``."""
 
     u_rows: tuple[tuple[int, ...], ...]
     du: int
@@ -373,7 +373,7 @@ def _standardize(m, u, exps, sigma):
     return tuple(inv[sigma[perm[i]]] for i in range(len(perm)))
 
 
-def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
+def jordan_split(form: HalfIntegralForm):
     """Non-dyadic reduction: diagonalize with unimodular congruences, taking
     a pivot of least order each time, and attach a standard involution.
 
@@ -382,7 +382,8 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
     pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows; the certificate takes the rows at the end."""
+    on the exact rows.  Returns (M, U, exps, sigma, d, e) with B[U / e] =
+    M / d, each over one denominator, as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -411,22 +412,13 @@ def jordan_split(form: HalfIntegralForm) -> ReductionCertificate:
     # tail at or above it, so the diagonal orders are already non-decreasing;
     # den is a unit, so pivot k / prev_k has the order of the exact entry
     exps = tuple(valuation(m[k][k], ctx) - valuation(pk, ctx) for k, pk in enumerate(prevs))
-    sigma = standard_involutions(exps)[0]
     # R_kk = m[k][k] / (den·prev_k) and U[:, k] = u[:, k] / prev_k, both over
     # the common multiple l of the prev_k
     l = math.lcm(*prevs)
     c = [l // pk for pk in prevs]
     diag = [[m[i][i] * c[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    cert = ReductionCertificate._of_rows(
-        [[x * ck for x, ck in zip(row, c)] for row in u],
-        l,
-        _from_rows(diag, form.den * l, ctx),
-        GKType(exps, sigma),
-    )
-    ok, reason = verify_certificate(form, cert)
-    if not ok:
-        raise ReductionError(f"Jordan certificate rejected: {reason}")
-    return cert
+    uc = [[x * ck for x, ck in zip(row, c)] for row in u]
+    return diag, uc, exps, standard_involutions(exps)[0], form.den * l, l
 
 
 # the instance-dict key under which a form keeps its verified certificate,
@@ -436,7 +428,8 @@ _CERT = "_reduction"
 
 
 def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCertificate:
-    """Produce a verified reduction certificate for a non-degenerate form.
+    """Produce a verified reduction certificate for a non-degenerate form,
+    from the rows of a reducer: the one place where one is built and checked.
 
     The form keeps the certificate once ``verify_certificate`` has accepted
     it, and a later call on the same object returns it whatever ``budget``
@@ -449,19 +442,15 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
         return cert
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    if form.n == 0:
-        return ReductionCertificate._of_rows((), 1, form, GKType((), ()))
     if form.ctx.p != 2:
-        cert = jordan_split(form)
+        m, u, exps, sigma, d, e = jordan_split(form)
     else:
         m, u, exps, sigma, d, e = _dyadic_search(form, budget)
         sigma = _standardize(m, u, exps, sigma)
-        cert = ReductionCertificate._of_rows(
-            u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma)
-        )
-        ok, reason = verify_certificate(form, cert)
-        if not ok:
-            raise ReductionError(f"certificate rejected: {reason}")
+    cert = ReductionCertificate._of_rows(u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma))
+    ok, reason = verify_certificate(form, cert)
+    if not ok:
+        raise ReductionError(f"certificate rejected: {reason}")
     vars(form)[_CERT] = cert
     return cert
 

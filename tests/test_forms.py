@@ -110,6 +110,17 @@ def test_gk_group_examples():
     assert not in_gk_group([[2, 0], [0, 1]], (0, 0), CTX2)  # det not a unit
 
 
+def test_gk_group_and_unimodular_take_square_matrices_only():
+    """A U that is not n x n for its exponent list raises, as ``transform``
+    does; ``is_unimodular`` answers False for any matrix that is not square."""
+    for u in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]]):
+        with pytest.raises(FormError, match="transform size mismatch"):
+            in_gk_group(u, (0,) * len(u), CTX2)
+    for u in ([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1], [0]]):
+        assert not is_unimodular(linalg.mat(u), CTX3)
+        assert not is_unimodular(u, CTX2)
+
+
 def test_direct_sum():
     a = validate_form([[1]], CTX3)
     b = validate_form([[3]], CTX3)

@@ -1,7 +1,10 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from gkinv.involutions import (
     GKType,
+    _partition,
     all_involutions,
     blocks,
     choice_block_count,
@@ -84,3 +87,77 @@ def test_census_small():
 def test_gk_type_rejects_inadmissible():
     with pytest.raises(ValueError):
         GKType((0, 0), (0, 1))
+
+
+def reference_is_standard(exps, sigma):
+    """The earlier definition, which re-derived the fixed-point maximum and
+    the lowered/raised matching by index after ``is_admissible``."""
+    if not is_admissible(exps, sigma):
+        return False
+    exps = tuple(exps)
+    bl = blocks(exps)
+    fixed, plus, minus = _partition(exps, sigma)
+
+    def block_of(i):
+        return next(s for s in range(bl.r) if i in bl.indices(s))
+
+    for i in fixed + minus:
+        s = block_of(i)
+        if i != bl.starts[s] + bl.sizes[s] - 1:
+            return False
+    for i in fixed:
+        pool = [j for j in fixed + plus if (exps[j] - exps[i]) % 2 == 0]
+        if i != max(pool):
+            return False
+    for i in plus:
+        s = block_of(i)
+        if i != bl.starts[s]:
+            return False
+    for i in minus:
+        cands = [j for j in plus if j > i and (exps[j] - exps[i]) % 2 == 0]
+        if sigma[i] != min(cands):
+            return False
+    for i in plus:
+        cands = [j for j in minus if j < i and (exps[j] - exps[i]) % 2 == 0]
+        if sigma[i] != max(cands):
+            return False
+    for i in range(len(exps)):
+        if sigma[i] != i and exps[i] == exps[sigma[i]] and abs(i - sigma[i]) > 1:
+            return False
+    return True
+
+
+def _layout_faults(exps, sigma):
+    """Which layout rules an involution breaks: a lowered or fixed index not
+    last in its block, a raised index not first, an equal pair apart."""
+    n, faults = len(exps), set()
+    for i, j in enumerate(sigma):
+        if (i == j or exps[i] < exps[j]) and i + 1 < n and exps[i + 1] == exps[i]:
+            faults.add("not last")
+        if exps[i] > exps[j] and i and exps[i - 1] == exps[i]:
+            faults.add("not first")
+        if exps[i] == exps[j] and abs(i - j) > 1:
+            faults.add("apart")
+    return faults
+
+
+def test_is_standard_matches_the_reference_exhaustively():
+    """Every involution of n <= 7 points against every non-decreasing
+    exponent sequence with entries in 0..3: 36,135 pairs."""
+    pairs = standard = 0
+    rejected = {"not last": 0, "not first": 0, "apart": 0}
+    for n in range(8):
+        involutions = all_involutions(n)
+        for exps in combinations_with_replacement(range(4), n):
+            for sigma in involutions:
+                pairs += 1
+                verdict = is_standard(exps, sigma)
+                assert verdict == reference_is_standard(exps, sigma), (exps, sigma)
+                standard += verdict
+                if is_admissible(exps, sigma) and not verdict:
+                    faults = _layout_faults(exps, sigma)
+                    assert faults
+                    for fault in faults:
+                        rejected[fault] += 1
+    assert pairs == 36_135
+    assert standard and all(rejected.values()), (standard, rejected)

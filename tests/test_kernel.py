@@ -6,6 +6,7 @@ Fraction references, and golden certificate digests that pin the reducers'
 output byte for byte."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -410,29 +411,43 @@ def test_integer_step_matches_fraction_elimination(seed):
     assert all(seen.values()), seen
 
 
-# SHA-256 of the certificates of both corpora, one `gkinv reduce` JSON line
-# each, taken from the dense reducers before the in-place kernel replaced
-# them; any change to a certificate shows here.
+# SHA-256 of the certificates of the corpora, one `gkinv reduce` JSON line
+# each; "dyadic" and "odd" were taken from the dense reducers before the
+# in-place kernel replaced them, "dyadic_even_den" from the reducers of the
+# integer-row certificates.  Any change to a certificate shows here.
 GOLDEN = {
     "dyadic": "84e3edcdd7b0d2ad67279710a41166979f036acfa01f55cb9d877a5bd522f440",
     "odd": "5dadcd142b2c823b89cf797d7a3d0f15c3734be7212b40f2aefe551ebf25568d",
+    "dyadic_even_den": "7233ad844876039a719ccb5edd2f66c27cd9f057262e1d08b6def6a924cb74cb",
 }
 
 
-def dyadic_corpus(count=40):
+def _scrambled_dyadic_forms(seed):
     """p = 2: random_egk -> synthesize_reduced -> random_unimodular(steps=12),
-    n = 2..6 in turn; reaches collision shears, splits and pairs."""
-    rng = random.Random("golden/dyadic")
+    n = 2..6 in turn, without end."""
+    rng = random.Random(seed)
     ctx = PrimeContext(2)
-    forms = []
-    for k in range(count):
+    for k in itertools.count():
         n = 2 + k % 5
         g = random_egk(rng, max_r=4, max_m=8, max_n=n)
         while g.n != n:
             g = random_egk(rng, max_r=4, max_m=8, max_n=n)
         r = synthesize_reduced(g, ctx)
-        forms.append(transform(r, random_unimodular(n, ctx, rng, steps=12)))
-    return forms
+        yield transform(r, random_unimodular(n, ctx, rng, steps=12))
+
+
+def dyadic_corpus(count=40):
+    """The first scrambled dyadic forms; reaches collision shears, splits and
+    pairs."""
+    return list(itertools.islice(_scrambled_dyadic_forms("golden/dyadic"), count))
+
+
+def dyadic_even_den_corpus(count=40):
+    """Scrambled dyadic forms drawn as ``dyadic_corpus`` draws them, keeping
+    those with an even den (s = ord den >= 1), where a collision shear must
+    raise its exponents by s to find the orders of the integer rows."""
+    forms = _scrambled_dyadic_forms("golden/dyadic/even-den")
+    return list(itertools.islice((f for f in forms if f.den % 2 == 0), count))
 
 
 def odd_corpus(count=16):
@@ -464,6 +479,23 @@ def test_golden_dyadic_certificates(monkeypatch):
     forms = dyadic_corpus()
     assert certificate_digest(forms) == GOLDEN["dyadic"]
     assert shears, "the corpus must reach parity-collision shears"
+
+
+def test_golden_dyadic_even_den_certificates(monkeypatch):
+    """Every form has s = ord den >= 1, so a collision shear that read the
+    integer rows' orders without the shift by s would fail or change U."""
+    shears = []
+    complete_square = reducer.complete_square
+
+    def counted(*args):
+        shears.append(args)
+        return complete_square(*args)
+
+    monkeypatch.setattr(reducer, "complete_square", counted)
+    forms = dyadic_even_den_corpus()
+    assert all(valuation(f.den, f.ctx) >= 1 for f in forms)
+    assert certificate_digest(forms) == GOLDEN["dyadic_even_den"]
+    assert len(shears) >= 5, "the corpus must reach parity-collision shears"
 
 
 def test_golden_odd_certificates():

@@ -200,6 +200,15 @@ def test_prime_context_rejects_composite():
     assert PrimeContext(7).e == 0
 
 
+@pytest.mark.parametrize("p", [3.0, 2.0, Fraction(3), Fraction(5, 1)])
+def test_prime_context_takes_an_int(p):
+    """A prime that is not an int is rejected: 3.0 would compare equal to 3
+    and then give wrong valuations (3**40 * 7 read as order 1) and a
+    TypeError from pow inside the invariants."""
+    with pytest.raises(ValueError, match="must be an int"):
+        PrimeContext(p)
+
+
 # The Fraction definitions that the integer square-class reader replaced:
 # each reads the unit part x / p^ord(x) through frac_mod.
 

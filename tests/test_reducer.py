@@ -217,14 +217,14 @@ def test_binary_gk_values():
 
 
 def test_jordan_examples():
-    cert = jordan_split(validate_form([[1, 0, 0], [0, 3, 0], [0, 0, 9]], CTX3))
+    cert = reduce_form(validate_form([[1, 0, 0], [0, 3, 0], [0, 0, 9]], CTX3))
     assert cert.exps == (0, 1, 2)
     assert cert.u == linalg.identity(3)
     h3 = validate_form([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], CTX3)
-    cert = jordan_split(h3)
+    cert = reduce_form(h3)
     assert cert.exps == (0, 0)
     assert verify_certificate(h3, cert)[0]
-    cert = jordan_split(validate_form([[5, 0], [0, 5]], CTX5))
+    cert = reduce_form(validate_form([[5, 0], [0, 5]], CTX5))
     assert cert.exps == (1, 1)
     with pytest.raises(FormError):
         jordan_split(validate_form([[1]], CTX2))
@@ -242,7 +242,7 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
 
     monkeypatch.setattr(linalg, "shear", recorded)
     b = validate_form([[0, Fraction(3, 2)], [Fraction(3, 2), 0]], CTX3)
-    cert = jordan_split(b)
+    cert = reduce_form(b)
     assert shears == [(1, 0, 1)]
     assert cert.exps == (1, 1)
     assert cert.u == linalg.mat([[1, Fraction(-1, 2)], [1, Fraction(1, 2)]])
@@ -420,7 +420,7 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
     monkeypatch.setattr(reducer, "verify_certificate", lambda *args: (False, "refused"))
     for form in forms:
         before = dict(vars(form))
-        with pytest.raises(ReductionError, match="refused"):
+        with pytest.raises(ReductionError, match="^certificate rejected: refused$"):
             reduce_form(form)
         assert vars(form) == before
     monkeypatch.setattr(reducer, "verify_certificate", verify)
@@ -438,6 +438,19 @@ def test_reduce_empty_and_unary():
     assert cert.exps == ()
     single = validate_form([[12]], CTX2)
     assert reduce_form(single).exps == (2,)
+
+
+def test_the_empty_form_is_verified_and_kept(monkeypatch):
+    """The empty form takes the one certificate path: its search returns
+    empty rows, and the certificate is verified once and kept."""
+    calls = _count_searches(monkeypatch)
+    for ctx in (CTX2, CTX3):
+        calls.update(search=0, verify=0)
+        empty = validate_form((), ctx)
+        cert = reduce_form(empty)
+        assert (cert.u_rows, cert.du, cert.reduced, cert.exps) == ((), 1, empty, ())
+        assert reduce_form(empty) is cert
+        assert calls == {"search": 1, "verify": 1}
 
 
 def test_optimality_group_criterion_small():
