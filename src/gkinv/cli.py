@@ -299,6 +299,9 @@ def _cmd_rand(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selfcheck import run_suites
 
+    if args.trials < 1:
+        detail = f"--trials must be at least 1, got {args.trials}"
+        raise CliError(1, {"error": "bad_selftest_option", "detail": detail})
     results = run_suites(args.suite, trials=args.trials, seed=args.seed)
     bad = 0
     for r in results:
@@ -360,11 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "GK_SEED" in os.environ and hasattr(args, "seed"):
-            try:
-                args.seed = int(os.environ["GK_SEED"])
-            except ValueError as ex:
-                raise CliError(1, {"error": "bad_seed", "detail": str(ex)})
         return args.fn(args)
     except CliError as ex:
         _emit(ex.payload)

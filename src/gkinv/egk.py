@@ -58,30 +58,31 @@ class EGKDatum:
         return tuple(out)
 
 
+def _sign_rules(sizes, exps, zeta):
+    """The parity axioms, block by block: for each block s, the values its
+    sign may take given the signs zeta[:s] of the blocks before it, a fixed
+    value where the axioms force one, otherwise {+1,-1} or {0}."""
+    nstar = msum = 0  # the length and exponent mass of the prefix before s
+    odd_before, val = False, 1
+    for s, (k, m) in enumerate(zip(sizes, exps)):
+        # the product formula runs from the last earlier block t that ends an
+        # odd prefix, zeta[t] times zpow(zeta[u], exps[u] + exps[u + 1]) for
+        # t < u < s, and from 1 over every u < s when there is no such block
+        if s and nstar % 2:
+            odd_before, val = True, zeta[s - 1]
+        elif s:
+            val *= zpow(zeta[s - 1], exps[s - 1] + m)
+        nstar, msum = nstar + k, msum + m * k
+        if nstar % 2 == 0:
+            yield (1, -1) if msum % 2 == 0 else (0,)
+        else:  # odd prefix length: the sign is nonzero, and often forced
+            yield (1, -1) if odd_before and (msum - m) % 2 else (val,)
+
+
 def _allowed_zeta(sizes, exps, zeta_prefix) -> tuple[int, ...]:
-    """Values the next sign may take given the earlier blocks: a fixed value
-    where the parity axioms force one, otherwise {+1,-1} or {0}."""
-    s = len(zeta_prefix)
-    nstar = sum(sizes[: s + 1])
-    msum = sum(m * k for m, k in zip(exps[: s + 1], sizes[: s + 1]))
-    if nstar % 2 == 0:
-        return (1, -1) if msum % 2 == 0 else (0,)
-    # odd prefix length: sign is nonzero, and often forced by a product formula
-    odd_before = [
-        i for i in range(s) if sum(sizes[: i + 1]) % 2 == 1
-    ]
-    if not odd_before:
-        val = 1
-        for u in range(s):
-            val *= zpow(zeta_prefix[u], exps[u] + exps[u + 1])
-        return (val,)
-    t = max(odd_before)
-    if (msum - exps[s]) % 2 == 0:
-        val = zeta_prefix[t]
-        for u in range(t + 1, s):
-            val *= zpow(zeta_prefix[u], exps[u] + exps[u + 1])
-        return (val,)
-    return (1, -1)
+    """Values the next sign may take given the earlier blocks."""
+    *_, allowed = _sign_rules(sizes[: len(zeta_prefix) + 1], exps, zeta_prefix)
+    return allowed
 
 
 def validate_egk(g: EGKDatum) -> tuple[bool, list[str]]:
@@ -99,15 +100,15 @@ def validate_egk(g: EGKDatum) -> tuple[bool, list[str]]:
         bad.append("signs must lie in {0, 1, -1}")
     if bad:
         return False, bad
-    for s in range(g.r):
-        allowed = _allowed_zeta(g.sizes, g.exps, g.zeta[:s])
+    for s, allowed in enumerate(_sign_rules(g.sizes, g.exps, g.zeta)):
         if g.zeta[s] not in allowed:
             bad.append(f"sign {s} is {g.zeta[s]}, allowed {allowed}")
     return not bad, bad
 
 
 def validate_naive(h: NaiveEGK) -> tuple[bool, list[str]]:
-    """Check the coordinate-level axioms; returns (ok, violations)."""
+    """Check the coordinate-level axioms, which are the block-level ones with
+    every block of size 1; returns (ok, violations)."""
     bad: list[str] = []
     n = h.n
     if len(h.eps) != n or n == 0:
@@ -120,22 +121,9 @@ def validate_naive(h: NaiveEGK) -> tuple[bool, list[str]]:
         bad.append("exponents must be non-decreasing")
     if bad:
         return False, bad
-    psum = 0
-    for i in range(1, n + 1):  # 1-based position
-        psum += h.a[i - 1]
-        e = h.eps[i - 1]
-        if i % 2 == 0:
-            if (e != 0) != (psum % 2 == 0):
-                bad.append(f"sign {i} breaks the even-position parity rule")
-        elif e == 0:
-            bad.append(f"sign {i} must be nonzero at odd positions")
-    if h.eps[0] != 1:
-        bad.append("first sign must be +1")
-    for i in range(3, n + 1, 2):
-        if (psum_i := sum(h.a[: i - 1])) % 2 == 0:
-            want = h.eps[i - 3] * zpow(h.eps[i - 2], h.a[i - 1] + h.a[i - 2])
-            if h.eps[i - 1] != want:
-                bad.append(f"sign {i} breaks the odd-position recursion")
+    for i, allowed in enumerate(_sign_rules((1,) * n, h.a, h.eps)):
+        if h.eps[i] not in allowed:
+            bad.append(f"sign {i} is {h.eps[i]}, allowed {allowed}")
     return not bad, bad
 
 

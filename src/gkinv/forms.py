@@ -74,8 +74,7 @@ def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
                     raise FormError(f"matrix is not symmetric at ({i},{j})")
                 if row[j] % q2:
                     raise FormError(f"doubled entry ({i},{j}) is not p-integral")
-    det = linalg.det_int([list(row) for row in ri])
-    return HalfIntegralForm(ctx, ri, den, Fraction(det, den**n))
+    return HalfIntegralForm(ctx, ri, den, Fraction(linalg.det(ri), den**n))
 
 
 def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
@@ -89,8 +88,7 @@ def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:
     if len(u) != form.n or any(len(row) != form.n for row in u):
         raise FormError("transform size mismatch")
     ui, du = linalg._scaled(u)
-    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(form.rows, ui))
-    return _from_rows(t, form.den * du * du, form.ctx)
+    return _from_rows(linalg.congruence(form.rows, ui), form.den * du * du, form.ctx)
 
 
 def leading(form: HalfIntegralForm, m: int) -> HalfIntegralForm:
@@ -186,15 +184,10 @@ def is_unimodular(u, ctx: PrimeContext) -> bool:
     return True
 
 
-def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bool:
+def in_gk_group(u: Matrix, exps, ctx: PrimeContext) -> bool:
     """Membership in the group of unimodular transforms compatible with a
     non-decreasing exponent sequence: ord(u_ij) >= (a_j - a_i)/2 wherever
-    a_i < a_j.
-
-    Variants restrict further: "upper" / "lower" force zeros below / above
-    the equal-exponent blocks, and "upper_unipotent" / "lower_unipotent"
-    additionally force the identity on each block.
-    """
+    a_i < a_j."""
     u = linalg.mat(u)
     n = len(u)
     exps = tuple(exps)
@@ -206,21 +199,12 @@ def in_gk_group(u: Matrix, exps, ctx: PrimeContext, variant: str = "full") -> bo
         raise FormError("exponent sequence must be non-decreasing")
     if not is_unimodular(u, ctx):
         return False
-    for i in range(n):
-        for j in range(n):
-            if exps[i] < exps[j]:
-                if 2 * valuation(u[i][j], ctx) < exps[j] - exps[i]:
-                    return False
-                if variant in ("lower", "lower_unipotent") and u[i][j] != 0:
-                    return False
-            elif exps[i] > exps[j]:
-                if variant in ("upper", "upper_unipotent") and u[i][j] != 0:
-                    return False
-            else:
-                if variant in ("upper_unipotent", "lower_unipotent"):
-                    if u[i][j] != (1 if i == j else 0):
-                        return False
-    return True
+    return all(
+        2 * valuation(u[i][j], ctx) >= exps[j] - exps[i]
+        for i in range(n)
+        for j in range(n)
+        if exps[i] < exps[j]
+    )
 
 
 def random_unimodular(
@@ -231,7 +215,7 @@ def random_unimodular(
     height: int = 2,
 ) -> Matrix:
     """Random product of swaps, unit column scalings and integral shears."""
-    u = [list(row) for row in linalg.identity(n)]
+    u = linalg.identity(n)
     bound = ctx.p**height
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)

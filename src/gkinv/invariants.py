@@ -177,20 +177,22 @@ def check_inverse_bounds(form: HalfIntegralForm, gk_type: GKType) -> bool:
         raise FormError("needs even size and odd exponent mass")
     if not is_reduced(form, gk_type):
         raise FormError("form is not reduced for the given type")
-    inv = linalg.inverse(form.entries)
+    # B^-1 = den·Y / L, so an entry's order is ord Y_ij + shift
+    y, l = linalg.inverse(form.rows)
+    shift = valuation(form.den, ctx) - valuation(l, ctx)
     d = quad_ext(signed_disc(form), ctx).d
     base = 2 * ctx.e + 1 - d
     exps = gk_type.exps
     fixed = set(gk_type.fixed)
     for i in range(form.n):
-        vii = valuation(inv[i][i], ctx)
+        vii = valuation(y[i][i], ctx) + shift
         if i in fixed:
             if vii != base - exps[i]:
                 return False
         elif vii <= base - exps[i]:
             return False
         for j in range(i + 1, form.n):
-            vij = 2 * valuation(inv[i][j], ctx)
+            vij = 2 * (valuation(y[i][j], ctx) + shift)
             bound = base - exps[i] - exps[j]
             if i in fixed and j in fixed:
                 if vij < bound:

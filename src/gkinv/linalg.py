@@ -1,31 +1,27 @@
-"""Exact linear algebra over the rationals for small matrices.
+"""Exact linear algebra on integer rows for small matrices.
 
-A matrix is a tuple of rows of Fractions; forms and certificates keep
-integer rows over a least common denominator (``_scaled``, ``lowest``) and
-build their matrices with ``over`` when read.
+Forms and certificates keep a rational matrix as integer rows over its least
+common denominator; the public API shows it as a tuple of rows of Fractions.
+``mat``, ``over``, ``_scaled`` and ``lowest`` convert between the two.
 
-The dense routines build new immutable matrices.  ``congruence`` and ``det``
-scale their matrices to integers over least common denominators (of each
-matrix for ``congruence``, of each row for ``det``), compute in ``int`` and
-divide once at the end, so they never build an intermediate Fraction;
-``det_int``, the Bareiss core of ``det``, also gives every form its det.
-They and ``matmul`` share no code with the in-place kernel's steps, which is
-what lets the verifier check the reducers with ``matmul``.
-There is one solve: ``solve_int`` is fraction-free Gauss-Jordan elimination
-on integer matrices and returns A^-1 B as Y / L in lowest terms; ``solve``
-scales [A | B] row by row as ``det`` does and calls it, and ``inverse`` is
-``solve`` against the identity.
+There is one dense routine per job, and each takes and returns integer rows:
+``congruence`` is t(U) B U, ``det`` is fraction-free (Bareiss) elimination,
+and ``inverse`` is the one solve, ``solve_int``, against the identity.
+``solve_int`` is fraction-free Gauss-Jordan elimination and returns A^-1 B
+as Y / L in lowest terms.  ``congruence``, ``det`` and ``matmul`` share no
+code with the in-place kernel's steps, which is what lets the verifier check
+the reducers with ``congruence``.
 
 The in-place elimination kernel at the end is what both reducers run on:
 each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
 working U is given, to mutable lists of rows without building E.  ``swap``,
 ``permute``, ``shear`` and ``scale`` work on rows of any exact numbers and
-give the same values as ``congruence(M, E)`` and ``matmul(U, E)``;
-``eliminate`` is a fraction-free step.  The reducers and the field
-diagonalization start from a form's integer rows den·B and keep every entry
-an integer, with a known scale, to the end: the Jordan split and the field
-diagonalization through ``eliminate``, the dyadic search through
-``solve_int`` and integer shears and scalings.
+give the same values as t(E) M E and U E; ``eliminate`` is a fraction-free
+step.  The reducers and the field diagonalization start from a form's
+integer rows den·B and keep every entry an integer, with a known scale, to
+the end: the Jordan split and the field diagonalization through
+``eliminate``, the dyadic search through ``solve_int`` and integer shears
+and scalings.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from fractions import Fraction
 from operator import mul
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Rows = list[list]
 
 # Every zero entry of a built matrix is this one instance: certificates are
 # mostly zeros, and a caller may keep many of them.
@@ -48,10 +45,9 @@ def mat(rows) -> Matrix:
     )
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+def identity(n: int) -> list[list[int]]:
+    """The n x n identity as integer rows, new each call."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -72,16 +68,9 @@ def _scaled(m) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
 
 
-def congruence(b: Matrix, u: Matrix) -> Matrix:
-    """t(U) B U: both products on the integer matrices db·B and du·U, then
-    one division of each entry by db·du²."""
-    bi, db = _scaled(b)
-    ui, du = _scaled(u)
-    t = matmul(transpose(ui), matmul(bi, ui))
-    d = db * du * du
-    if d == 1:
-        return mat(t)
-    return mat([Fraction(x, d) if x else _ZERO for x in row] for row in t)
+def congruence(b, u):
+    """t(U) B U for integer rows B and U."""
+    return matmul(transpose(u), matmul(b, u))
 
 
 def over(m, d: int) -> Matrix:
@@ -96,9 +85,9 @@ def lowest(m, d: int) -> tuple[list[list[int]], int]:
     return (m, d) if g == 1 else ([[x // g for x in row] for row in m], d // g)
 
 
-def det_int(a: list[list[int]]) -> int:
+def det(a) -> int:
     """det A for a square integer matrix A, by fraction-free (Bareiss)
-    elimination on its rows, which it overwrites.
+    elimination on a copy of its rows.
 
     Step k maps a lower row r to (p·r - c·y) / prev, with p and y the pivot
     and the pivot row, c = r[k] and prev the previous pivot.  Every entry it
@@ -107,6 +96,7 @@ def det_int(a: list[list[int]]) -> int:
     pivot of the step that last changed it: its Bareiss value is
     r·prev / base[i], and its next real step divides by base[i].  Triangular
     and diagonal matrices then cost no elimination at all."""
+    a = [list(row) for row in a]
     n = len(a)
     base = [1] * n
     sign, prev = 1, 1
@@ -130,14 +120,6 @@ def det_int(a: list[list[int]]) -> int:
                 base[i] = p
         prev = p
     return sign * prev
-
-
-def det(m: Matrix) -> Fraction:
-    """``det_int`` on the integer rows d_i·M_i, with d_i the least common
-    denominator of row i, then one division by the product of the d_i."""
-    scaled = [_scaled((row,)) for row in m]
-    x = det_int([r for (r,), _ in scaled])
-    return Fraction(x, math.prod(d for _, d in scaled)) if x else _ZERO
 
 
 def solve_int(a, b) -> tuple[list[list[int]], int]:
@@ -175,39 +157,14 @@ def solve_int(a, b) -> tuple[list[list[int]], int]:
     return [[x // g for x in row] for row in y], prev // g
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """A^-1 B for invertible A: each row of [A | B] is scaled to integers by
-    its own least common denominator, as in ``det`` (A^-1 B is unchanged),
-    ``solve_int`` eliminates, and each entry is divided once by L."""
-    n = len(a)
-    ab = [_scaled((tuple(ra) + tuple(rb),))[0][0] for ra, rb in zip(a, b)]
-    y, l = solve_int([r[:n] for r in ab], [r[n:] for r in ab])
-    return mat([Fraction(x, l) for x in row] for row in y)
-
-
-def inverse(m: Matrix) -> Matrix:
-    return solve(m, identity(len(m)))
-
-
-def perm_matrix(new_to_old: tuple[int, ...]) -> Matrix:
-    """Column permutation: congruence(B, P)[k][l] == B[pi(k)][pi(l)]."""
-    n = len(new_to_old)
-    return tuple(
-        tuple(Fraction(1 if i == new_to_old[k] else 0) for k in range(n))
-        for i in range(n)
-    )
+def inverse(a) -> tuple[list[list[int]], int]:
+    """(Y, L) with A^-1 = Y / L in lowest terms and L > 0, for an invertible
+    integer matrix A: ``solve_int`` against the identity."""
+    return solve_int(a, identity(len(a)))
 
 
 def submatrix(m: Matrix, rows, cols) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
-
-
-Rows = list[list]
-
-
-def rows(m) -> Rows:
-    """A mutable copy of a matrix, for the in-place steps below."""
-    return [list(row) for row in m]
 
 
 def swap(m: Rows, i: int, j: int, u: Rows | None = None) -> None:
@@ -221,7 +178,7 @@ def swap(m: Rows, i: int, j: int, u: Rows | None = None) -> None:
 
 
 def permute(m: Rows, new_to_old, u: Rows | None = None) -> None:
-    """E = perm_matrix(new_to_old): coordinate k of the result is coordinate
+    """E permutes coordinates: coordinate k of the result is coordinate
     new_to_old[k] of the input."""
     m[:] = [[m[s][t] for t in new_to_old] for s in new_to_old]
     if u is not None:

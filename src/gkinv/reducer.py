@@ -307,7 +307,7 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
     det_cap = n * ctx.e + valuation(form.det, ctx)
     m, den = [list(row) for row in form.rows], form.den
     s = valuation(den, ctx)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = linalg.identity(n)
     e = 1
     exps, sigma = (), ()
     while len(exps) < n:
@@ -391,7 +391,7 @@ def jordan_split(form: HalfIntegralForm):
     ctx = form.ctx
     n = form.n
     m = [list(row) for row in form.rows]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u = linalg.identity(n)
     prev, prevs = 1, []
     for k in range(n):
         idx = range(k, n)
@@ -473,7 +473,7 @@ def verify_certificate(
         return False, "transform is not unimodular"
     # t(U) B U = R, cross-multiplied on the integer rows den·B, du·U and den·R
     ri, dr = cert.reduced.rows, cert.reduced.den
-    t = linalg.matmul(linalg.transpose(ui), linalg.matmul(form.rows, ui))
+    t = linalg.congruence(form.rows, ui)
     k = form.den * du * du
     if any(
         [x * dr for x in row] != [y * k for y in rrow] for row, rrow in zip(t, ri)

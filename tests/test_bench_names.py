@@ -64,3 +64,46 @@ def test_bench_imports_from_gkinv_exist(script):
         module = importlib.import_module(module_name)
         if name is not None:
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def _called_names(path):
+    """(module, name) for each call in a gkinv source file: ``m.f(...)`` as
+    (m, f), and ``f(...)`` as (the module ``f`` was imported from, f), or as
+    (this module, f) when the file defines it."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name: (node.module or "").rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            yield func.value.id, func.attr
+        elif isinstance(func, ast.Name):
+            yield imported.get(func.id, path.stem), func.id
+
+
+def test_reported_functions_are_called_by_the_program():
+    """A reported function the program never calls reads 0 on every workload
+    and times nothing: each one is called from a module of gkinv other than
+    the property suites of ``selfcheck``, or is part of the public API."""
+    import gkinv
+
+    measure = _load("measure")
+    src = Path(gkinv.__file__).resolve().parent
+    called = {
+        pair
+        for path in src.glob("*.py")
+        if path.stem != "selfcheck"
+        for pair in _called_names(path)
+    }
+    for label in measure.REPORTED_FUNCTIONS:
+        layer, name = label.split(".")
+        public = name in gkinv.__all__ and getattr(gkinv, name) is getattr(
+            importlib.import_module(f"gkinv.{layer}"), name
+        )
+        assert (layer, name) in called or public, label

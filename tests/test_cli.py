@@ -269,19 +269,21 @@ def test_rand_rejects_negative_sizes(capsys):
         }
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    code, base = run_cli(["rand", "--n", "2", "--p", "2", "--count", "1", "--seed", "1"], capsys)
-    monkeypatch.setenv("GK_SEED", "1")
-    code, overridden = run_cli(
-        ["rand", "--n", "2", "--p", "2", "--count", "1", "--seed", "2"], capsys
-    )
-    assert overridden == base
-
-
 def test_selftest_subcommand(capsys):
     code, out = run_cli(["selftest", "--suite", "egk", "--trials", "20"], capsys)
     assert code == 0
     assert "checks passed" in out
+
+
+def test_selftest_rejects_trials_below_one(capsys):
+    """A suite that runs no trials checks nothing, so it may not pass."""
+    for trials in ("-5", "0"):
+        code, out = run_cli(["selftest", "--suite", "padic", "--trials", trials], capsys)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "error": "bad_selftest_option", "detail": f"--trials must be at least 1, got {trials}"
+        }
 
 
 def test_console_script_entry_point():
@@ -335,12 +337,6 @@ def test_bad_batch_item_exits_cleanly_with_worker_pool(tmp_path):
     code, out = outs[0]
     assert code == 1 and json.loads(out) == {"error": "bad_rational", "value": "x"}
 
-
-def test_bad_seed_env_is_a_json_error(capsys, monkeypatch):
-    monkeypatch.setenv("GK_SEED", "abc")
-    code, out = run_cli(["rand", "--n", "2", "--p", "2", "--count", "1"], capsys)
-    assert code == 1
-    assert json.loads(out)["error"] == "bad_seed"
 
 
 def test_large_primes_are_decided_quickly(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from gkinv.egk import (
+    SIGNS3,
     EGKDatum,
     EGKError,
     NaiveEGK,
@@ -36,6 +38,41 @@ def test_validate_naive_examples():
     assert validate_naive(NaiveEGK((0, 0), (1, 1)))[0]
     ok, bad = validate_naive(NaiveEGK((1, 0), (1, 1)))
     assert not ok and bad
+
+
+def naive_sign_rules(a, eps):
+    """The coordinate-level sign rules written out position by position, as
+    ``validate_naive`` once checked them: True when every rule holds."""
+    n, psum = len(a), 0
+    for i in range(1, n + 1):  # 1-based position
+        psum += a[i - 1]
+        e = eps[i - 1]
+        if i % 2 == 0:
+            if (e != 0) != (psum % 2 == 0):
+                return False
+        elif e == 0:
+            return False
+    if eps[0] != 1:
+        return False
+    for i in range(3, n + 1, 2):
+        if sum(a[: i - 1]) % 2 == 0:
+            if eps[i - 1] != eps[i - 3] * zpow(eps[i - 2], a[i - 1] + a[i - 2]):
+                return False
+    return True
+
+
+def test_validate_naive_matches_the_written_out_sign_rules():
+    """The block-level sign axioms at unit block sizes give the verdict of the
+    position-by-position rules on every naive datum with n <= 6, exponents
+    non-decreasing in 0..3 and any signs in {0, 1, -1}."""
+    verdicts = {True: 0, False: 0}
+    for n in range(1, 7):
+        for a in itertools.combinations_with_replacement(range(4), n):
+            for eps in itertools.product(SIGNS3, repeat=n):
+                want = naive_sign_rules(a, eps)
+                assert validate_naive(NaiveEGK(a, eps))[0] == want, (a, eps)
+                verdicts[want] += 1
+    assert sum(verdicts.values()) == 78321 and min(verdicts.values()) > 0, verdicts
 
 
 def test_validate_egk_examples():

@@ -1,9 +1,10 @@
 """The in-place kernel against the dense congruences it replaces, its
 fraction-free elimination step against the exact Fraction elimination, the
-fraction-free solve against Cramer's rule, the dyadic clear on integer rows
-against the exact Fraction clear, the integer dense routines against naive
-Fraction references, and golden certificate digests that pin the reducers'
-output byte for byte."""
+fraction-free solve and inverse against Cramer's rule, the dyadic clear on
+integer rows against the exact Fraction clear, the integer dense routines
+against naive Fraction references, and golden certificate digests that pin
+the reducers' output byte for byte.  The dense routines take integer rows,
+so a Fraction matrix reaches them as d·M, scaled here by the test."""
 
 import hashlib
 import itertools
@@ -35,13 +36,24 @@ def _elementary(n, entries):
     return linalg.mat(e)
 
 
+def _copy(m):
+    """A mutable copy of a matrix, for the in-place steps."""
+    return [list(row) for row in m]
+
+
+def _perm(new_to_old):
+    """Column permutation P: t(P) B P [k][l] == B[pi(k)][pi(l)]."""
+    n = len(new_to_old)
+    return linalg.mat([[int(i == new_to_old[k]) for k in range(n)] for i in range(n)])
+
+
 def _check_step(m0, u0, e, step):
     """step(m, u) and step(m, None) on working copies give t(E) M E and U E."""
-    m, u = linalg.rows(m0), linalg.rows(u0)
+    m, u = _copy(m0), _copy(u0)
     step(m, u)
-    assert linalg.mat(m) == linalg.congruence(m0, e)
+    assert linalg.mat(m) == naive_congruence(m0, e)
     assert linalg.mat(u) == linalg.matmul(u0, e)
-    alone = linalg.rows(m0)
+    alone = _copy(m0)
     step(alone, None)
     assert alone == m
 
@@ -55,11 +67,11 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
     m0 = _random_matrix(rng, n, symmetric)
     u0 = _random_matrix(rng, n)
     i, j = rng.randrange(n), rng.randrange(n)
-    swap = linalg.perm_matrix(tuple({i: j, j: i}.get(t, t) for t in range(n)))
+    swap = _perm(tuple({i: j, j: i}.get(t, t) for t in range(n)))
     _check_step(m0, u0, swap, lambda m, u: linalg.swap(m, i, j, u))
     perm = list(range(n))
     rng.shuffle(perm)
-    _check_step(m0, u0, linalg.perm_matrix(tuple(perm)), lambda m, u: linalg.permute(m, perm, u))
+    _check_step(m0, u0, _perm(tuple(perm)), lambda m, u: linalg.permute(m, perm, u))
     if n > 1:
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
@@ -70,15 +82,47 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
     _check_step(m0, u0, scaling, lambda m, u: linalg.scale(m, idx, c, u))
 
 
+def _det(m):
+    """det M for a matrix of ints or Fractions: ``linalg.det`` of d·M / d^n."""
+    rows, d = linalg._scaled(m)
+    return Fraction(linalg.det(rows), d ** len(m))
+
+
+def _congruence(b, u):
+    """t(U) B U for matrices of ints or Fractions: ``linalg.congruence`` of
+    db·B and du·U, over db·du²."""
+    (bi, db), (ui, du) = linalg._scaled(b), linalg._scaled(u)
+    return linalg.over(linalg.congruence(bi, ui), db * du * du)
+
+
+def _solve(a, b):
+    """A^-1 B for matrices of ints or Fractions: (da·A)^-1 (db·B) = Y / L
+    from ``linalg.solve_int``, times da / db."""
+    (ai, da), (bi, db) = linalg._scaled(a), linalg._scaled(b)
+    y, l = linalg.solve_int(ai, bi)
+    return linalg.over([[da * x for x in row] for row in y], db * l)
+
+
+def _inverse(a):
+    """A^-1 for a matrix of ints or Fractions: d·Y / L, with (d·A)^-1 = Y / L
+    from ``linalg.inverse``."""
+    ai, d = linalg._scaled(a)
+    y, l = linalg.inverse(ai)
+    return linalg.over([[d * x for x in row] for row in y], l)
+
+
 def test_solve_matches_inverse_product():
     rng = random.Random("kernel/solve")
     for n in (1, 2, 4):
         a = _random_matrix(rng, n)
-        while linalg.det(a) == 0:
+        while _det(a) == 0:
             a = _random_matrix(rng, n)
         b = _random_matrix(rng, n)
-        assert linalg.solve(a, b) == linalg.matmul(linalg.inverse(a), b)
-        assert linalg.matmul(a, linalg.inverse(a)) == linalg.identity(n)
+        assert _solve(a, b) == linalg.matmul(_inverse(a), b)
+        assert linalg.matmul(a, _inverse(a)) == linalg.mat(linalg.identity(n))
+        ai = linalg._scaled(a)[0]
+        y, l = linalg.inverse(ai)
+        assert linalg.matmul(ai, y) == tuple(tuple(l * x for x in r) for r in linalg.identity(n))
 
 
 def naive_congruence(b, u):
@@ -160,18 +204,19 @@ def test_solve_int_special_cases(a, b):
         with pytest.raises(ZeroDivisionError):
             linalg.solve_int(a, b)
         with pytest.raises(ZeroDivisionError):
-            linalg.solve(a, b)
+            linalg.inverse(a)
         return
     y, l = linalg.solve_int(a, b)
     assert [[Fraction(v, l) for v in row] for row in y] == cramer_solve(a, b)
-    assert linalg.solve(a, b) == linalg.mat(cramer_solve(a, b))
+    y, l = linalg.inverse(a)
+    assert linalg.over(linalg.matmul(y, b), l) == linalg.mat(cramer_solve(a, b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_solve_int_matches_cramer(n):
     """Y / L is A^-1 B in lowest terms (L > 0, gcd(L, Y) = 1) on random
-    integer matrices, zero entries and singular ones included, and ``solve``
-    gives the same values on mixed-denominator matrices."""
+    integer matrices, zero entries and singular ones included, and it gives
+    the same values on mixed-denominator matrices scaled to integers."""
     rng = random.Random(f"solve_int/{n}")
     seen = {"L = 1": 0, "L > 1": 0, "singular": 0}
     for trial in range(40):
@@ -190,9 +235,9 @@ def test_solve_int_matches_cramer(n):
         fa, fb = _mixed_matrix(rng, n, singular=trial % 5 == 0), _mixed_matrix(rng, n)
         if naive_det(fa) == 0:
             with pytest.raises(ZeroDivisionError):
-                linalg.solve(fa, fb)
+                _solve(fa, fb)
         else:
-            x = linalg.solve(fa, fb)
+            x = _solve(fa, fb)
             assert x == linalg.mat(cramer_solve(fa, fb))
             assert all(type(v) is Fraction for row in x for v in row)
     assert all(seen.values()) or n == 1, seen
@@ -287,8 +332,10 @@ SPECIAL = [
 
 @pytest.mark.parametrize("m,expected", SPECIAL, ids=range(len(SPECIAL)))
 def test_det_matches_cofactor_expansion_on_special_matrices(m, expected):
-    d = linalg.det(m)
-    assert type(d) is Fraction and d == naive_det(m) == expected
+    rows, d = linalg._scaled(m)
+    x = linalg.det(rows)
+    assert type(x) is int and Fraction(x, d ** len(m)) == naive_det(m) == expected
+    assert rows == linalg._scaled(m)[0]  # det works on a copy
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -298,16 +345,18 @@ def test_dense_routines_match_naive_fraction_references(n):
         b = _mixed_matrix(rng, n, symmetric=True, singular=trial % 3 == 0)
         u = _mixed_matrix(rng, n, singular=trial % 4 == 1)
         for m in (b, u):
-            assert linalg.det(m) == naive_det(m)
+            assert _det(m) == naive_det(m)
         # a zero leading pivot: the first column's top entry cleared
         z = linalg.mat([[0, *row[1:]] if i == 0 else row for i, row in enumerate(u)])
-        assert linalg.det(z) == naive_det(z)
-        c = linalg.congruence(b, u)
+        assert _det(z) == naive_det(z)
+        c = _congruence(b, u)
         assert c == naive_congruence(b, u)
         assert all(type(x) is Fraction for row in c for x in row)
         assert all(x is linalg.mat([[0]])[0][0] for row in c for x in row if not x)
         ints = tuple(tuple(x.numerator for x in row) for row in u)
-        assert linalg.congruence(ints, ints) == naive_congruence(ints, ints)
+        c = linalg.congruence(ints, ints)
+        assert c == naive_congruence(ints, ints)
+        assert all(type(x) is int for row in c for x in row)
     assert linalg.congruence((), ()) == ()
 
 
@@ -363,9 +412,9 @@ def test_integer_step_matches_fraction_elimination(seed):
     for _ in range(25):
         n = rng.randint(1, 6)
         b = _random_symmetric(rng, n)
-        if linalg.det(b) == 0:
+        if _det(b) == 0:
             continue
-        m, u = linalg.rows(b), linalg.rows(linalg.identity(n))
+        m, u = _copy(b), linalg.identity(n)
         w, den = linalg._scaled(b)
         wu = [[int(i == j) for j in range(n)] for i in range(n)]
         prev, prevs = 1, []
@@ -397,7 +446,7 @@ def test_integer_step_matches_fraction_elimination(seed):
             assert p == den * prev * m[k][k] != 0
             assert all((p * w[i][j] - w[i][k] * w[k][j]) % prev == 0 for i in tail for j in tail)
             assert all((p * row[j] - w[k][j] * row[k]) % prev == 0 for row in wu for j in tail)
-            m, u = (linalg.rows(x) for x in fraction_step(m, u, k))
+            m, u = (_copy(x) for x in fraction_step(m, u, k))
             prevs.append(prev)
             linalg.eliminate(w, k, prev, wu)
             prev = p

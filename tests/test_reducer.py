@@ -151,7 +151,7 @@ def clear_rows(form, gk_type):
 def test_clear_rows_noop_cases():
     b = validate_form([[1, 1], [1, 3]], CTX2)
     u, cleared = clear_rows(b, GKType((0,), (0,)))
-    assert u == linalg.identity(2)
+    assert u == linalg.mat(linalg.identity(2))
     assert cleared.entries == b.entries
     c0 = validate_form([[1, 1, 0], [1, 0, 0], [0, 0, 4]], CTX2)
     u, cleared = clear_rows(c0, GKType((0, 2), (1, 0)))
@@ -186,12 +186,17 @@ def test_complete_square_examples():
 
 
 def test_clear_rows_transform_stays_block_upper():
+    """The clear is in the compatible group and has zeros below the
+    equal-exponent blocks: rows of exponent 1 have nothing in exponent-0
+    columns."""
     half = Fraction(1, 2)
     b = validate_form([[0, half, 1], [half, 0, 0], [1, 0, 2]], CTX2)
     u, _ = clear_rows(b, GKType((0, 0), (1, 0)))
     from gkinv.forms import in_gk_group
 
-    assert in_gk_group(u, (0, 0, 1), CTX2, variant="upper")
+    exps = (0, 0, 1)
+    assert in_gk_group(u, exps, CTX2)
+    assert all(u[i][j] == 0 for i in range(3) for j in range(3) if exps[i] > exps[j])
 
 
 def test_complete_square_random_inputs():
@@ -219,7 +224,7 @@ def test_binary_gk_values():
 def test_jordan_examples():
     cert = reduce_form(validate_form([[1, 0, 0], [0, 3, 0], [0, 0, 9]], CTX3))
     assert cert.exps == (0, 1, 2)
-    assert cert.u == linalg.identity(3)
+    assert cert.u == linalg.mat(linalg.identity(3))
     h3 = validate_form([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], CTX3)
     cert = reduce_form(h3)
     assert cert.exps == (0, 0)
