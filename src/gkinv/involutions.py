@@ -212,17 +212,6 @@ def plus_signature(exps, sigma: Involution) -> tuple[int, ...]:
     return tuple(raised.count(v) for v in blocks(exps).values)
 
 
-def standardize(exps, sigma: Involution) -> Involution:
-    """Standard representative of an admissible involution's class."""
-    if not is_admissible(exps, sigma):
-        raise ValueError("involution is not admissible for the exponents")
-    sig = plus_signature(exps, sigma)
-    for cand in standard_involutions(exps):
-        if plus_signature(exps, cand) == sig:
-            return cand
-    raise AssertionError("no standard representative found")
-
-
 def restrict(gk_type: GKType, k: int) -> GKType | None:
     """Truncate to the first k coordinates, dropping pairs that cross the cut;
     None when the truncated involution stops being admissible."""

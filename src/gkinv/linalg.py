@@ -1,8 +1,8 @@
 """Exact linear algebra on integer rows for small matrices.
 
-Forms and certificates keep a rational matrix as integer rows over its least
-common denominator; the public API shows it as a tuple of rows of Fractions.
-``mat``, ``over``, ``_scaled`` and ``lowest`` convert between the two.
+A form keeps its matrix as integer rows over one least common denominator, and
+a certificate its U over a least scale per column; the public API shows both
+as rows of Fractions; ``mat``, ``over``, ``_scaled`` and ``lowest`` convert.
 
 There is one dense routine per job, and each takes and returns integer rows:
 ``congruence`` is t(U) B U, ``det`` is fraction-free (Bareiss) elimination,

@@ -24,13 +24,14 @@ backtracking: a failed clear, a prefix with no move or a failed shear
 raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
-Both reducers work on the form's integer rows and return R and U as integer
-rows over their denominators; ``reduce_form`` alone builds the certificate
-and verifies it.  The dyadic search keeps Mi = den·E²·M and Ui = E·U, with
-den the common denominator of B and E an odd integer, so the 2-adic order
-of an exact entry is the order of its integer minus ord(den) and every move
-is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C as
-Y / L in lowest terms from ``linalg.solve_int`` and applies the integer
+Both reducers work on the form's integer rows and return R as integer rows
+over one denominator and U as integer rows over a scale per column;
+``reduce_form`` alone builds the certificate, each column of U in lowest
+terms, and verifies it.  The dyadic search keeps Mi = den·E²·M and Ui = E·U,
+with den the common denominator of B and E an odd integer, so the 2-adic
+order of an exact entry is the order of its integer minus ord(den) and every
+move is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C
+as Y / L in lowest terms from ``linalg.solve_int`` and applies the integer
 congruence L·E_X, which multiplies E by L; an even L is exactly a clear that
 leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
 """
@@ -39,7 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 
 from . import linalg
 from .forms import (
@@ -67,35 +70,44 @@ class BudgetExhausted(ReductionError):
 class ReductionCertificate:
     """Unimodular U with R = B[U] reduced of the stated standard GK type.
 
-    U is kept as its integer rows du·U over du > 0, the least common
-    denominator of its entries, and ``u``, U as a matrix of Fractions, is
-    built on first read.  The constructor takes U as a matrix of ints or
-    Fractions, of any shape (the verifier rejects a wrong one);
-    ``reduce_form`` builds certificates from integer rows with ``_of_rows``."""
+    U = y·diag(c)^-1 is kept as integer rows y over column scales c, each
+    column in lowest terms: c_j > 0 is the least common denominator of column
+    j.  ``u``, U as a matrix of Fractions, is built on first read.  The
+    constructor takes U as a matrix of ints or Fractions, of any shape (the
+    verifier rejects a wrong one); ``reduce_form`` builds certificates from
+    integer rows over column scales with ``_of_rows``."""
 
-    u_rows: tuple[tuple[int, ...], ...]
-    du: int
+    y: tuple[tuple[int, ...], ...]
+    c: tuple[int, ...]
     reduced: HalfIntegralForm
     gk_type: GKType
 
     def __init__(self, u, reduced: HalfIntegralForm, gk_type: GKType):
-        self._set(*linalg._scaled(linalg.mat(u)), reduced, gk_type)
+        y, d = linalg._scaled(linalg.mat(u))
+        self._set(y, (d,) * max(map(len, y), default=0), reduced, gk_type)
 
     @classmethod
-    def _of_rows(cls, ui, du: int, reduced, gk_type) -> ReductionCertificate:
-        """The certificate of U = ui / du, for integer rows ui and du > 0."""
+    def _of_rows(cls, y, c, reduced, gk_type) -> ReductionCertificate:
+        """U = y·diag(c)^-1 for integer rows y and non-zero column scales c."""
         cert = cls.__new__(cls)
-        cert._set(*linalg.lowest(ui, du), reduced, gk_type)
+        cert._set(y, c, reduced, gk_type)
         return cert
 
-    def _set(self, ui, du, reduced, gk_type) -> None:
-        values = (tuple(map(tuple, ui)), du, reduced, gk_type)
+    def _set(self, y, c, reduced, gk_type) -> None:
+        """Store U = y·diag(c)^-1 with each column brought to lowest terms."""
+        # zip_longest, not zip: a ragged U keeps its shape for the verifier
+        cols = zip_longest(*y, fillvalue=0)
+        g = [math.gcd(cj, *col) * (1 if cj > 0 else -1) for cj, col in zip(c, cols)]
+        if any(gj != 1 for gj in g):
+            y = [[x // gj for x, gj in zip(row, g)] for row in y]
+        values = (tuple(map(tuple, y)), tuple(cj // gj for cj, gj in zip(c, g)), reduced, gk_type)
         for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
 
     @cached_property
     def u(self) -> Matrix:
-        return linalg.over(self.u_rows, self.du)
+        c, zero = self.c, linalg._ZERO
+        return tuple(tuple(Fraction(x, d) if x else zero for x, d in zip(row, c)) for row in self.y)
 
     @property
     def exps(self) -> tuple[int, ...]:
@@ -293,8 +305,8 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
 
 
 def _dyadic_search(form: HalfIntegralForm, budget: int):
-    """(M, U, exps, sigma, d, e) with B[U / e] = M / d reduced, for integer
-    working rows M and U: clear the prefix, then take the smallest move,
+    """(M, U, exps, sigma, d, c) with B[U / e] = M / d reduced, c = (e,) * n,
+    for integer rows M and U: clear the prefix, then take the smallest move,
     until the prefix is everything.  Each pass spends one step of the budget.
 
     The rows start as den·B and 1, with den the common denominator of B,
@@ -347,7 +359,7 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
             exps += (c,)
         rest = tuple(i for i in range(k, n) if i not in chosen)
         linalg.permute(m, tuple(range(k)) + chosen + rest, u)
-    return m, u, exps, sigma, den * e * e, e
+    return m, u, exps, sigma, den * e * e, (e,) * n
 
 
 def _standardize(m, u, exps, sigma):
@@ -382,8 +394,8 @@ def jordan_split(form: HalfIntegralForm):
     pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows.  Returns (M, U, exps, sigma, d, e) with B[U / e] =
-    M / d, each over one denominator, as ``_dyadic_search`` does."""
+    on the exact rows.  Returns (M, U, exps, sigma, d, c) with B[U·diag(c)^-1]
+    = M / d, c = (prev_k) and d = den·lcm(prev_k), as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -412,13 +424,11 @@ def jordan_split(form: HalfIntegralForm):
     # tail at or above it, so the diagonal orders are already non-decreasing;
     # den is a unit, so pivot k / prev_k has the order of the exact entry
     exps = tuple(valuation(m[k][k], ctx) - valuation(pk, ctx) for k, pk in enumerate(prevs))
-    # R_kk = m[k][k] / (den·prev_k) and U[:, k] = u[:, k] / prev_k, both over
-    # the common multiple l of the prev_k
+    # R_kk = m[k][k] / (den·prev_k), over den times the common multiple l of
+    # the prev_k, since a form has one denominator
     l = math.lcm(*prevs)
-    c = [l // pk for pk in prevs]
-    diag = [[m[i][i] * c[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    uc = [[x * ck for x, ck in zip(row, c)] for row in u]
-    return diag, uc, exps, standard_involutions(exps)[0], form.den * l, l
+    diag = [[m[i][i] * (l // prevs[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+    return diag, u, exps, standard_involutions(exps)[0], form.den * l, prevs
 
 
 # the instance-dict key under which a form keeps its verified certificate,
@@ -443,11 +453,11 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
     if not form.nondegenerate:
         raise FormError("degenerate form")
     if form.ctx.p != 2:
-        m, u, exps, sigma, d, e = jordan_split(form)
+        m, u, exps, sigma, d, c = jordan_split(form)
     else:
-        m, u, exps, sigma, d, e = _dyadic_search(form, budget)
+        m, u, exps, sigma, d, c = _dyadic_search(form, budget)
         sigma = _standardize(m, u, exps, sigma)
-    cert = ReductionCertificate._of_rows(u, e, _from_rows(m, d, form.ctx), GKType(exps, sigma))
+    cert = ReductionCertificate._of_rows(u, c, _from_rows(m, d, form.ctx), GKType(exps, sigma))
     ok, reason = verify_certificate(form, cert)
     if not ok:
         raise ReductionError(f"certificate rejected: {reason}")
@@ -458,27 +468,28 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
 def verify_certificate(
     form: HalfIntegralForm, cert: ReductionCertificate
 ) -> tuple[bool, str]:
-    """Independent check of a reduction certificate.  Never raises on bad
-    certificates; returns (False, reason)."""
-    exps, ui, du = cert.gk_type.exps, cert.u_rows, cert.du
-    sizes = {len(exps), cert.reduced.n, len(ui), *map(len, ui)}
+    """Independent check of a reduction certificate, on the integer rows y
+    and column scales c of U and the integer rows of B and R; it runs no
+    search code.  Never raises on bad certificates; returns (False, reason)."""
+    exps, y, c = cert.gk_type.exps, cert.y, cert.c
+    sizes = {len(exps), cert.reduced.n, len(y), len(c), *map(len, y)}
     if sizes != {form.n}:
         return False, "size mismatch"
     if any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
         return False, "exponents not non-decreasing"
     if any(a < 0 for a in exps):
         return False, "negative exponent"
-    # U = du·U / du with du least is p-integral iff p does not divide du
-    if du % form.ctx.p == 0 or not is_unimodular(ui, form.ctx):
+    # each column of U = y·diag(c)^-1 is in lowest terms, so U is p-integral
+    # iff p divides no c_j, and then det y = det U·prod(c) is a unit iff det U is
+    if any(cj % form.ctx.p == 0 for cj in c) or not is_unimodular(y, form.ctx):
         return False, "transform is not unimodular"
-    # t(U) B U = R, cross-multiplied on the integer rows den·B, du·U and den·R
+    # t(U) B U = R as t(y)·(den·B)·y = den·diag(c)·R·diag(c), on integer rows
     ri, dr = cert.reduced.rows, cert.reduced.den
-    t = linalg.congruence(form.rows, ui)
-    k = form.den * du * du
-    if any(
-        [x * dr for x in row] != [y * k for y in rrow] for row, rrow in zip(t, ri)
-    ):
-        return False, "transform does not map the source to the claimed matrix"
+    t = linalg.congruence(form.rows, y)
+    for row, rrow, ci in zip(t, ri, c):
+        k = form.den * ci
+        if [x * dr for x in row] != [k * r * cj for cj, r in zip(c, rrow)]:
+            return False, "transform does not map the source to the claimed matrix"
     if not is_standard(exps, cert.gk_type.sigma):
         return False, "involution is not standard"
     if not is_reduced(cert.reduced, cert.gk_type):

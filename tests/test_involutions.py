@@ -13,8 +13,9 @@ from gkinv.involutions import (
     plus_signature,
     restrict,
     standard_involutions,
-    standardize,
 )
+from gkinv.linalg import identity
+from gkinv.reducer import _standardize
 
 PICTURE_EXPS = (0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 5, 5, 6, 6, 6, 6, 7, 7, 7)
 # pairing (1 2)(3 5)(4 17)(6 7)(8 13)(9 10)(11 12)(14 15)(18 19), 0-based
@@ -62,14 +63,29 @@ def test_restrict_examples():
     assert restrict(b1_type, 3).sigma == b1_type.sigma
 
 
+def standardize(exps, sigma):
+    """Reference: the standard involution with sigma's plus-signature."""
+    if not is_admissible(exps, sigma):
+        raise ValueError("involution is not admissible for the exponents")
+    sig = plus_signature(exps, sigma)
+    for cand in standard_involutions(exps):
+        if plus_signature(exps, cand) == sig:
+            return cand
+    raise AssertionError("no standard representative found")
+
+
 def test_standardize_maps_to_signature_match():
-    exps = (0, 0, 1, 1)
-    for sigma in all_involutions(4):
-        if not is_admissible(exps, sigma):
-            continue
-        std = standardize(exps, sigma)
-        assert is_standard(exps, std)
-        assert plus_signature(exps, std) == plus_signature(exps, sigma)
+    """The reducer's _standardize, which permutes coordinates within blocks,
+    gives the standard involution of the same plus-signature."""
+    for exps in [(0, 0, 1, 1), (0, 1, 2), (0, 0, 2, 2), (1, 1, 1), (0, 0, 0, 1, 1)]:
+        n = len(exps)
+        for sigma in all_involutions(n):
+            if not is_admissible(exps, sigma):
+                continue
+            std = _standardize(identity(n), identity(n), exps, sigma)
+            assert is_standard(exps, std)
+            assert plus_signature(exps, std) == plus_signature(exps, sigma)
+            assert std == standardize(exps, sigma)
 
 
 def test_census_small():

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -295,8 +296,9 @@ def test_verify_rejects_bad_certificates():
     bad = ReductionCertificate(cert.u, cert.reduced, GKType((0, 0), (1, 0)))
     ok, reason = verify_certificate(b, bad)
     assert not ok
-    narrow = ReductionCertificate(((1,), (0,)), cert.reduced, cert.gk_type)
-    assert verify_certificate(b, narrow) == (False, "size mismatch")
+    for u in (((1,), (0,)), ((1, 0), (0, 1, 0))):
+        narrow = ReductionCertificate(u, cert.reduced, cert.gk_type)
+        assert verify_certificate(b, narrow) == (False, "size mismatch")
     # denominators divisible by p (for U = 1/2 only the denominator shows
     # it: det(2·U) = 1 is a unit), and a p-integral U with p | det U
     half = Fraction(1, 2)
@@ -453,7 +455,7 @@ def test_the_empty_form_is_verified_and_kept(monkeypatch):
         calls.update(search=0, verify=0)
         empty = validate_form((), ctx)
         cert = reduce_form(empty)
-        assert (cert.u_rows, cert.du, cert.reduced, cert.exps) == ((), 1, empty, ())
+        assert (cert.y, cert.c, cert.reduced, cert.exps) == ((), (), empty, ())
         assert reduce_form(empty) is cert
         assert calls == {"search": 1, "verify": 1}
 
@@ -474,15 +476,45 @@ def test_optimality_group_criterion_small():
 
 def test_certificate_constructors_agree():
     """A certificate built from a Fraction U equals the reducer's, built
-    from integer rows, in u_rows, du, == and hash."""
+    from integer rows, in y, c, == and hash."""
     rng = random.Random(41)
     for ctx in (CTX2, CTX3, CTX5):
         for _ in range(10):
             cert = reduce_form(random_form(rng.randint(1, 5), ctx, rng, height=4))
             again = reducer.ReductionCertificate(cert.u, cert.reduced, cert.gk_type)
-            assert (again.u_rows, again.du) == (cert.u_rows, cert.du)
+            assert (again.y, again.c) == (cert.y, cert.c)
             assert again == cert and hash(again) == hash(cert)
             assert again.u == cert.u
+
+
+def test_verify_rejects_a_tampered_column_scale():
+    """Scaling one c_j by p takes column j of U out of Z_p; scaling it by a
+    unit prime to p keeps U unimodular but changes B[U]."""
+    for ctx, q in ((CTX2, 3), (CTX3, 2), (CTX5, 7)):
+        form = random_form(4, ctx, random.Random(ctx.p), height=4)
+        cert = reduce_form(form)
+        for j in range(form.n):
+            for factor, reason in (
+                (ctx.p, "transform is not unimodular"),
+                (q, "transform does not map the source to the claimed matrix"),
+            ):
+                c = list(cert.c)
+                c[j] *= factor
+                bad = reducer.ReductionCertificate._of_rows(cert.y, c, cert.reduced, cert.gk_type)
+                assert bad.c[j] == cert.c[j] * factor
+                assert verify_certificate(form, bad) == (False, reason)
+
+
+def test_certificate_columns_are_in_lowest_terms():
+    """At p = 3, n = 16 each column of y is in lowest terms against its c_j,
+    and c_j is the least common denominator of column j of U.  Over one
+    common denominator the same U has entries of 2,626 bits; y has 342."""
+    form = random_form(16, CTX3, random.Random(16), height=14)
+    cert = reduce_form(form)
+    for j, (cj, col) in enumerate(zip(cert.c, zip(*cert.y))):
+        assert cj > 0 and math.gcd(cj, *col) == 1
+        assert cj == math.lcm(*(row[j].denominator for row in cert.u))
+    assert max(abs(x).bit_length() for row in cert.y for x in row) == 342
 
 
 def test_reduction_stays_on_integer_rows(monkeypatch):
