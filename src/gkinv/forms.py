@@ -7,7 +7,9 @@ certificates trustworthy.
 
 A form keeps the integer rows den·B over the least common denominator den
 (as FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` does), and builds ``entries``,
-B in Fractions, on first read; ``_from_rows`` is its one constructor.  In
+B in Fractions, on first read; ``_from_rows`` is its one constructor.  Every
+routine here reads integer rows; only the entry points ``validate_form``,
+``transform`` and ``in_gk_group`` read a Fraction matrix, scaling it once.  In
 the same instance dict, outside the fields and so outside ==, hash and repr,
 ``reducer.reduce_form`` keeps the certificate it has verified for the form,
 so ``gk`` and ``egk_of`` after ``reduce_form`` on the same object do not
@@ -84,10 +86,9 @@ def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
 
 def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:
     """Exact congruence transform t(U) B U."""
-    u = linalg.mat(u)
-    if len(u) != form.n or any(len(row) != form.n for row in u):
+    ui, du = linalg._scaled(linalg.mat(u))
+    if len(ui) != form.n or any(len(row) != form.n for row in ui):
         raise FormError("transform size mismatch")
-    ui, du = linalg._scaled(u)
     return _from_rows(linalg.congruence(form.rows, ui), form.den * du * du, form.ctx)
 
 
@@ -137,22 +138,20 @@ def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
     return min(vals) - valuation(form.den, ctx) if vals else INF
 
 
-def matrix_in_lattice(
-    entries: Matrix, exps, ctx: PrimeContext, strict: bool = False
-) -> bool:
-    """Valuation bounds ord(b_ii) >= a_i, ord(2 b_ij) >= (a_i+a_j)/2 on a raw
-    symmetric matrix; exponents may be any integers.  ``strict`` makes both
-    bounds strict."""
-    n = len(entries)
+def matrix_in_lattice(rows, den: int, exps, ctx: PrimeContext, strict: bool = False) -> bool:
+    """Valuation bounds ord(b_ii) >= a_i, ord(2 b_ij) >= (a_i+a_j)/2 on B = rows/den,
+    for integer rows and den > 0, an order being its integer's minus ord(den);
+    exponents may be any integers.  ``strict`` makes both bounds strict."""
+    n = len(rows)
     if len(exps) != n:
         raise FormError("exponent sequence length mismatch")
-    e = ctx.e  # ord(2x) = ord(x) + e
+    s, e = valuation(den, ctx), ctx.e  # ord(2x) = ord(x) + e
     for i in range(n):
-        vi = valuation(entries[i][i], ctx)
+        vi = valuation(rows[i][i], ctx) - s
         if (vi <= exps[i]) if strict else (vi < exps[i]):
             return False
         for j in range(i + 1, n):
-            w = 2 * (valuation(entries[i][j], ctx) + e)
+            w = 2 * (valuation(rows[i][j], ctx) - s + e)
             bound = exps[i] + exps[j]
             if (w <= bound) if strict else (w < bound):
                 return False
@@ -161,19 +160,17 @@ def matrix_in_lattice(
 
 def membership(form: HalfIntegralForm, exps, strict: bool = False) -> bool:
     """Whether the form meets the per-index valuation bounds for ``exps``."""
-    return matrix_in_lattice(form.entries, tuple(exps), form.ctx, strict)
+    return matrix_in_lattice(form.rows, form.den, tuple(exps), form.ctx, strict)
 
 
 def is_unimodular(u, ctx: PrimeContext) -> bool:
-    """U in GL_n(Z_p), for a matrix of ints or Fractions (False unless square):
-    its entries are p-integral and det U is a unit, decided by elimination over
-    F_p on the entries reduced mod p, exactly, as det(U mod p) = det U mod p."""
+    """U in GL_n(Z_p), for integer rows U (False unless square): det U is a
+    unit, decided by elimination over F_p on the entries reduced mod p,
+    exactly, as det(U mod p) = det U mod p."""
     p = ctx.p
     if any(len(row) != len(u) for row in u):
         return False
-    if any(x.denominator % p == 0 for row in u for x in row):
-        return False
-    a = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in u]
+    a = [[x % p for x in row] for row in u]
     while a:  # eliminate the first column and drop the pivot row
         piv = next((r for r in a if r[0]), None)
         if piv is None:
@@ -187,20 +184,20 @@ def is_unimodular(u, ctx: PrimeContext) -> bool:
 def in_gk_group(u: Matrix, exps, ctx: PrimeContext) -> bool:
     """Membership in the group of unimodular transforms compatible with a
     non-decreasing exponent sequence: ord(u_ij) >= (a_j - a_i)/2 wherever
-    a_i < a_j."""
-    u = linalg.mat(u)
-    n = len(u)
-    exps = tuple(exps)
+    a_i < a_j.  Read on d·U, d the least common denominator: False if p | d,
+    and otherwise d is a unit, so d·U has U's orders and det class."""
+    ui, d = linalg._scaled(linalg.mat(u))
+    n, exps = len(ui), tuple(exps)
     if len(exps) != n:
         raise FormError("exponent sequence length mismatch")
-    if any(len(row) != n for row in u):
+    if any(len(row) != n for row in ui):
         raise FormError("transform size mismatch")
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise FormError("exponent sequence must be non-decreasing")
-    if not is_unimodular(u, ctx):
+    if d % ctx.p == 0 or not is_unimodular(ui, ctx):
         return False
     return all(
-        2 * valuation(u[i][j], ctx) >= exps[j] - exps[i]
+        2 * valuation(ui[i][j], ctx) >= exps[j] - exps[i]
         for i in range(n)
         for j in range(n)
         if exps[i] < exps[j]
@@ -213,7 +210,7 @@ def random_unimodular(
     rng: random.Random,
     steps: int = 4,
     height: int = 2,
-) -> Matrix:
+) -> list[list[int]]:
     """Random product of swaps, unit column scalings and integral shears."""
     u = linalg.identity(n)
     bound = ctx.p**height
@@ -233,7 +230,7 @@ def random_unimodular(
             x = rng.randint(-bound, bound)
             for row in u:
                 row[j] += x * row[i]
-    return linalg.mat(u)
+    return u
 
 
 def random_form(

@@ -133,15 +133,15 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
     a1, a2 = exps
     if a1 > a2 or form.n != 2 or not membership(form, (a1, a2)):
         raise FormError("form must meet the valuation bounds for (a1, a2)")
-    ctx = form.ctx
-    b = form.entries
-    ord2b = valuation(b[0][1], ctx) + ctx.e  # ord(2 b_12)
+    ctx, s = form.ctx, valuation(form.den, form.ctx)
+    # the orders of B's entries, each its integer's order in den·B minus s
+    (v11, v12), (_, v22) = ([valuation(x, ctx) - s for x in row] for row in form.rows)
+    ord2b = v12 + ctx.e  # ord(2 b_12)
     if a1 == a2:
         return ord2b == a1
     if (a2 - a1) % 2 == 0:
-        f = (a2 - a1) // 2
-        return valuation(b[0][0], ctx) == a1 and ord2b == a1 + f
-    return valuation(b[0][0], ctx) == a1 and valuation(b[1][1], ctx) == a2
+        return v11 == a1 and ord2b == (a1 + a2) // 2
+    return v11 == a1 and v22 == a2
 
 
 def egk_of(form: HalfIntegralForm) -> EGKDatum:

@@ -1,8 +1,10 @@
 """Exact linear algebra on integer rows for small matrices.
 
 A form keeps its matrix as integer rows over one least common denominator, and
-a certificate its U over a least scale per column; the public API shows both
-as rows of Fractions; ``mat``, ``over``, ``_scaled`` and ``lowest`` convert.
+a certificate its U over a least scale per column; every routine below the
+public API reads those integer rows.  ``mat`` and ``_scaled`` read rows of
+Fractions at its four entry points, ``over`` builds them for ``form.entries``,
+and ``lowest`` brings integer rows over a denominator to lowest terms.
 
 There is one dense routine per job, and each takes and returns integer rows:
 ``congruence`` is t(U) B U, ``det`` is fraction-free (Bareiss) elimination,

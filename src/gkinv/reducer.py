@@ -21,7 +21,7 @@ the smallest new exponent (ties in the order listed) among
 
 This is the constructive order of the reduction argument, so there is no
 backtracking: a failed clear, a prefix with no move or a failed shear
-raises ``ReductionError`` naming the prefix.  ``budget`` caps the loop's
+raises ``ReductionError`` naming the prefix.  ``SEARCH_BUDGET`` caps the
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
 Both reducers work on the form's integer rows and return R as integer rows
@@ -56,6 +56,10 @@ from .forms import (
 from .involutions import GKType, blocks, is_standard, standard_involutions
 from .linalg import Matrix
 from .padic import INF, PrimeContext, Rational, _disc_ideal_ord, valuation
+
+
+# the most passes of one dyadic search, one per move or collision shear
+SEARCH_BUDGET = 100_000
 
 
 class ReductionError(RuntimeError):
@@ -176,16 +180,16 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
 def dyadic_pair_conditions(form: HalfIntegralForm, gk_type: GKType) -> bool:
     """Dyadic shortcut for the pair condition: the doubled cross entry of each
     pair attains the half-sum exactly, and lowered diagonals are exact."""
-    if form.ctx.p != 2:
+    ctx, r, exps = form.ctx, form.rows, gk_type.exps
+    if ctx.p != 2:
         raise FormError("the shortcut is specific to p = 2")
-    b, exps, sigma = form.entries, gk_type.exps, gk_type.sigma
-    for i in range(form.n):
-        j = sigma[i]
+    s = valuation(form.den, ctx)  # an exact order is its integer's minus s
+    for i, j in enumerate(gk_type.sigma):
         if j == i:
             continue
-        if 2 * (valuation(b[i][j], form.ctx) + 1) != exps[i] + exps[j]:
+        if 2 * (valuation(r[i][j], ctx) - s + 1) != exps[i] + exps[j]:
             return False
-        if exps[i] < exps[j] and valuation(b[i][i], form.ctx) != exps[i]:
+        if exps[i] < exps[j] and valuation(r[i][i], ctx) - s != exps[i]:
             return False
     return True
 
@@ -304,10 +308,10 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
     return moves
 
 
-def _dyadic_search(form: HalfIntegralForm, budget: int):
+def _dyadic_search(form: HalfIntegralForm):
     """(M, U, exps, sigma, d, c) with B[U / e] = M / d reduced, c = (e,) * n,
     for integer rows M and U: clear the prefix, then take the smallest move,
-    until the prefix is everything.  Each pass spends one step of the budget.
+    until the prefix is everything, in at most ``SEARCH_BUDGET`` passes.
 
     The rows start as den·B and 1, with den the common denominator of B,
     and every step is an integer congruence, so M = den·e²·B[U / e] with e
@@ -320,7 +324,7 @@ def _dyadic_search(form: HalfIntegralForm, budget: int):
     m, den = [list(row) for row in form.rows], form.den
     s = valuation(den, ctx)
     u = linalg.identity(n)
-    e = 1
+    e, budget = 1, SEARCH_BUDGET
     exps, sigma = (), ()
     while len(exps) < n:
         if budget <= 0:
@@ -437,13 +441,12 @@ def jordan_split(form: HalfIntegralForm):
 _CERT = "_reduction"
 
 
-def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCertificate:
+def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     """Produce a verified reduction certificate for a non-degenerate form,
     from the rows of a reducer: the one place where one is built and checked.
 
     The form keeps the certificate once ``verify_certificate`` has accepted
-    it, and a later call on the same object returns it whatever ``budget``
-    says: the budget bounds a search, and that call makes none.  So ``gk``,
+    it, and a later call on the same object returns it.  So ``gk``,
     ``egk_of`` and ``classify_binary`` after ``reduce_form`` pay for one
     search and one verification.  A call that raises leaves the form as it
     was, and an equal form built apart runs its own search."""
@@ -455,7 +458,7 @@ def reduce_form(form: HalfIntegralForm, budget: int = 100_000) -> ReductionCerti
     if form.ctx.p != 2:
         m, u, exps, sigma, d, c = jordan_split(form)
     else:
-        m, u, exps, sigma, d, c = _dyadic_search(form, budget)
+        m, u, exps, sigma, d, c = _dyadic_search(form)
         sigma = _standardize(m, u, exps, sigma)
     cert = ReductionCertificate._of_rows(u, c, _from_rows(m, d, form.ctx), GKType(exps, sigma))
     ok, reason = verify_certificate(form, cert)

@@ -39,7 +39,6 @@ from .forms import (
     random_unimodular,
     signed_disc,
     transform,
-    validate_form,
 )
 from .invariants import check_inverse_bounds, classify_binary, egk_of, eta, gk, xi
 from .involutions import (
@@ -180,7 +179,7 @@ def _random_gk_group_element(exps, ctx, rng):
         x = rng.randint(-ctx.p, ctx.p) * ctx.p**need
         for row in u:
             row[j] += x * row[i]
-    return linalg.mat(u)
+    return u
 
 
 def qform_suite(trials: int = 120, seed: int = 1) -> list[CheckResult]:
@@ -194,7 +193,7 @@ def qform_suite(trials: int = 120, seed: int = 1) -> list[CheckResult]:
         u2 = random_unimodular(n, ctx, rng)
         lhs = transform(transform(b, u1), u2)
         rhs = transform(b, linalg.matmul(u1, u2))
-        if lhs.entries != rhs.entries:
+        if lhs != rhs:
             fails.append(f"composition p={ctx.p}")
         if delta(transform(b, u1)) != delta(b):
             fails.append(f"delta invariance p={ctx.p}")
@@ -241,7 +240,7 @@ def _enumerate_s(form: HalfIntegralForm, cap: int):
 
 # ---------------------------------------------------------------- involutions
 
-def involution_suite(max_n: int = 6, max_val: int = 3, seed: int = 2) -> list[CheckResult]:
+def involution_suite(max_n: int = 6, max_val: int = 3) -> list[CheckResult]:
     out: list[CheckResult] = []
     fails = []
     census_fails = []
@@ -356,8 +355,8 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
                 continue
             r = synthesize_reduced(g, ctx2, sigma)
             y, l = linalg.inverse(r.rows)  # (4R)^-1 = den·Y / 4L
-            inv = linalg.over([[r.den * x for x in row] for row in y], 4 * l)
-            if not matrix_in_lattice(inv, tuple(-a for a in exps), ctx2):
+            inv = [[r.den * x for x in row] for row in y]
+            if not matrix_in_lattice(inv, 4 * l, tuple(-a for a in exps), ctx2):
                 fails.append(f"scaled inverse bounds {g}")
     out.append(_result("pair-only reduced forms have controlled inverses", fails))
 
@@ -366,20 +365,20 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
         g = random_egk(rng, max_r=3, max_m=3, max_n=5)
         b = synthesize_reduced(g, ctx2)
         cert = reduce_form(b)  # source already optimal
-        if not in_gk_group(cert.u, cert.exps, ctx2):
+        # U = y·diag(c)^-1 with every c_j odd has the orders and det class of y
+        if any(cj % 2 == 0 for cj in cert.c) or not in_gk_group(cert.y, cert.exps, ctx2):
             fails.append(f"certificate transform left the group {g}")
     out.append(_result("optimal sources get in-group transforms", fails))
     return out
 
 
 def _random_lower_unipotent(exps, ctx, rng):
-    n = len(exps)
-    u = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            if exps[i] > exps[j]:
+    u = linalg.identity(len(exps))
+    for i, ai in enumerate(exps):
+        for j, aj in enumerate(exps):
+            if ai > aj:
                 u[i][j] = rng.randint(-ctx.p**2, ctx.p**2)
-    return linalg.mat(u)
+    return u
 
 
 # ---------------------------------------------------------------- invariants
@@ -507,17 +506,17 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
 
 def _perturb_strictly(form: HalfIntegralForm, exps, rng) -> HalfIntegralForm:
     """Add a random symmetric matrix lying strictly inside the valuation
-    lattice of ``exps`` (every bound exceeded by at least one digit)."""
-    n = form.n
-    rows = [list(row) for row in form.entries]
+    lattice of ``exps`` >= 0 (each bound exceeded by at least one digit)."""
+    n, den = form.n, form.den
+    rows = [list(row) for row in form.rows]
     for i in range(n):
-        rows[i][i] += rng.randint(0, 2) * Fraction(2) ** (exps[i] + 1)
+        rows[i][i] += rng.randint(0, 2) * den * 2 ** (exps[i] + 1)
         for j in range(i + 1, n):
             need = (exps[i] + exps[j]) // 2 + 1  # strict, so one digit above
-            bump = rng.randint(0, 2) * Fraction(2) ** need / 2
+            bump = rng.randint(0, 2) * den * 2 ** (need - 1)  # 2·bump has order need
             rows[i][j] += bump
             rows[j][i] += bump
-    return validate_form(rows, form.ctx)
+    return _from_rows(rows, den, form.ctx)
 
 
 def _unramified_binary(target_xi: int, scale: int, ctx: PrimeContext):
@@ -526,8 +525,7 @@ def _unramified_binary(target_xi: int, scale: int, ctx: PrimeContext):
     if ctx.p == 2:
         return _from_rows(_unramified_pair(target_xi, scale), 2, ctx)
     u = 1 if target_xi == 1 else nonsquare_unit(ctx)
-    f = Fraction(ctx.p) ** scale
-    return validate_form([[f, 0], [0, -u * f]], ctx)
+    return _from_rows([[ctx.p**scale, 0], [0, -u * ctx.p**scale]], 1, ctx)
 
 
 # ---------------------------------------------------------------- egk
@@ -634,7 +632,7 @@ def oracle_suite(trials: int = 40, seed: int = 6) -> list[CheckResult]:
 
 SUITES = {
     "padic": lambda trials, seed: padic_suite(trials, seed) + qform_suite(max(trials // 3, 30), seed + 1),
-    "reducer": lambda trials, seed: involution_suite(seed=seed)
+    "reducer": lambda trials, seed: involution_suite()
     + reducer_suite(max(trials // 2, 30), seed + 2)
     + invariant_suite(max(trials // 2, 30), seed + 3)
     + oracle_suite(max(trials // 4, 20), seed + 4),

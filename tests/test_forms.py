@@ -105,6 +105,11 @@ def test_gk_group_examples():
     assert not in_gk_group(upper, (0, 2), CTX2)  # shear too shallow
     assert in_gk_group([[1, 2], [0, 1]], (0, 2), CTX2)
     assert not in_gk_group([[2, 0], [0, 1]], (0, 0), CTX2)  # det not a unit
+    # a Fraction U: p in a denominator leaves Z_p; a unit denominator is read
+    # through, so 3/2 has order 1 at p = 3 and 1/2 has order 0
+    assert not in_gk_group([[1, Fraction(1, 2)], [0, 1]], (0, 0), CTX2)
+    assert in_gk_group([[1, Fraction(3, 2)], [0, Fraction(1, 2)]], (0, 2), CTX3)
+    assert not in_gk_group([[1, Fraction(1, 2)], [0, 1]], (0, 2), CTX3)
 
 
 def test_gk_group_and_unimodular_take_square_matrices_only():
@@ -114,7 +119,7 @@ def test_gk_group_and_unimodular_take_square_matrices_only():
         with pytest.raises(FormError, match="transform size mismatch"):
             in_gk_group(u, (0,) * len(u), CTX2)
     for u in ([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1], [0]]):
-        assert not is_unimodular(linalg.mat(u), CTX3)
+        assert not is_unimodular(u, CTX3)
         assert not is_unimodular(u, CTX2)
 
 

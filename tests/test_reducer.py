@@ -57,7 +57,7 @@ def naive_is_reduced(form, gk_type, deltas):
     (a_i, a_j), and the strict bound off the pairs.  Adds (p, delta) of every
     non-degenerate pair to ``deltas``."""
     exps, sigma, b, ctx = gk_type.exps, gk_type.sigma, form.entries, form.ctx
-    if not matrix_in_lattice(b, exps, ctx):
+    if not matrix_in_lattice(form.rows, form.den, exps, ctx):
         return False
     for i in range(form.n):
         j = sigma[i]
@@ -335,11 +335,12 @@ def test_verify_rejects_admissible_but_nonstandard_involution():
     assert not ok and "standard" in reason
 
 
-def test_budget_exhaustion_is_loud():
+def test_budget_exhaustion_is_loud(monkeypatch):
     rng = random.Random(3)
     b = random_form(4, CTX2, rng, height=4)
+    monkeypatch.setattr(reducer, "SEARCH_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
-        reduce_form(b, budget=1)
+        reduce_form(b)
 
 
 def test_failed_collision_shear_is_a_reduction_error(monkeypatch):
@@ -420,9 +421,12 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
     forms = _fresh_forms()
     dyadic = forms[0]
     before = dict(vars(dyadic))
+    budget = reducer.SEARCH_BUDGET
+    monkeypatch.setattr(reducer, "SEARCH_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
-        reduce_form(dyadic, budget=1)
+        reduce_form(dyadic)
     assert vars(dyadic) == before
+    monkeypatch.setattr(reducer, "SEARCH_BUDGET", budget)
     verify = reducer.verify_certificate
     monkeypatch.setattr(reducer, "verify_certificate", lambda *args: (False, "refused"))
     for form in forms:
@@ -436,7 +440,8 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
         cert = reduce_form(form)
         assert calls == {"search": 1, "verify": 1}
         assert verify_certificate(form, cert) == (True, "ok")
-    assert reduce_form(dyadic, budget=1) is reduce_form(dyadic)
+    monkeypatch.setattr(reducer, "SEARCH_BUDGET", 1)
+    assert reduce_form(dyadic) is reduce_form(dyadic)
 
 
 def test_reduce_empty_and_unary():
