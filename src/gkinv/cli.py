@@ -2,7 +2,8 @@
 certificates, synthesize witnesses, generate corpora, run the self tests.
 
 Forms travel as JSON ``{"p": <prime>, "matrix": [[<rational-string>, ...]]}``;
-a top-level array is batch mode.  Certificates are
+a top-level array is batch mode, and ``verify`` takes a batch of forms with
+a list of as many certificates.  Certificates are
 ``{"U": matrix, "R": matrix, "ua": [ints], "sigma": [1-indexed image]}``.
 All rationals are exact ``num/den`` strings, never floats; the prime and the
 integer lists (``ua``, ``sigma``, and ``n``, ``m``, ``zeta`` for ``synth``)
@@ -230,14 +231,19 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    form = _form_from_payload(_load_json(args.input))
-    cert = _cert_from_payload(_load_json(args.certificate), form.ctx)
-    ok, reason = verify_certificate(form, cert)
-    if ok:
-        _emit({"verified": True})
-        return 0
-    _emit({"verified": False, "reason": reason})
-    return 2
+    data = _load_json(args.input)
+    batch = isinstance(data, list)
+    forms = [_form_from_payload(payload) for payload in (data if batch else [data])]
+    certs = _load_json(args.certificate)
+    if batch and (not isinstance(certs, list) or len(certs) != len(forms)):
+        detail = f"a batch of {len(forms)} forms needs a list of {len(forms)} certificates"
+        raise CliError(1, {"error": "bad_certificate", "detail": detail})
+    results = []
+    for form, payload in zip(forms, certs if batch else [certs]):
+        ok, reason = verify_certificate(form, _cert_from_payload(payload, form.ctx))
+        results.append({"verified": True} if ok else {"verified": False, "reason": reason})
+    _emit(results if batch else results[0])
+    return 0 if all(r["verified"] for r in results) else 2
 
 
 def _cmd_synth(args) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .forms import HalfIntegralForm, _from_rows, leading
-from .invariants import eta, xi
-from .involutions import GKType, blocks, is_standard, standard_involutions
+from .invariants import block_sign, xi
+from .involutions import GKType, blocks, is_standard, standard_involution
 from .padic import PrimeContext, nonsquare_unit, valuation, zpow
 from .reducer import binary_gk, is_reduced
 
@@ -229,8 +229,7 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
             form = _from_rows(
                 [[cand[r] if r == c else 0 for c in range(i)] for r in range(i)], 1, ctx
             )
-            got = xi(form) if i % 2 == 0 else eta(form)
-            if got == eps:
+            if block_sign(form) == eps:
                 diag = cand
                 break
         else:
@@ -241,10 +240,7 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
 
 def naive_datum_of_diagonal(form: HalfIntegralForm) -> NaiveEGK:
     """Per-prefix invariants of a non-dyadic diagonal form with sorted orders."""
-    eps = tuple(
-        xi(leading(form, i)) if i % 2 == 0 else eta(leading(form, i))
-        for i in range(1, form.n + 1)
-    )
+    eps = tuple(block_sign(leading(form, i)) for i in range(1, form.n + 1))
     v = valuation(form.den, form.ctx)
     a = tuple(valuation(form.rows[i][i], form.ctx) - v for i in range(form.n))
     return NaiveEGK(a, eps)
@@ -274,7 +270,7 @@ def synthesize_reduced(
     h = lift(g)  # raises EGKError on a datum that breaks the axioms
     exps = h.a
     if sigma is None:
-        sigma = standard_involutions(exps)[0]
+        sigma = standard_involution(exps)
     sigma = tuple(sigma)
     if not is_standard(exps, sigma):
         raise EGKError("involution is not standard for the datum's exponents")
@@ -295,7 +291,7 @@ def synthesize_reduced(
             elif exps[i] < m:  # raised: complete the pair with its partner i
                 keep = [k for k in range(j) if k != i]
                 minor = _from_rows(linalg.submatrix(rows, keep, keep), 2, ctx)
-                target = z * (xi(minor) if j % 2 else eta(minor))
+                target = z * block_sign(minor)
                 rows[i][j], rows[j][j] = _complete_pair(rows[i][i], exps[i], m, target, ctx)
                 rows[j][i] = rows[i][j]
             elif i < j:  # equal pair (i, j), adjacent in a standard involution

@@ -39,6 +39,11 @@ def xi(form: HalfIntegralForm) -> int:
     return xi_code(signed_disc(form), form.ctx)
 
 
+def block_sign(form: HalfIntegralForm) -> int:
+    """The EGK sign of a leading block: xi in even size, eta in odd size."""
+    return xi(form) if form.n % 2 == 0 else eta(form)
+
+
 def _field_pivots(form: HalfIntegralForm) -> tuple[list[int], int]:
     """(pivots, den) of a diagonalization of the form over the field, by the
     fraction-free steps of ``linalg.eliminate`` on den·B: pivot k is the
@@ -157,9 +162,7 @@ def egk_of(form: HalfIntegralForm) -> EGKDatum:
     bl = blocks(cert.exps)
     zeta = []
     for s in range(bl.r):
-        k = bl.starts[s] + bl.sizes[s]
-        sub = leading(r, k)
-        zeta.append(xi(sub) if k % 2 == 0 else eta(sub))
+        zeta.append(block_sign(leading(r, bl.starts[s] + bl.sizes[s])))
     datum = EGKDatum(bl.sizes, bl.values, tuple(zeta))
     ok, bad = validate_egk(datum)
     if not ok:

@@ -149,60 +149,54 @@ class GKType:
         return is_standard(self.exps, self.sigma)
 
 
+def _scan(bl: BlockStructure, mask: int) -> tuple[Involution, int]:
+    """One standard involution and the count K of choice blocks, from one
+    left-to-right pass keeping the open dangling index of each exponent
+    parity.  An odd-sized block raises its first index against the open slot
+    of its parity, or else dangles its last.  An even-sized block that meets
+    an open slot is a choice block: bit t of ``mask`` makes the t-th do both
+    or neither.  The rest of each block is adjacent equal pairs."""
+    sigma = list(range(sum(bl.sizes)))
+    open_slot: dict[int, int] = {}  # exponent parity -> dangling index
+    k = 0
+    for size, lo, value in zip(bl.sizes, bl.starts, bl.values):
+        par = value % 2
+        if size % 2:
+            raises = par in open_slot
+            dangles = not raises
+        elif par in open_slot:
+            raises = dangles = bool(mask >> k & 1)
+            k += 1
+        else:
+            raises = dangles = False
+        hi = lo + size - 1
+        if raises:
+            d = open_slot.pop(par)
+            sigma[d], sigma[lo] = lo, d
+        for i in range(lo + raises, hi - dangles, 2):
+            sigma[i], sigma[i + 1] = i + 1, i
+        if dangles:
+            open_slot[par] = hi
+    return tuple(sigma), k
+
+
 def choice_block_count(exps) -> int:
-    """K: number of even-sized blocks preceded by an odd count of odd-sized
-    blocks of equal exponent parity.  Standard involutions number 2^K."""
-    return len(_choice_blocks(blocks(exps)))
+    """K: the number of even-sized blocks that meet an open slot of their
+    exponent parity.  Standard involutions number 2^K."""
+    return _scan(blocks(exps), 0)[1]
 
 
-def _choice_blocks(bl: BlockStructure) -> list[int]:
-    return [s for s in range(bl.r) if bl.sizes[s] % 2 == 0 and _k_s(bl, s) % 2 == 1]
-
-
-def _k_s(bl: BlockStructure, s: int) -> int:
-    return sum(
-        1
-        for u in range(s)
-        if (bl.values[u] - bl.values[s]) % 2 == 0 and bl.sizes[u] % 2 == 1
-    )
+def standard_involution(exps) -> Involution:
+    """The first standard involution for ``exps``, every choice block laid
+    out as adjacent pairs: the one the reducers attach."""
+    return _scan(blocks(exps), 0)[0]
 
 
 def standard_involutions(exps) -> list[Involution]:
-    """Complete duplicate-free list of standard involutions for ``exps``.
-
-    Odd-sized blocks are forced (they either open a dangling slot or consume
-    one, alternating within each exponent parity); even-sized blocks with an
-    open same-parity slot may freely do both or neither, giving 2^K lists.
-    """
-    exps = tuple(exps)
+    """Complete duplicate-free list of the 2^K standard involutions for
+    ``exps``, one scan per choice mask, in mask order."""
     bl = blocks(exps)
-    choice_blocks = _choice_blocks(bl)
-    out: list[Involution] = []
-    for mask in range(1 << len(choice_blocks)):
-        chosen = {choice_blocks[t] for t in range(len(choice_blocks))
-                  if mask >> t & 1}
-        sigma = list(range(len(exps)))
-        open_slot: dict[int, int] = {}  # exponent parity -> dangling index
-        for s in range(bl.r):
-            par = bl.values[s] % 2
-            if bl.sizes[s] % 2 == 1:
-                has_plus = _k_s(bl, s) % 2 == 1
-                has_dangler = not has_plus
-            else:
-                has_plus = has_dangler = s in chosen
-            lo = bl.starts[s]
-            hi = lo + bl.sizes[s] - 1
-            if has_plus:  # _k_s is odd, so a slot of this parity is open
-                d = open_slot.pop(par)
-                sigma[d], sigma[lo] = lo, d
-            first = lo + (1 if has_plus else 0)
-            last = hi - (1 if has_dangler else 0)
-            for i in range(first, last, 2):
-                sigma[i], sigma[i + 1] = i + 1, i
-            if has_dangler:
-                open_slot[par] = hi
-        out.append(tuple(sigma))
-    return out
+    return [_scan(bl, mask)[0] for mask in range(1 << _scan(bl, 0)[1])]
 
 
 def plus_signature(exps, sigma: Involution) -> tuple[int, ...]:

@@ -53,7 +53,7 @@ from .forms import (
     is_unimodular,
     norm_ideal_ord,
 )
-from .involutions import GKType, blocks, is_standard, standard_involutions
+from .involutions import GKType, blocks, is_standard, standard_involution
 from .linalg import Matrix
 from .padic import INF, PrimeContext, Rational, _disc_ideal_ord, valuation
 
@@ -432,7 +432,7 @@ def jordan_split(form: HalfIntegralForm):
     # the prev_k, since a form has one denominator
     l = math.lcm(*prevs)
     diag = [[m[i][i] * (l // prevs[i]) if i == j else 0 for j in range(n)] for i in range(n)]
-    return diag, u, exps, standard_involutions(exps)[0], form.den * l, prevs
+    return diag, u, exps, standard_involution(exps), form.den * l, prevs
 
 
 # the instance-dict key under which a form keeps its verified certificate,

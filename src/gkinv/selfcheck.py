@@ -40,7 +40,7 @@ from .forms import (
     signed_disc,
     transform,
 )
-from .invariants import check_inverse_bounds, classify_binary, egk_of, eta, gk, xi
+from .invariants import block_sign, check_inverse_bounds, classify_binary, egk_of, eta, gk, xi
 from .involutions import (
     GKType,
     all_involutions,
@@ -49,6 +49,7 @@ from .involutions import (
     is_standard,
     plus_signature,
     restrict,
+    standard_involution,
     standard_involutions,
 )
 from .oracle import (
@@ -467,8 +468,7 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
         for k in range(1, n):
             if exps[k - 1] < exps[k]:
                 f1, f2 = leading(r1, k), leading(r2, k)
-                same = xi(f1) == xi(f2) if k % 2 == 0 else eta(f1) == eta(f2)
-                if not same:
+                if block_sign(f1) != block_sign(f2):
                     fails.append(f"leading block sign differs at k={k}")
     out.append(_result("leading-block signs stable across bases", fails))
 
@@ -569,7 +569,7 @@ def egk_suite(trials: int = 80, seed: int = 5) -> list[CheckResult]:
     for _ in range(trials):
         g = random_egk(rng, max_r=2, max_m=3, max_n=5)
         exps = g.expand_exps()
-        sigma = standard_involutions(exps)[0]
+        sigma = standard_involution(exps)
         b = synthesize_reduced(g, ctx2, sigma)
         n = b.n
         if n < 2:

@@ -81,6 +81,45 @@ def test_verify_rejects_mismatched_certificate(tmp_path, capsys):
     assert json.loads(out)["verified"] is False
 
 
+def _reduced_batch(tmp_path, capsys):
+    """A two-form batch from ``rand`` and the certificates ``reduce`` emits
+    for it, as (form path, certificate path, certificates)."""
+    code, out = run_cli(["rand", "--n", "3", "--p", "3", "--count", "2", "--seed", "1"], capsys)
+    forms = write(tmp_path, "forms.json", json.loads(out))
+    cert_path = str(tmp_path / "certs.json")
+    code, out = run_cli(["reduce", "--input", forms, "--emit-certificate", cert_path], capsys)
+    assert code == 0
+    return forms, cert_path, json.loads(out)
+
+
+def test_verify_reads_the_batch_that_reduce_writes(tmp_path, capsys):
+    forms, cert_path, certs = _reduced_batch(tmp_path, capsys)
+    assert len(certs) == 2
+    code, out = run_cli(["verify", "--input", forms, "--certificate", cert_path], capsys)
+    assert code == 0
+    assert out == '[{"verified":true},{"verified":true}]\n'
+
+
+def test_verify_batch_reports_each_tampered_item(tmp_path, capsys):
+    forms, _, certs = _reduced_batch(tmp_path, capsys)
+    certs[1] = certs[0]  # the first form's certificate, for the second form
+    cert_path = write(tmp_path, "tampered.json", certs)
+    code, out = run_cli(["verify", "--input", forms, "--certificate", cert_path], capsys)
+    assert code == 2
+    first, second = json.loads(out)
+    assert first == {"verified": True}
+    assert second["verified"] is False and second["reason"]
+
+
+def test_verify_batch_needs_one_certificate_per_form(tmp_path, capsys):
+    forms, _, certs = _reduced_batch(tmp_path, capsys)
+    for payload in (certs[:1], certs + certs[:1], certs[0]):
+        cert_path = write(tmp_path, "short.json", payload)
+        code, out = run_cli(["verify", "--input", forms, "--certificate", cert_path], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == "bad_certificate"
+
+
 def test_invalid_input_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"p": 2, "matrix": [["1/2", "0"], ["0", "1"]]})
     code, out = run_cli(["compute", "--what", "gk", "--input", path], capsys)
@@ -367,6 +406,33 @@ def test_large_primes_are_decided_quickly(tmp_path):
         assert "Traceback" not in err and proc.returncode == code, (p, err)
         out = json.loads(out)
         assert out == expect if code == 0 else out["error"] == expect
+
+
+def test_gk_of_many_choice_blocks_is_quick(tmp_path):
+    """gk attaches one standard involution, built directly: the p = 3
+    diagonal form of exponents (0, 1, 2, 2, 3, 3, ...) at n = 44 has 2^21
+    standard involutions, and its gk is printed within 10 s."""
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    exps = [0, 1] + [2 + i // 2 for i in range(42)]
+    matrix = [[str(3**a) if i == j else "0" for j in range(44)] for i, a in enumerate(exps)]
+    path = write(tmp_path, "f.json", {"p": 3, "matrix": matrix})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkinv.cli", "compute", "--what", "gk", "--input", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError("gk of the n = 44 form ran past 10 s")
+    assert proc.returncode == 0, err
+    assert json.loads(out) == {"gk": exps}
 
 
 def test_synth_work_is_bounded(tmp_path):

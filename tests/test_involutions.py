@@ -12,6 +12,7 @@ from gkinv.involutions import (
     is_standard,
     plus_signature,
     restrict,
+    standard_involution,
     standard_involutions,
 )
 from gkinv.linalg import identity
@@ -52,6 +53,66 @@ def test_standard_involutions_examples():
     assert standard_involutions((0, 1)) == [(0, 1)]
     assert standard_involutions((0, 0)) == [(1, 0)]
     assert standard_involutions(()) == [()]
+
+
+def reference_choice_blocks(bl):
+    return [s for s in range(bl.r) if bl.sizes[s] % 2 == 0 and reference_k_s(bl, s) % 2 == 1]
+
+
+def reference_k_s(bl, s):
+    return sum(
+        1
+        for u in range(s)
+        if (bl.values[u] - bl.values[s]) % 2 == 0 and bl.sizes[u] % 2 == 1
+    )
+
+
+def reference_standard_involutions(exps):
+    """The earlier enumeration: the choice blocks from a pre-pass over the
+    odd-sized blocks before each block, then one layout per mask."""
+    exps = tuple(exps)
+    bl = blocks(exps)
+    choice_blocks = reference_choice_blocks(bl)
+    out = []
+    for mask in range(1 << len(choice_blocks)):
+        chosen = {choice_blocks[t] for t in range(len(choice_blocks))
+                  if mask >> t & 1}
+        sigma = list(range(len(exps)))
+        open_slot = {}
+        for s in range(bl.r):
+            par = bl.values[s] % 2
+            if bl.sizes[s] % 2 == 1:
+                has_plus = reference_k_s(bl, s) % 2 == 1
+                has_dangler = not has_plus
+            else:
+                has_plus = has_dangler = s in chosen
+            lo = bl.starts[s]
+            hi = lo + bl.sizes[s] - 1
+            if has_plus:
+                d = open_slot.pop(par)
+                sigma[d], sigma[lo] = lo, d
+            first = lo + (1 if has_plus else 0)
+            last = hi - (1 if has_dangler else 0)
+            for i in range(first, last, 2):
+                sigma[i], sigma[i + 1] = i + 1, i
+            if has_dangler:
+                open_slot[par] = hi
+        out.append(tuple(sigma))
+    return out
+
+
+def test_scan_matches_the_reference_enumeration_exhaustively():
+    """Every non-decreasing sequence of n <= 8 entries in 0..4: the same
+    lists in the same order, K from the scan, and the first one alone."""
+    sequences = 0
+    for n in range(9):
+        for exps in combinations_with_replacement(range(5), n):
+            sequences += 1
+            ref = reference_standard_involutions(exps)
+            assert standard_involutions(exps) == ref, exps
+            assert len(ref) == 2 ** choice_block_count(exps)
+            assert standard_involution(exps) == ref[0]
+    assert sequences == 1287
 
 
 def test_restrict_examples():
