@@ -199,6 +199,9 @@ def _reduce_one(payload) -> dict:
 
 
 def _map_items(fn, items, jobs: int):
+    if jobs < 1:
+        detail = f"--jobs must be at least 1, got {jobs}"
+        raise CliError(1, {"error": "bad_jobs_option", "detail": detail})
     # a worker per item at most, and no more workers than cores
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:

@@ -18,6 +18,7 @@ search again.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import Matrix
-from .padic import INF, PrimeContext, quad_ext, valuation
+from .padic import PrimeContext, quad_ext, valuation
 
 
 class FormError(ValueError):
@@ -129,13 +130,16 @@ def delta(form: HalfIntegralForm) -> int:
 
 
 def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
-    """Order of the ideal of represented values; the first gk entry."""
-    n, ctx, r = form.n, form.ctx, form.rows
-    vals = [valuation(r[i][i], ctx) for i in range(n)]
-    vals += [  # ord(2x) = ord(x) + e
-        valuation(r[i][j], ctx) + ctx.e for i in range(n) for j in range(i + 1, n)
-    ]
-    return min(vals) - valuation(form.den, ctx) if vals else INF
+    """Order of the ideal of represented values; the first gk entry: the least
+    order of the b_ii and the 2 b_ij, read off their gcd (INF if all are 0)."""
+    return valuation(_norm_gcd(form.rows), form.ctx) - valuation(form.den, form.ctx)
+
+
+def _norm_gcd(rows, k: int = 0) -> int:
+    """gcd of the diagonal and doubled entries of the integer rows from
+    coordinate k on: its order is their least order (0 if all are 0)."""
+    idx = range(k, len(rows))
+    return math.gcd(*(rows[i][i] for i in idx), *(2 * x for i in idx for x in rows[i][i + 1 :]))
 
 
 def matrix_in_lattice(rows, den: int, exps, ctx: PrimeContext, strict: bool = False) -> bool:

@@ -49,6 +49,7 @@ from .forms import (
     FormError,
     HalfIntegralForm,
     _from_rows,
+    _norm_gcd,
     delta,
     is_unimodular,
     norm_ideal_ord,
@@ -257,22 +258,15 @@ def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     return l
 
 
-def _ordb(m, ctx: PrimeContext, s: int, i: int, j: int):
-    """The 2-adic order of the exact entry (i, j), doubled off the diagonal,
-    for integer rows m that are the exact ones times 2^s·(odd)."""
-    x = m[i][j]
-    if not x:
-        return INF
-    v = valuation(x, ctx) - s
-    return v if i == j else v + 1
-
-
 def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
     """Every admissible move (c, kind, x, y) from the reduced prefix of the
     form m / (2^s·odd): kind 0 pairs fixed point x with tail coordinate y, 1
     splits the tail pair (x, y), 2 admits the fixed point x, 3 shears tail
     diagonal y against the fixed point x whose exponent it collides with in
-    parity."""
+    parity.  Orders are read on the integers, doubled off the diagonal: the
+    tail's least order c_tail is that of the gcd of its diagonal and doubled
+    entries minus s (INF for a zero tail), and an entry attains it iff
+    2^(c_tail + s + 1) does not divide it."""
     k, n = len(exps), len(m)
     amin = exps[-1] if exps else 0
     cap = (det_cap - sum(exps)) // (n - k)
@@ -281,30 +275,26 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
     moves = []
     for h in fixed:
         for j in tail:
-            v = _ordb(m, ctx, s, h, j)
-            if v is INF:
+            x = m[h][j]
+            if not x:
                 continue
-            c = 2 * v - exps[h]
-            if c < amin or c > cap:
-                continue
-            if _ordb(m, ctx, s, j, j) < c:
-                continue
-            moves.append((c, 0, h, j))
-    tail_ords = {(i, j): _ordb(m, ctx, s, i, j) for i in tail for j in tail if i <= j}
-    finite = [v for v in tail_ords.values() if v is not INF]
-    if finite:
-        c_tail = min(finite)
-        if amin <= c_tail <= cap:
-            collision = next((h for h in fixed if (exps[h] - c_tail) % 2 == 0), None)
-            for (i, j), v in tail_ords.items():
-                if v != c_tail:
-                    continue
-                if i < j:
-                    moves.append((c_tail, 1, i, j))
-                elif collision is None:
+            c = 2 * (valuation(x, ctx) - s + 1) - exps[h]
+            # the tail diagonal must not undercut c: ord(b_jj) >= c
+            if amin <= c <= cap and m[j][j] % 2 ** (c + s) == 0:
+                moves.append((c, 0, h, j))
+    c_tail = valuation(_norm_gcd(m, k), ctx) - s
+    if amin <= c_tail <= cap:
+        q = 2 ** (c_tail + s + 1)
+        collision = next((h for h in fixed if (exps[h] - c_tail) % 2 == 0), None)
+        for i in tail:
+            if m[i][i] % q:
+                if collision is None:
                     moves.append((c_tail, 2, i, i))
                 else:
                     moves.append((c_tail, 3, collision, i))
+            for j in range(i + 1, n):
+                if 2 * m[i][j] % q:
+                    moves.append((c_tail, 1, i, j))
     return moves
 
 
@@ -398,8 +388,13 @@ def jordan_split(form: HalfIntegralForm):
     pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows.  Returns (M, U, exps, sigma, d, c) with B[U·diag(c)^-1]
-    = M / d, c = (prev_k) and d = den·lcm(prev_k), as ``_dyadic_search`` does."""
+    on the exact rows.  Step k reads the tail's least order v_k off the gcd
+    of its entries; the pivot is the first tail diagonal entry that
+    p^(v_k + 1) does not divide, else the shear e_i += e_j by the first such
+    (i, j) above the diagonal, in row-major order, exposes one at i.  The
+    pivot becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Returns (M, U,
+    exps, sigma, d, c) with B[U·diag(c)^-1] = M / d, c = (prev_k) and
+    d = den·lcm(prev_k), as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -408,26 +403,22 @@ def jordan_split(form: HalfIntegralForm):
     n = form.n
     m = [list(row) for row in form.rows]
     u = linalg.identity(n)
-    prev, prevs = 1, []
+    prev, prevs, exps, last = 1, [], (), 0
     for k in range(n):
-        idx = range(k, n)
-        # ord(2x) = ord(x) at odd p, so _ordb is the plain valuation here
-        ords = {(i, j): valuation(m[i][j], ctx) for i in idx for j in range(i, n)}
-        v, i, j = min((v, i, j) for (i, j), v in ords.items())
-        if i != j and all(ords[t, t] > v for t in idx):
-            # expose a minimal-order diagonal entry: the sum vector works
-            linalg.shear(m, j, i, 1, u)
-            ords[i, i] = valuation(m[i][i], ctx)
-        piv = min(idx, key=lambda t: ords[t, t])
-        perm = tuple(range(k)) + (piv,) + tuple(t for t in idx if t != piv)
+        v = valuation(math.gcd(*(x for i in range(k, n) for x in m[i][i:])), ctx)
+        q = ctx.p ** (v + 1)
+        piv = next((t for t in range(k, n) if m[t][t] % q), None)
+        if piv is None:
+            piv, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] % q)
+            linalg.shear(m, j, piv, 1, u)
+        perm = tuple(range(k)) + (piv,) + tuple(t for t in range(k, n) if t != piv)
         linalg.permute(m, perm, u)
         prevs.append(prev)
+        exps += (v - last,)
         linalg.eliminate(m, k, prev, u)
-        prev = m[k][k]
+        prev, last = m[k][k], v
     # each pivot has the least order in its tail and elimination keeps the
-    # tail at or above it, so the diagonal orders are already non-decreasing;
-    # den is a unit, so pivot k / prev_k has the order of the exact entry
-    exps = tuple(valuation(m[k][k], ctx) - valuation(pk, ctx) for k, pk in enumerate(prevs))
+    # tail at or above it, so the exponents are already non-decreasing
     # R_kk = m[k][k] / (den·prev_k), over den times the common multiple l of
     # the prev_k, since a form has one denominator
     l = math.lcm(*prevs)

@@ -325,6 +325,20 @@ def test_selftest_rejects_trials_below_one(capsys):
         }
 
 
+def test_jobs_below_one_are_rejected(tmp_path, capsys):
+    """A pool of no workers is not a sequential run: --jobs 0 and -4 exit 1
+    with one JSON document, as --trials 0 does."""
+    path = write(tmp_path, "b.json", [DIAG11, DIAG11])
+    for cmd in (["compute", "--what", "gk"], ["reduce"]):
+        for jobs in ("0", "-4"):
+            code, out = run_cli(cmd + ["--input", path, "--jobs", jobs], capsys)
+            assert code == 1
+            assert out.count("\n") == 1
+            assert json.loads(out) == {
+                "error": "bad_jobs_option", "detail": f"--jobs must be at least 1, got {jobs}"
+            }
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gkinv.cli", "selftest", "--suite", "padic", "--trials", "20"],
@@ -408,14 +422,16 @@ def test_large_primes_are_decided_quickly(tmp_path):
         assert out == expect if code == 0 else out["error"] == expect
 
 
-def test_gk_of_many_choice_blocks_is_quick(tmp_path):
-    """gk attaches one standard involution, built directly: the p = 3
-    diagonal form of exponents (0, 1, 2, 2, 3, 3, ...) at n = 44 has 2^21
-    standard involutions, and its gk is printed within 10 s."""
+@pytest.mark.parametrize("n", [44, 100])
+def test_gk_of_many_choice_blocks_is_quick(tmp_path, n):
+    """gk attaches one standard involution, built directly, and reads each
+    pivot's order off one gcd of the tail: the p = 3 diagonal form of
+    exponents (0, 1, 2, 2, 3, 3, ...) has 2^21 standard involutions at
+    n = 44 and 2^49 at n = 100, and its gk is printed within 10 s."""
     src = str(Path(gkinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    exps = [0, 1] + [2 + i // 2 for i in range(42)]
-    matrix = [[str(3**a) if i == j else "0" for j in range(44)] for i, a in enumerate(exps)]
+    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
+    matrix = [[str(3**a) if i == j else "0" for j in range(n)] for i, a in enumerate(exps)]
     path = write(tmp_path, "f.json", {"p": 3, "matrix": matrix})
     proc = subprocess.Popen(
         [sys.executable, "-m", "gkinv.cli", "compute", "--what", "gk", "--input", path],
@@ -430,7 +446,7 @@ def test_gk_of_many_choice_blocks_is_quick(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise AssertionError("gk of the n = 44 form ran past 10 s")
+        raise AssertionError(f"gk of the n = {n} form ran past 10 s")
     assert proc.returncode == 0, err
     assert json.loads(out) == {"gk": exps}
 

@@ -256,6 +256,26 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
     assert verify_certificate(b, cert) == (True, "ok")
 
 
+def test_jordan_split_reads_one_order_per_step(monkeypatch):
+    """Each step reads the least order of its tail off one gcd, so the split
+    of an n-coordinate form calls valuation at most n times; a table of
+    every tail entry's order took 11,560 calls on this form at n = 40."""
+    calls = []
+    real = reducer.valuation
+
+    def counted(x, ctx):
+        calls.append(x)
+        return real(x, ctx)
+
+    n = 40
+    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
+    rows = [[3**a if i == j else 0 for j in range(n)] for i, a in enumerate(exps)]
+    b = validate_form(rows, CTX3)
+    monkeypatch.setattr(reducer, "valuation", counted)
+    assert jordan_split(b)[2] == tuple(exps)
+    assert len(calls) <= n
+
+
 def test_reduce_worked_example():
     b = validate_form([[1, 0], [0, 1]], CTX2)
     cert = reduce_form(b)
