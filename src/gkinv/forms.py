@@ -169,20 +169,12 @@ def membership(form: HalfIntegralForm, exps, strict: bool = False) -> bool:
 
 def is_unimodular(u, ctx: PrimeContext) -> bool:
     """U in GL_n(Z_p), for integer rows U (False unless square): det U is a
-    unit, decided by elimination over F_p on the entries reduced mod p,
-    exactly, as det(U mod p) = det U mod p."""
+    unit, decided by ``linalg.det`` on the entries reduced mod p, exactly, as
+    det(U mod p) = det U mod p."""
     p = ctx.p
     if any(len(row) != len(u) for row in u):
         return False
-    a = [[x % p for x in row] for row in u]
-    while a:  # eliminate the first column and drop the pivot row
-        piv = next((r for r in a if r[0]), None)
-        if piv is None:
-            return False
-        a.remove(piv)
-        c = pow(piv[0], -1, p)
-        a = [[(x - r[0] * c * y) % p for x, y in zip(r, piv)][1:] if r[0] else r[1:] for r in a]
-    return True
+    return linalg.det([[x % p for x in row] for row in u]) % p != 0
 
 
 def in_gk_group(u: Matrix, exps, ctx: PrimeContext) -> bool:

@@ -46,27 +46,15 @@ def block_sign(form: HalfIntegralForm) -> int:
 
 def _field_pivots(form: HalfIntegralForm) -> tuple[list[int], int]:
     """(pivots, den) of a diagonalization of the form over the field, by the
-    fraction-free steps of ``linalg.eliminate`` on den·B: pivot k is the
-    leading (k+1)-minor of den·B after the swaps and shears, so the diagonal
-    entries are d_k = piv_k / (den·piv_{k-1}), with piv_{-1} = 1."""
+    fraction-free steps of ``linalg.eliminate`` on den·B, each after
+    ``linalg.pivot`` has brought a non-zero entry to the diagonal: pivot k is
+    the leading (k+1)-minor of den·B after those moves and shears, so the
+    diagonal entries are d_k = piv_k / (den·piv_{k-1}), with piv_{-1} = 1."""
     a, den = [list(row) for row in form.rows], form.den
-    n = len(a)
     pivots: list[int] = []
     prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if piv is None:
-                i, j = next(
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                )
-                linalg.shear(a, j, i, 1)  # e_i += e_j exposes a nonzero diagonal
-                piv = i
-            if piv != k:
-                linalg.swap(a, k, piv)
+    for k in range(len(a)):
+        linalg.pivot(a, k, bool)
         linalg.eliminate(a, k, prev)
         prev = a[k][k]
         pivots.append(prev)

@@ -16,14 +16,15 @@ the reducers with ``congruence``.
 
 The in-place elimination kernel at the end is what both reducers run on:
 each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
-working U is given, to mutable lists of rows without building E.  ``swap``,
-``permute``, ``shear`` and ``scale`` work on rows of any exact numbers and
-give the same values as t(E) M E and U E; ``eliminate`` is a fraction-free
-step.  The reducers and the field diagonalization start from a form's
-integer rows den·B and keep every entry an integer, with a known scale, to
-the end: the Jordan split and the field diagonalization through
-``eliminate``, the dyadic search through ``solve_int`` and integer shears
-and scalings.
+working U is given, to mutable lists of rows without building E.  ``move``
+(the one coordinate move), ``shear`` and ``scale`` work on rows of any exact
+numbers and give the same values as t(E) M E and U E.  ``pivot`` is the one
+pivot step of the Jordan split and the field diagonalization, which differ
+only in the entries it accepts; ``eliminate`` is a fraction-free step.  The
+reducers and the field diagonalization start from a form's integer rows den·B
+and keep every entry an integer, with a known scale, to the end: the Jordan
+split and the field diagonalization through ``pivot`` and ``eliminate``, the
+dyadic search through ``solve_int``, integer shears and scalings, and ``move``.
 """
 
 from __future__ import annotations
@@ -169,22 +170,14 @@ def submatrix(m: Matrix, rows, cols) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def swap(m: Rows, i: int, j: int, u: Rows | None = None) -> None:
-    """E exchanges coordinates i and j."""
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-    if u is not None:
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
-
-def permute(m: Rows, new_to_old, u: Rows | None = None) -> None:
-    """E permutes coordinates: coordinate k of the result is coordinate
-    new_to_old[k] of the input."""
-    m[:] = [[m[s][t] for t in new_to_old] for s in new_to_old]
-    if u is not None:
-        u[:] = [[row[t] for t in new_to_old] for row in u]
+def move(m: Rows, t: int, k: int, u: Rows | None = None) -> None:
+    """E moves coordinate t to position k; the coordinates between them shift
+    by one.  In place, and nothing happens when t == k."""
+    if t == k:
+        return
+    m.insert(k, m.pop(t))
+    for row in m if u is None else m + u:
+        row.insert(k, row.pop(t))
 
 
 def shear(m: Rows, i: int, j: int, c, u: Rows | None = None) -> None:
@@ -206,6 +199,22 @@ def scale(m: Rows, idx, c, u: Rows | None = None) -> None:
             row[i] *= c
 
 
+def pivot(m: Rows, k: int, ok, u: Rows | None = None) -> None:
+    """Bring an entry that ``ok`` accepts to the diagonal at k, by congruences
+    on the coordinates from k on: m[k][k] stays if ``ok`` accepts it, else the
+    first later diagonal entry it accepts moves to k, else the shear
+    e_i += e_j by the first (i, j), k <= i < j in row-major order, with
+    ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j] and i moves to k."""
+    if ok(m[k][k]):
+        return
+    n = len(m)
+    t = next((t for t in range(k + 1, n) if ok(m[t][t])), None)
+    if t is None:
+        t, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))
+        shear(m, j, t, 1, u)
+    move(m, t, k, u)
+
+
 def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:
     """One fraction-free symmetric pivot step (Bareiss) on integer rows: with
     p = m[k][k] != 0, each tail entry (i, j > k) becomes
@@ -219,8 +228,8 @@ def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:
     and U = 1, and with prev the pivot of the step before, each tail entry
     of m is a bordered minor of S (Sylvester's identity) and each tail entry
     of U, by Cramer's rule for the leading block of S, a minor of S, so
-    both are integers.  Swaps, permutations and shears among tail coordinates between
-    steps are integer congruences that commute with the earlier steps, so
+    both are integers.  Moves and shears among tail coordinates between steps
+    are integer congruences that commute with the earlier steps, so
     the entries stay minors of S transformed by them.  Row and column k are
     left as they are (the exact step clears them off the diagonal); callers
     read only the pivots and the tail."""

@@ -24,7 +24,7 @@ class SearchBudget:
     seed: int = 0
 
 
-_brute_cache: dict[tuple[int, int, int, int, int, int], int] = {}
+_brute_cache: dict[tuple[int, int, int, int, int], int] = {}
 
 
 def _square_class_key(x, ctx: PrimeContext) -> tuple[int, int]:
@@ -36,24 +36,22 @@ def _square_class_key(x, ctx: PrimeContext) -> tuple[int, int]:
     return v, frac_mod(unit_part(Fraction(x), ctx), mod, ctx)
 
 
-def hilbert_brute(a, b, ctx: PrimeContext, n: int | None = None) -> int:
+def hilbert_brute(a, b, ctx: PrimeContext) -> int:
     """Hilbert symbol by primitive residue enumeration mod p^n.
 
     A primitive solution of z^2 = a x^2 + b y^2 mod p^n lifts to Q_p once n
     clears the Hensel margin for coefficients of order at most 1, so after
     reducing both arguments to square-class representatives the search is
-    exact.  Results are cached per square-class pair.
+    exact.  n is that margin, 2e + 3, plus one digit in the dyadic case.
+    Results are cached per square-class pair.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if n is None:
-        n = 2 * ctx.e + 3 + ctx.e  # one extra digit of margin in the dyadic case
-    if n < 2 * ctx.e + 3:
-        raise ValueError("residue precision below the lifting margin")
+    n = 2 * ctx.e + 3 + ctx.e
     ka = _square_class_key(a, ctx)
     kb = _square_class_key(b, ctx)
-    key = (ctx.p, n) + ka + kb
+    key = (ctx.p,) + ka + kb
     if key in _brute_cache:
         return _brute_cache[key]
     p, q = ctx.p, ctx.p**n

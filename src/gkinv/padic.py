@@ -77,10 +77,15 @@ def _int_valuation(n: int, p: int) -> int:
     if p == 2:
         # n & -n keeps the lowest set bit, in two's complement for n < 0 too
         return (n & -n).bit_length() - 1
+    # strip the largest p^(2^i) that divides n until p does not: about
+    # (log v)^2 divisions for order v, not v of them
     v = 0
     while n % p == 0:
-        n //= p
-        v += 1
+        q, w = p, 1
+        while n % (q * q) == 0:
+            q, w = q * q, 2 * w
+        n //= q
+        v += w
     return v
 
 

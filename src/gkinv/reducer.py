@@ -351,14 +351,16 @@ def _dyadic_search(form: HalfIntegralForm):
             chosen = (x,)
             sigma += (k,)
             exps += (c,)
-        rest = tuple(i for i in range(k, n) if i not in chosen)
-        linalg.permute(m, tuple(range(k)) + chosen + rest, u)
+        # a split pair has x < y, so moving x to k leaves y where it was
+        for t, i in enumerate(chosen):
+            linalg.move(m, i, k + t, u)
     return m, u, exps, sigma, den * e * e, (e,) * n
 
 
 def _standardize(m, u, exps, sigma):
-    """Permute the working rows m, u within equal-exponent blocks so the
-    involution is standard; returns the new involution."""
+    """Reorder the working rows m, u within equal-exponent blocks so the
+    involution is standard, by one ``linalg.move`` per coordinate; returns
+    the new involution."""
     bl = blocks(exps)
     target: list[int] = []
     for s in range(bl.r):
@@ -371,12 +373,15 @@ def _standardize(m, u, exps, sigma):
             if j != i and exps[j] == exps[i] and i < j:
                 pairs.extend((i, j))
         target.extend(plus + pairs + dang)
-    perm = tuple(target)
-    inv = [0] * len(perm)
-    for newpos, old in enumerate(perm):
-        inv[old] = newpos
-    linalg.permute(m, perm, u)
-    return tuple(inv[sigma[perm[i]]] for i in range(len(perm)))
+    # order holds the input coordinates in their current order: place each
+    # target coordinate in turn, behind those already placed
+    order, inv = list(range(len(target))), [0] * len(target)
+    for k, old in enumerate(target):
+        t = order.index(old, k)
+        order.insert(k, order.pop(t))
+        linalg.move(m, t, k, u)
+        inv[old] = k
+    return tuple(inv[sigma[old]] for old in target)
 
 
 def jordan_split(form: HalfIntegralForm):
@@ -388,13 +393,13 @@ def jordan_split(form: HalfIntegralForm):
     pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows.  Step k reads the tail's least order v_k off the gcd
-    of its entries; the pivot is the first tail diagonal entry that
-    p^(v_k + 1) does not divide, else the shear e_i += e_j by the first such
-    (i, j) above the diagonal, in row-major order, exposes one at i.  The
-    pivot becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Returns (M, U,
-    exps, sigma, d, c) with B[U·diag(c)^-1] = M / d, c = (prev_k) and
-    d = den·lcm(prev_k), as ``_dyadic_search`` does."""
+    on the exact rows.  Step k reads the tail's least order v_k off
+    ``forms._norm_gcd``, whose doubled entries have the same order at odd p,
+    and ``linalg.pivot`` brings an entry that p^(v_k + 1) does not divide to
+    the diagonal at k: the first such tail diagonal entry, else the one a
+    shear exposes.  The pivot becomes prev_(k+1), so exps[k] = v_k - v_(k-1).
+    Returns (M, U, exps, sigma, d, c) with B[U·diag(c)^-1] = M / d,
+    c = (prev_k) and d = den·lcm(prev_k), as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -405,14 +410,9 @@ def jordan_split(form: HalfIntegralForm):
     u = linalg.identity(n)
     prev, prevs, exps, last = 1, [], (), 0
     for k in range(n):
-        v = valuation(math.gcd(*(x for i in range(k, n) for x in m[i][i:])), ctx)
+        v = valuation(_norm_gcd(m, k), ctx)
         q = ctx.p ** (v + 1)
-        piv = next((t for t in range(k, n) if m[t][t] % q), None)
-        if piv is None:
-            piv, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] % q)
-            linalg.shear(m, j, piv, 1, u)
-        perm = tuple(range(k)) + (piv,) + tuple(t for t in range(k, n) if t != piv)
-        linalg.permute(m, perm, u)
+        linalg.pivot(m, k, lambda x: x % q, u)
         prevs.append(prev)
         exps += (v - last,)
         linalg.eliminate(m, k, prev, u)

@@ -63,8 +63,9 @@ def test_eta_diagonalization_handles_zero_diagonal():
 
 def naive_field_diagonal(b):
     """A diagonal of B over Q by dense Fraction Gaussian elimination, with
-    eta's pivot rule: a later nonzero diagonal is swapped in, or else
-    e_i += e_j at the first nonzero off-diagonal entry (i, j) of the tail."""
+    eta's pivot rule: the first later nonzero diagonal is rotated to k, or
+    else e_i += e_j at the first nonzero off-diagonal entry (i, j) of the
+    tail and i is rotated to k."""
     a = [[Fraction(x) for x in row] for row in b]
     n, out = len(a), []
     for k in range(n):
@@ -76,9 +77,9 @@ def naive_field_diagonal(b):
                     row[i] += row[j]
                 a[i] = [x + y for x, y in zip(a[i], a[j])]
                 piv = i
-            a[k], a[piv] = a[piv], a[k]
+            a.insert(k, a.pop(piv))
             for row in a:
-                row[k], row[piv] = row[piv], row[k]
+                row.insert(k, row.pop(piv))
         out.append(a[k][k])
         for i in range(k + 1, n):
             f = a[i][k] / a[k][k]
@@ -119,18 +120,19 @@ def _zero_diagonal_forms(rng):
 def test_eta_matches_a_naive_diagonalization(monkeypatch):
     """eta's fraction-free field diagonal, d_k = piv_k / (den·piv_{k-1}),
     equals the dense Fraction one, and eta equals the Hilbert-symbol product
-    over it, on forms that reach the swap and the exposing shear of the
-    diagonalization."""
+    over it, on forms that reach a move past other coordinates and the
+    exposing shear of the diagonalization."""
     forms = _zero_diagonal_forms(random.Random("eta/naive"))
     assert {f.ctx.p for f in forms} == {2, 3, 5, 7}
     assert max(f.n for f in forms) == 10
-    calls = {"swap": 0, "shear": 0}
+    calls = {"move": 0, "shear": 0}
     for name in calls:
         step = getattr(linalg, name)
 
-        def counted(*args, _step=step, _name=name):
-            calls[_name] += 1
-            return _step(*args)
+        def counted(m, i, j, *args, _step=step, _name=name):
+            if _name == "shear" or i != j:  # move(m, t, k) does nothing at t == k
+                calls[_name] += 1
+            return _step(m, i, j, *args)
 
         monkeypatch.setattr(linalg, name, counted)
     for form in forms:
@@ -139,7 +141,7 @@ def test_eta_matches_a_naive_diagonalization(monkeypatch):
         prevs = [1] + pivots[:-1]
         assert [Fraction(pk, den * pj) for pk, pj in zip(pivots, prevs)] == d
         assert eta(form) == eta_of_diagonal(d, form.ctx)
-    assert calls["swap"] and calls["shear"], calls
+    assert calls["move"] and calls["shear"], calls
 
 
 def test_classify_binary_examples():

@@ -61,17 +61,46 @@ def _check_step(m0, u0, e, step):
 CASES = [(n, sym, seed) for n in (1, 2, 3, 5) for sym in (False, True) for seed in range(3)]
 
 
+def _move(n, t, k):
+    """The permutation that moves coordinate t to position k."""
+    rest = [i for i in range(n) if i != t]
+    return _perm(tuple(rest[:k] + [t] + rest[k:]))
+
+
+def _pivot(m, k, ok):
+    """(E, branch) for the pivot step at k on m: the identity if ok accepts
+    m[k][k], else the move of the first later diagonal entry it accepts,
+    else the shear e_i += e_j at the first accepted (i, j), k <= i < j, in
+    row-major order, followed by the move of i to k."""
+    n = len(m)
+    if ok(m[k][k]):
+        return _elementary(n, {}), "in place"
+    t = next((t for t in range(k + 1, n) if ok(m[t][t])), None)
+    if t is not None:
+        return _move(n, t, k), "move"
+    t, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))
+    return linalg.matmul(_elementary(n, {(j, t): 1}), _move(n, t, k)), "shear"
+
+
 @pytest.mark.parametrize("n,symmetric,seed", CASES)
 def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
     rng = random.Random(f"kernel/{n}/{symmetric}/{seed}")
     m0 = _random_matrix(rng, n, symmetric)
     u0 = _random_matrix(rng, n)
-    i, j = rng.randrange(n), rng.randrange(n)
-    swap = _perm(tuple({i: j, j: i}.get(t, t) for t in range(n)))
-    _check_step(m0, u0, swap, lambda m, u: linalg.swap(m, i, j, u))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    _check_step(m0, u0, _perm(tuple(perm)), lambda m, u: linalg.permute(m, perm, u))
+    for t, k in ((rng.randrange(n), rng.randrange(n)), (n - 1, 0), (0, n - 1), (0, 0)):
+        _check_step(m0, u0, _move(n, t, k), lambda m, u: linalg.move(m, t, k, u))
+    # the pivot step on m0 with its zeros made 1, then also with m[k][k] = 0
+    # (a move), then with every diagonal entry from k on 0 (a shear)
+    k = rng.randrange(max(n - 1, 1))
+    for zero, want in ((lambda i: False, "in place"), (lambda i: i == k, "move"),
+                       (lambda i: i >= k, "shear"))[: 3 if n > 1 else 1]:
+        mv = linalg.mat(
+            [[0 if i == j and zero(i) else x or 1 for j, x in enumerate(r)]
+             for i, r in enumerate(m0)]
+        )
+        e, branch = _pivot(mv, k, bool)
+        assert branch == want
+        _check_step(mv, u0, e, lambda m, u: linalg.pivot(m, k, bool, u))
     if n > 1:
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
@@ -392,7 +421,7 @@ def fraction_step(m, u, k):
 
 def _random_symmetric(rng, n):
     """Mixed denominators; some diagonals zero, and all of them in a third of
-    the cases, so pivots are reached through swaps and exposing shears."""
+    the cases, so pivots are reached through moves and exposing shears."""
     m = _mixed_matrix(rng, n, symmetric=True)
     zero_all = rng.random() < 1 / 3
     return linalg.mat(
@@ -404,11 +433,11 @@ def _random_symmetric(rng, n):
 @pytest.mark.parametrize("seed", range(6))
 def test_integer_step_matches_fraction_elimination(seed):
     """The fraction-free step against the exact Fraction elimination, one
-    pivot at a time, with tail swaps and shears between the steps: the
+    pivot at a time, with tail moves and shears between the steps: the
     tail of the integer rows stays den·prev times the exact tail, U's tail
     columns prev times the exact ones, and every division is exact."""
     rng = random.Random(f"bareiss/{seed}")
-    seen = {"swap": 0, "shear": 0, "tail move": 0}
+    seen = {"move": 0, "shear": 0, "tail move": 0}
     for _ in range(25):
         n = rng.randint(1, 6)
         b = _random_symmetric(rng, n)
@@ -419,14 +448,14 @@ def test_integer_step_matches_fraction_elimination(seed):
         wu = [[int(i == j) for j in range(n)] for i in range(n)]
         prev, prevs = 1, []
         for k in range(n):
-            if n - k > 1 and rng.random() < 0.5:  # a tail-only swap or shear
+            if n - k > 1 and rng.random() < 0.5:  # a tail-only move or shear
                 i, j = rng.sample(range(k, n), 2)
                 c = rng.randint(-3, 3)
                 for a, v in ((m, u), (w, wu)):
                     if c:
                         linalg.shear(a, i, j, c, v)
                     else:
-                        linalg.swap(a, i, j, v)
+                        linalg.move(a, i, j, v)
                 seen["tail move"] += 1
             if m[k][k] == 0:
                 piv = next((t for t in range(k + 1, n) if m[t][t] != 0), None)
@@ -439,9 +468,9 @@ def test_integer_step_matches_fraction_elimination(seed):
                     piv = i
                     seen["shear"] += 1
                 else:
-                    seen["swap"] += 1
+                    seen["move"] += 1
                 for a, v in ((m, u), (w, wu)):
-                    linalg.swap(a, k, piv, v)
+                    linalg.move(a, piv, k, v)
             p, tail = w[k][k], range(k + 1, n)
             assert p == den * prev * m[k][k] != 0
             assert all((p * w[i][j] - w[i][k] * w[k][j]) % prev == 0 for i in tail for j in tail)

@@ -32,8 +32,7 @@ def ref_jordan_split(form):
             linalg.shear(m, j, i, 1, u)
             ords[i, i] = valuation(m[i][i], ctx)
         piv = min(idx, key=lambda t: ords[t, t])
-        perm = tuple(range(k)) + (piv,) + tuple(t for t in idx if t != piv)
-        linalg.permute(m, perm, u)
+        linalg.move(m, piv, k, u)
         prevs.append(prev)
         linalg.eliminate(m, k, prev, u)
         prev = m[k][k]

@@ -22,11 +22,9 @@ HALF = Fraction(1, 2)
 
 
 def test_hilbert_brute_examples():
-    assert hilbert_brute(1, 1, CTX2, 8) == 1
-    assert hilbert_brute(-1, -1, CTX2, 8) == -1
-    assert hilbert_brute(2, 5, CTX2, 8) == -1
-    with pytest.raises(ValueError):
-        hilbert_brute(1, 1, CTX2, 2)  # below the lifting margin
+    assert hilbert_brute(1, 1, CTX2) == 1
+    assert hilbert_brute(-1, -1, CTX2) == -1
+    assert hilbert_brute(2, 5, CTX2) == -1
 
 
 @pytest.mark.parametrize("ctx", [CTX2, CTX3, CTX5])

@@ -7,6 +7,7 @@ from gkinv.oracle import hilbert_brute
 from gkinv.padic import (
     INERT,
     INF,
+    MAX_PRIME,
     RAMIFIED,
     SPLIT,
     PrimeContext,
@@ -96,6 +97,28 @@ def test_int_order_matches_repeated_division():
         assert valuation(0, ctx) is INF
 
 
+# the largest prime below MAX_PRIME
+NEAR_MAX_PRIME = 3_317_044_064_679_887_385_961_813
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, NEAR_MAX_PRIME])
+def test_int_order_at_odd_p_matches_repeated_division(p):
+    """The odd-p order strips p^(2^i) at a time; on ints ±p^v·unit of both
+    signs, with orders v from 0 to 3,000, it gives v, and so does the loop
+    that divides by p once per unit of order, up to 40,000 bits (past
+    that the loop alone takes seconds at the largest p)."""
+    ctx = PrimeContext(p)
+    assert NEAR_MAX_PRIME < MAX_PRIME and PrimeContext(NEAR_MAX_PRIME)
+    rng = random.Random(f"padic/odd-order/{p}")
+    orders = list(range(130)) + list(range(130, 3000, 211)) + [2047, 2048, 3000]
+    for v in orders:
+        unit = rng.getrandbits(rng.randint(1, 200)) * p + rng.randrange(1, p)
+        for n in (p**v * unit, -(p**v) * unit):
+            assert valuation(n, ctx) == v, (p, n)
+            if n.bit_length() <= 40_000:
+                assert loop_order(n, p) == v, (p, n)
+
+
 def test_is_square_examples():
     assert is_square_brute(9, CTX2)
     assert is_square(9, CTX2)
@@ -120,7 +143,7 @@ def test_hilbert_examples():
     for b in (1, -1, 2, 5, Fraction(3, 7)):
         assert hilbert_symbol(1, b, CTX2) == 1
     assert hilbert_symbol(-1, -1, CTX2) == -1
-    assert hilbert_brute(-1, -1, CTX2, 8) == -1
+    assert hilbert_brute(-1, -1, CTX2) == -1
     # p odd, p against a non-residue unit
     assert hilbert_symbol(3, 2, CTX3) == -1
     assert hilbert_symbol(5, 2, CTX5) == -1
@@ -154,7 +177,7 @@ def test_hilbert_dyadic_value_two_five():
     # both independent routes give -1: mod 8 the form 2x^2 + 5y^2 misses
     # every odd square class
     assert hilbert_symbol(2, 5, CTX2) == -1
-    assert hilbert_brute(2, 5, CTX2, 8) == -1
+    assert hilbert_brute(2, 5, CTX2) == -1
 
 
 def test_quad_ext_examples():

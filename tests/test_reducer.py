@@ -19,6 +19,7 @@ from gkinv.forms import (
     transform,
     validate_form,
 )
+from gkinv.invariants import eta, gk
 from gkinv.involutions import GKType, standard_involutions
 from gkinv.padic import PrimeContext, quad_ext, valuation
 from gkinv.reducer import (
@@ -274,6 +275,28 @@ def test_jordan_split_reads_one_order_per_step(monkeypatch):
     monkeypatch.setattr(reducer, "valuation", counted)
     assert jordan_split(b)[2] == tuple(exps)
     assert len(calls) <= n
+
+
+def test_pivots_in_place_make_no_move(monkeypatch):
+    """A pivot step whose pivot is already on the diagonal leaves the working
+    rows where they are: gk of the p = 3 diagonal form at n = 40, and eta of
+    it and of a form whose leading minors are all non-zero, make no
+    coordinate move."""
+    moves = []
+    move = linalg.move
+
+    def recorded(m, t, k, u=None):
+        moves.append((t, k))
+        return move(m, t, k, u)
+
+    n = 40
+    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
+    b = validate_form([[3**a if i == j else 0 for j in range(n)] for i, a in enumerate(exps)], CTX3)
+    c = validate_form([[2, 1, 0], [1, 2, 1], [0, 1, 2]], CTX5)
+    monkeypatch.setattr(linalg, "move", recorded)
+    assert gk(b) == tuple(exps)
+    assert eta(b) in (1, -1) and eta(c) in (1, -1)
+    assert moves == []
 
 
 def test_reduce_worked_example():
