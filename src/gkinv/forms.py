@@ -135,11 +135,16 @@ def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
     return valuation(_norm_gcd(form.rows), form.ctx) - valuation(form.den, form.ctx)
 
 
-def _norm_gcd(rows, k: int = 0) -> int:
+def _norm_gcd(rows, k: int = 0, q: int = 1) -> int:
     """gcd of the diagonal and doubled entries of the integer rows from
-    coordinate k on: its order is their least order (0 if all are 0)."""
-    idx = range(k, len(rows))
-    return math.gcd(*(rows[i][i] for i in idx), *(2 * x for i in idx for x in rows[i][i + 1 :]))
+    coordinate k on, or of those it has read when q = p^(b + 1), b a lower
+    bound on their least order, stops dividing it: its order is that order."""
+    g = 0
+    for i in range(k, len(rows)):
+        g = math.gcd(g, rows[i][i], 2 * math.gcd(*rows[i][i + 1 :]))
+        if g % q:
+            break
+    return g
 
 
 def matrix_in_lattice(rows, den: int, exps, ctx: PrimeContext, strict: bool = False) -> bool:

@@ -10,7 +10,6 @@ from .forms import (
     FormError,
     HalfIntegralForm,
     delta,
-    leading,
     membership,
     norm_ideal_ord,
     signed_disc,
@@ -34,8 +33,6 @@ def gk(form: HalfIntegralForm) -> tuple[int, ...]:
 def xi(form: HalfIntegralForm) -> int:
     """Split/inert/ramified indicator of the signed discriminant.  Defined for
     all sizes; downstream block invariants only consume it in even size."""
-    if form.n == 0:
-        return 1
     return xi_code(signed_disc(form), form.ctx)
 
 
@@ -44,45 +41,48 @@ def block_sign(form: HalfIntegralForm) -> int:
     return xi(form) if form.n % 2 == 0 else eta(form)
 
 
-def _field_pivots(form: HalfIntegralForm) -> tuple[list[int], int]:
-    """(pivots, den) of a diagonalization of the form over the field, by the
-    fraction-free steps of ``linalg.eliminate`` on den·B, each after
-    ``linalg.pivot`` has brought a non-zero entry to the diagonal: pivot k is
-    the leading (k+1)-minor of den·B after those moves and shears, so the
-    diagonal entries are d_k = piv_k / (den·piv_{k-1}), with piv_{-1} = 1."""
-    a, den = [list(row) for row in form.rows], form.den
-    pivots: list[int] = []
-    prev = 1
-    for k in range(len(a)):
-        linalg.pivot(a, k, bool)
-        linalg.eliminate(a, k, prev)
-        prev = a[k][k]
-        pivots.append(prev)
-    return pivots, den
+def _leading_etas(form: HalfIntegralForm, ends):
+    """(eta, piv) for the leading block of each size in ``ends``, ascending and
+    each non-degenerate, from one field diagonalization: lazily scaled
+    ``linalg.eliminate`` steps on den·B, each after ``linalg.pivot`` put a
+    non-zero entry of the block that ends next on the diagonal, so pivot k is
+    a leading (k+1)-minor of den·B and piv = den^end·det.  With P_k = d_0⋯d_k
+    = piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod over j >= 1 of
+    (P_{j-1}, -P_j): one running product of symbols on the integers
+    piv_k·den^((k+1) mod 2), of the same square classes, gives every eta."""
+    size, den, ctx = max(ends, default=0), form.den, form.ctx
+    a = [list(row[:size]) for row in form.rows[:size]]
+    base, h = [1] * size, hilbert_symbol(-1, -1, ctx)
+    prev, prod, val = 1, 1, 1
+    for start, end in zip((0, *ends), ends):
+        for k in range(start, end):
+            # bring the rows that the pivot step reads or mixes to one scale
+            for i in range(k, k + 1 if a[k][k] else end):
+                if base[i] != prev:
+                    a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
+                    base[i] = prev
+            linalg.pivot(a, k, bool, end=end)
+            linalg.eliminate(a, k, prev, base=base)
+            prev = a[k][k]
+            q = prev * den if k % 2 == 0 else prev
+            val *= hilbert_symbol(prod, -q, ctx) if k else 1
+            prod = q
+        sign = val * zpow(h, (end + 1) // 4) * zpow(hilbert_symbol(-1, prod, ctx), (end - 1) // 2)
+        yield sign, prev
 
 
 def eta(form: HalfIntegralForm) -> int:
-    """Clifford invariant, evaluated as a Hilbert-symbol product over a
-    diagonalization d_0, ..., d_{n-1} of the form over the field.
-
-    With P_k = d_0⋯d_k, bimultiplicativity and (x, -x) = 1 give
-    prod over i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j), so
-    n - 1 symbols replace n(n-1)/2.  P_k = piv_k / den^(k+1) for the
-    fraction-free pivots, and the symbols read only square classes, so they
-    take the integers piv_k·den^((k+1) mod 2)."""
+    """Clifford invariant: the Hilbert-symbol product of ``_leading_etas``."""
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    n = form.n
-    if n == 0:
-        return 1
-    ctx = form.ctx
-    pivots, den = _field_pivots(form)
-    prods = [piv * den if k % 2 == 0 else piv for k, piv in enumerate(pivots)]
-    val = zpow(hilbert_symbol(-1, -1, ctx), (n + 1) // 4)
-    val *= zpow(hilbert_symbol(-1, form.det, ctx), (n - 1) // 2)
-    for j in range(1, n):
-        val *= hilbert_symbol(prods[j - 1], -prods[j], ctx)
-    return val
+    return next(_leading_etas(form, (form.n,)))[0]
+
+
+def leading_signs(form: HalfIntegralForm, ends) -> list[int]:
+    """The EGK sign of each leading block in ``_leading_etas``: eta in odd size
+    j, xi of (-1)^(j/2)·piv, its signed discriminant's square class, in even."""
+    pairs = zip(ends, _leading_etas(form, ends))
+    return [s if j % 2 else xi_code((-1) ** (j // 2) * piv, form.ctx) for j, (s, piv) in pairs]
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,18 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
 
 
 def egk_of(form: HalfIntegralForm) -> EGKDatum:
-    """Extended GK datum: block data of the invariant plus the per-block
-    leading-subform indicators of a reduced representative."""
+    """Extended GK datum: block data of the invariant plus the sign of each
+    leading block of a reduced representative R, from one elimination."""
     # deferred: egk imports this module at its top, for eta and xi
     from .egk import EGKDatum, validate_egk
 
     if form.n == 0:
         raise FormError("the empty form has no extended GK datum")
     cert = reduce_form(form)
-    r = cert.reduced
     bl = blocks(cert.exps)
-    zeta = []
-    for s in range(bl.r):
-        zeta.append(block_sign(leading(r, bl.starts[s] + bl.sizes[s])))
+    ends = [start + size for start, size in zip(bl.starts, bl.sizes)]
+    # the last leading block is the whole form: read its sign off B's entries
+    zeta = leading_signs(cert.reduced, ends[:-1]) + [block_sign(form)]
     datum = EGKDatum(bl.sizes, bl.values, tuple(zeta))
     ok, bad = validate_egk(datum)
     if not ok:

@@ -199,15 +199,15 @@ def scale(m: Rows, idx, c, u: Rows | None = None) -> None:
             row[i] *= c
 
 
-def pivot(m: Rows, k: int, ok, u: Rows | None = None) -> None:
+def pivot(m: Rows, k: int, ok, u: Rows | None = None, end: int | None = None) -> None:
     """Bring an entry that ``ok`` accepts to the diagonal at k, by congruences
-    on the coordinates from k on: m[k][k] stays if ``ok`` accepts it, else the
-    first later diagonal entry it accepts moves to k, else the shear
-    e_i += e_j by the first (i, j), k <= i < j in row-major order, with
-    ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j] and i moves to k."""
+    on the coordinates from k to ``end`` (n by default): m[k][k] stays if
+    ``ok`` accepts it, else the first later diagonal entry it accepts moves to
+    k, else the shear e_i += e_j by the first (i, j), k <= i < j, row-major,
+    with ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j], i moves to k."""
     if ok(m[k][k]):
         return
-    n = len(m)
+    n = end or len(m)
     t = next((t for t in range(k + 1, n) if ok(m[t][t])), None)
     if t is None:
         t, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))
@@ -215,7 +215,7 @@ def pivot(m: Rows, k: int, ok, u: Rows | None = None) -> None:
     move(m, t, k, u)
 
 
-def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:
+def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None, base: list | None = None) -> None:
     """One fraction-free symmetric pivot step (Bareiss) on integer rows: with
     p = m[k][k] != 0, each tail entry (i, j > k) becomes
     (p·m[i][j] - m[i][k]·m[k][j]) // prev, and each tail column j of U
@@ -232,11 +232,15 @@ def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None) -> None:
     are integer congruences that commute with the earlier steps, so
     the entries stay minors of S transformed by them.  Row and column k are
     left as they are (the exact step clears them off the diagonal); callers
-    read only the pivots and the tail."""
+    read only the pivots and the tail.  With ``base`` (``det``'s row scales;
+    no U, row k at scale prev), a row with m[i][k] = 0 stays base[i]·T_i."""
     p, tail = m[k][k], m[k][k + 1 :]
-    for ri in m[k + 1 :]:
+    scales = base or [prev] * len(m)
+    for i, ri in enumerate(m[k + 1 :], k + 1):
         c = ri[k]
-        ri[k + 1 :] = [(p * x - c * y) // prev for x, y in zip(ri[k + 1 :], tail)]
+        if c or base is None:
+            ri[k + 1 :] = [(p * x - c * y) // scales[i] for x, y in zip(ri[k + 1 :], tail)]
+            scales[i] = p
     if u is not None:
         for row in u:
             c = row[k]

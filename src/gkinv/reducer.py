@@ -238,7 +238,7 @@ def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     k = len(exps)
     paired = [i for i in range(k) if sigma[i] != i]
     tail = range(k, len(m))
-    if not paired or not tail:
+    if not any(any(m[i][k:]) for i in paired):  # nothing to clear
         return 1
     y, l = linalg.solve_int(
         linalg.submatrix(m, paired, paired), linalg.submatrix(m, paired, tail)
@@ -394,23 +394,23 @@ def jordan_split(form: HalfIntegralForm):
     times prev_k.  Both den and the pivots' scale are the same for every tail
     entry, and den is prime to p, so the pivot orders compare as they would
     on the exact rows.  Step k reads the tail's least order v_k off
-    ``forms._norm_gcd``, whose doubled entries have the same order at odd p,
-    and ``linalg.pivot`` brings an entry that p^(v_k + 1) does not divide to
-    the diagonal at k: the first such tail diagonal entry, else the one a
-    shear exposes.  The pivot becomes prev_(k+1), so exps[k] = v_k - v_(k-1).
-    Returns (M, U, exps, sigma, d, c) with B[U·diag(c)^-1] = M / d,
-    c = (prev_k) and d = den·lcm(prev_k), as ``_dyadic_search`` does."""
+    ``forms._norm_gcd`` (down to its bound v_(k-1) + exps[k - 1]; the doubled
+    entries have the same order at odd p), and ``linalg.pivot`` brings an
+    entry that p^(v_k + 1) does not divide to the diagonal at k: the first
+    such tail diagonal entry, else the one a shear exposes.  The pivot
+    becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Returns
+    (M, U, exps, sigma, d, c) with B[U·diag(c)^-1] = M / d, c = (prev_k) and
+    d = den·lcm(prev_k), as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    ctx = form.ctx
-    n = form.n
+    ctx, n = form.ctx, form.n
     m = [list(row) for row in form.rows]
     u = linalg.identity(n)
     prev, prevs, exps, last = 1, [], (), 0
     for k in range(n):
-        v = valuation(_norm_gcd(m, k), ctx)
+        v = valuation(_norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p), ctx)
         q = ctx.p ** (v + 1)
         linalg.pivot(m, k, lambda x: x % q, u)
         prevs.append(prev)

@@ -13,6 +13,8 @@ import pytest
 import gkinv
 from gkinv import cli
 from gkinv.cli import main
+from gkinv.forms import random_form
+from gkinv.padic import PrimeContext
 
 
 def run_cli(args, capsys):
@@ -422,19 +424,13 @@ def test_large_primes_are_decided_quickly(tmp_path):
         assert out == expect if code == 0 else out["error"] == expect
 
 
-@pytest.mark.parametrize("n", [44, 100])
-def test_gk_of_many_choice_blocks_is_quick(tmp_path, n):
-    """gk attaches one standard involution, built directly, and reads each
-    pivot's order off one gcd of the tail: the p = 3 diagonal form of
-    exponents (0, 1, 2, 2, 3, 3, ...) has 2^21 standard involutions at
-    n = 44 and 2^49 at n = 100, and its gk is printed within 10 s."""
+def _quick_cli(args, limit, what):
+    """stdout of ``gkinv`` run on args in a subprocess, which must exit 0
+    within limit seconds."""
     src = str(Path(gkinv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
-    matrix = [[str(3**a) if i == j else "0" for j in range(n)] for i, a in enumerate(exps)]
-    path = write(tmp_path, "f.json", {"p": 3, "matrix": matrix})
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gkinv.cli", "compute", "--what", "gk", "--input", path],
+        [sys.executable, "-m", "gkinv.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -442,13 +438,42 @@ def test_gk_of_many_choice_blocks_is_quick(tmp_path, n):
         start_new_session=True,
     )
     try:
-        out, err = proc.communicate(timeout=10)
+        out, err = proc.communicate(timeout=limit)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise AssertionError(f"gk of the n = {n} form ran past 10 s")
+        raise AssertionError(f"{what} ran past {limit} s")
     assert proc.returncode == 0, err
-    assert json.loads(out) == {"gk": exps}
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("n", [44, 100])
+def test_gk_of_many_choice_blocks_is_quick(tmp_path, n):
+    """gk attaches one standard involution, built directly, and reads each
+    pivot's order off one gcd of the tail: the p = 3 diagonal form of
+    exponents (0, 1, 2, 2, 3, 3, ...) has 2^21 standard involutions at
+    n = 44 and 2^49 at n = 100, and its gk is printed within 10 s.  Its EGK
+    datum, whose signs come from one elimination, is printed within 10 s
+    too: every block past the first ends an even prefix of odd determinant
+    order, so its sign is xi = 0."""
+    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
+    matrix = [[str(3**a) if i == j else "0" for j in range(n)] for i, a in enumerate(exps)]
+    path = write(tmp_path, "f.json", {"p": 3, "matrix": matrix})
+    out = _quick_cli(["compute", "--what", "gk", "--input", path], 10, f"gk of the n = {n} form")
+    assert out == {"gk": exps}
+    out = _quick_cli(["compute", "--what", "egk", "--input", path], 10, f"egk of the n = {n} form")
+    r = n // 2 + 1
+    assert out == {"n": [1, 1] + [2] * (r - 2), "m": list(range(r)), "zeta": [1] + [0] * (r - 1)}
+
+
+def test_egk_of_a_large_odd_form_is_quick(tmp_path):
+    """The EGK datum of random_form(31, PrimeContext(3), random.Random(31),
+    height=14), one block, is printed within 10 s: its sign is read off B,
+    not off the reduced form, whose one denominator has thousands of bits."""
+    form = random_form(31, PrimeContext(3), random.Random(31), height=14)
+    path = write(tmp_path, "f.json", cli._form_payload(form))
+    out = _quick_cli(["compute", "--what", "egk", "--input", path], 10, "egk of the n = 31 form")
+    assert out == {"n": [31], "m": [0], "zeta": [1]}
 
 
 def test_synth_work_is_bounded(tmp_path):

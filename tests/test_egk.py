@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -21,11 +22,12 @@ from gkinv.egk import (
     validate_egk,
     validate_naive,
 )
-from gkinv.forms import leading
-from gkinv.invariants import egk_of, eta, xi
+from gkinv import egk, forms, invariants, linalg, reducer
+from gkinv.forms import FormError, direct_sum, leading, random_unimodular, transform, validate_form
+from gkinv.invariants import block_sign, egk_of, eta, leading_signs, xi
 from gkinv.involutions import standard_involutions
 from gkinv.padic import PrimeContext, valuation, zpow
-from gkinv.reducer import is_reduced
+from gkinv.reducer import is_reduced, reduce_form
 from gkinv.involutions import GKType
 
 CTX2 = PrimeContext(2)
@@ -223,3 +225,87 @@ def test_clifford_recursion_even_extension():
             continue  # the recursion presumes a reduced leading block
         if n % 2 == 0 and sum(exps) % 2 == 0:
             assert eta(b) == eta(lead) * zpow(xi(b), exps[-1])
+
+
+def ref_leading_signs(form, ends):
+    """The per-block reference: each leading block rebuilt as a form and its
+    sign taken on its own."""
+    return [block_sign(leading(form, end)) for end in ends]
+
+
+def ref_naive_datum_of_diagonal(form):
+    """The per-prefix reference for ``naive_datum_of_diagonal``."""
+    eps = tuple(ref_leading_signs(form, range(1, form.n + 1)))
+    v = valuation(form.den, form.ctx)
+    return NaiveEGK(tuple(valuation(form.rows[i][i], form.ctx) - v for i in range(form.n)), eps)
+
+
+def _block_ends(exps):
+    return [i + 1 for i in range(len(exps)) if i + 1 == len(exps) or exps[i] < exps[i + 1]]
+
+
+def test_leading_signs_match_the_per_block_reference(monkeypatch):
+    """The signs of every leading block from one bounded, lazily scaled
+    elimination equal the per-block reference: on the reduced forms of
+    scrambled synthesized forms at p = 2, 3 and 5, at each block end and at
+    every non-degenerate prefix; on the forms themselves and on sums with a
+    hyperbolic plane in front, whose zero diagonals need a move or an
+    exposing shear inside a block; and on the diagonal forms
+    ``naive_datum_of_diagonal`` reads."""
+    steps = {"move": 0, "shear": 0}
+    for name in steps:
+        step = getattr(linalg, name)
+
+        def counted(m, i, j, *args, _step=step, _name=name):
+            if _name == "shear" or i != j:
+                steps[_name] += 1
+            return _step(m, i, j, *args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    rng = random.Random("leading signs")
+    for k in range(90):
+        ctx = (CTX2, CTX3, CTX5)[k % 3]
+        g = random_egk(rng, max_r=4, max_m=5, max_n=8)
+        if ctx.p == 2:
+            r = synthesize_reduced(g, ctx)
+        else:
+            r = synthesize_nondyadic(lift(g), ctx)
+            assert naive_datum_of_diagonal(r) == ref_naive_datum_of_diagonal(r)
+        b = transform(r, random_unimodular(r.n, ctx, rng, steps=10))
+        h = validate_form([[0, Fraction(3, 2)], [Fraction(3, 2), 0]], ctx)
+        for f in (b, direct_sum(h, b), reduce_form(b).reduced):
+            ends = [e for e in range(1, f.n + 1) if leading(f, e).nondegenerate]
+            assert leading_signs(f, ends) == ref_leading_signs(f, ends)
+        cert = reduce_form(b)
+        ends = _block_ends(cert.exps)
+        assert leading_signs(cert.reduced, ends) == ref_leading_signs(cert.reduced, ends)
+        assert list(egk_of(b).zeta) == ref_leading_signs(cert.reduced, ends)
+    assert steps["move"] and steps["shear"], steps
+    with pytest.raises(FormError):  # as the reference raises on its degenerate prefix
+        naive_datum_of_diagonal(validate_form([[1, 0, 0], [0, 0, 0], [0, 0, 3]], CTX3))
+
+
+def test_egk_of_builds_no_leading_subform(monkeypatch):
+    """With its certificate cached, egk_of reads every sign off integer rows:
+    it builds no leading subform and no form at all, on forms of several
+    blocks at p = 2 and p = 3."""
+    rng = random.Random("no subform")
+    cases = []
+    for ctx in (CTX2, CTX3):
+        for _ in range(8):
+            g = random_egk(rng, max_r=4, max_m=5, max_n=8)
+            r = synthesize_reduced(g, ctx) if ctx.p == 2 else synthesize_nondyadic(lift(g), ctx)
+            b = transform(r, random_unimodular(r.n, ctx, rng, steps=10))
+            reduce_form(b)
+            cases.append((b, g))
+    assert max(g.r for _, g in cases) >= 3
+
+    def forbidden(*args, **kw):
+        raise AssertionError("a form was built")
+
+    for mod in (forms, invariants, egk, reducer):
+        for name in ("leading", "_from_rows"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    for b, g in cases:
+        assert egk_of(b) == g

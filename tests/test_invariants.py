@@ -16,7 +16,6 @@ from gkinv.forms import (
     validate_form,
 )
 from gkinv.invariants import (
-    _field_pivots,
     check_inverse_bounds,
     classify_binary,
     egk_of,
@@ -118,10 +117,11 @@ def _zero_diagonal_forms(rng):
 
 
 def test_eta_matches_a_naive_diagonalization(monkeypatch):
-    """eta's fraction-free field diagonal, d_k = piv_k / (den·piv_{k-1}),
-    equals the dense Fraction one, and eta equals the Hilbert-symbol product
-    over it, on forms that reach a move past other coordinates and the
-    exposing shear of the diagonalization."""
+    """eta's fraction-free field diagonal with lazy row scales,
+    d_k = piv_k / (den·piv_{k-1}) for the pivots its ``linalg.eliminate``
+    steps leave on the diagonal, equals the dense Fraction one, and eta
+    equals the Hilbert-symbol product over it, on forms that reach a move
+    past other coordinates and the exposing shear of the diagonalization."""
     forms = _zero_diagonal_forms(random.Random("eta/naive"))
     assert {f.ctx.p for f in forms} == {2, 3, 5, 7}
     assert max(f.n for f in forms) == 10
@@ -135,12 +135,19 @@ def test_eta_matches_a_naive_diagonalization(monkeypatch):
             return _step(m, i, j, *args)
 
         monkeypatch.setattr(linalg, name, counted)
+    pivots = []
+
+    def recorded(m, k, *args, _step=linalg.eliminate, **kw):
+        _step(m, k, *args, **kw)
+        pivots.append(m[k][k])
+
+    monkeypatch.setattr(linalg, "eliminate", recorded)
     for form in forms:
         d = naive_field_diagonal(form.entries)
-        pivots, den = _field_pivots(form)
-        prevs = [1] + pivots[:-1]
-        assert [Fraction(pk, den * pj) for pk, pj in zip(pivots, prevs)] == d
+        pivots.clear()
         assert eta(form) == eta_of_diagonal(d, form.ctx)
+        prevs = [1] + pivots[:-1]
+        assert [Fraction(pk, form.den * pj) for pk, pj in zip(pivots, prevs)] == d
     assert calls["move"] and calls["shear"], calls
 
 

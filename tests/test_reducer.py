@@ -1,11 +1,12 @@
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
 
-from gkinv import linalg, reducer
+from gkinv import forms, linalg, reducer
 from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
@@ -297,6 +298,52 @@ def test_pivots_in_place_make_no_move(monkeypatch):
     assert gk(b) == tuple(exps)
     assert eta(b) in (1, -1) and eta(c) in (1, -1)
     assert moves == []
+
+
+def test_jordan_split_scans_stop_at_the_lower_bound(monkeypatch):
+    """Step k's tail scan stops once the running gcd shows the bound
+    v_(k-1) + exps[k - 1]: on the p = 3 diagonal form of exponents
+    (0, 1, 2, 2, 3, 3, ...) at n = 100, step 0 and each step whose exponent
+    repeats read one row, and the others the whole tail, 2,599 rows in all
+    where whole-tail scans read 5,050."""
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    n = 100
+    exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]
+    b = validate_form([[3**a if i == j else 0 for j in range(n)] for i, a in enumerate(exps)], CTX3)
+    monkeypatch.setattr(forms, "math", types.SimpleNamespace(gcd=gcd))
+    assert jordan_split(b)[2] == tuple(exps)
+    expect = [1 if k == 0 or exps[k] == exps[k - 1] else n - k for k in range(n)]
+    # each row read takes two gcds: of its doubled off-diagonal entries, and
+    # of that with the running gcd and its diagonal entry
+    assert len(calls) == 2 * sum(expect) == 2 * 2599
+
+
+def test_empty_clear_makes_no_solve(monkeypatch):
+    """The dyadic search solves only for a cross block that has a non-zero
+    entry: a clear with nothing to clear returns 1 at once."""
+    solves = []
+    solve = linalg.solve_int
+
+    def recorded(a, c):
+        solves.append(any(map(any, c)))
+        return solve(a, c)
+
+    monkeypatch.setattr(linalg, "solve_int", recorded)
+    c0 = validate_form([[1, 1, 0], [1, 0, 0], [0, 0, 4]], CTX2)
+    u, cleared = clear_rows(c0, GKType((0, 2), (1, 0)))
+    assert u == linalg.mat(linalg.identity(3)) and cleared == c0 and solves == []
+    rng = random.Random("empty clear")
+    for _ in range(60):
+        g = random_egk(rng, max_r=4, max_m=6, max_n=7)
+        r = synthesize_reduced(g, CTX2)
+        b = transform(r, random_unimodular(r.n, CTX2, rng, steps=10))
+        assert reduce_form(b).exps == g.expand_exps()
+    assert solves and all(solves)
 
 
 def test_reduce_worked_example():
