@@ -41,18 +41,19 @@ def block_sign(form: HalfIntegralForm) -> int:
     return xi(form) if form.n % 2 == 0 else eta(form)
 
 
-def _leading_etas(form: HalfIntegralForm, ends):
+def _leading_etas(form: HalfIntegralForm, ends, signed):
     """(eta, piv) for the leading block of each size in ``ends``, ascending and
-    each non-degenerate, from one field diagonalization: lazily scaled
-    ``linalg.eliminate`` steps on den·B, each after ``linalg.pivot`` put a
-    non-zero entry of the block that ends next on the diagonal, so pivot k is
-    a leading (k+1)-minor of den·B and piv = den^end·det.  With P_k = d_0⋯d_k
-    = piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod over j >= 1 of
-    (P_{j-1}, -P_j): one running product of symbols on the integers
-    piv_k·den^((k+1) mod 2), of the same square classes, gives every eta."""
-    size, den, ctx = max(ends, default=0), form.den, form.ctx
+    each non-degenerate, eta None at an end not in ``signed``, from one field
+    diagonalization: lazily scaled ``linalg.eliminate`` steps on den·B, each
+    after ``linalg.pivot`` put a non-zero entry of the block that ends next on
+    the diagonal, so pivot k is a leading (k+1)-minor of den·B and
+    piv = den^end·det.  With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over
+    i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j): one running
+    product of symbols on the integers piv_k·den^((k+1) mod 2), of the same
+    square classes, up to the last end in ``signed``, gives every eta."""
+    size, last, den, ctx = max(ends, default=0), max(signed, default=0), form.den, form.ctx
     a = [list(row[:size]) for row in form.rows[:size]]
-    base, h = [1] * size, hilbert_symbol(-1, -1, ctx)
+    base, h = [1] * size, hilbert_symbol(-1, -1, ctx) if last else 1
     prev, prod, val = 1, 1, 1
     for start, end in zip((0, *ends), ends):
         for k in range(start, end):
@@ -65,23 +66,23 @@ def _leading_etas(form: HalfIntegralForm, ends):
             linalg.eliminate(a, k, prev, base=base)
             prev = a[k][k]
             q = prev * den if k % 2 == 0 else prev
-            val *= hilbert_symbol(prod, -q, ctx) if k else 1
+            val *= hilbert_symbol(prod, -q, ctx) if 0 < k < last else 1
             prod = q
-        sign = val * zpow(h, (end + 1) // 4) * zpow(hilbert_symbol(-1, prod, ctx), (end - 1) // 2)
-        yield sign, prev
+        yield (val * zpow(h, (end + 1) // 4) * zpow(hilbert_symbol(-1, prod, ctx), (end - 1) // 2)
+               if end in signed else None), prev
 
 
 def eta(form: HalfIntegralForm) -> int:
     """Clifford invariant: the Hilbert-symbol product of ``_leading_etas``."""
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    return next(_leading_etas(form, (form.n,)))[0]
+    return next(_leading_etas(form, (form.n,), (form.n,)))[0]
 
 
 def leading_signs(form: HalfIntegralForm, ends) -> list[int]:
     """The EGK sign of each leading block in ``_leading_etas``: eta in odd size
     j, xi of (-1)^(j/2)·piv, its signed discriminant's square class, in even."""
-    pairs = zip(ends, _leading_etas(form, ends))
+    pairs = zip(ends, _leading_etas(form, ends, {j for j in ends if j % 2}))
     return [s if j % 2 else xi_code((-1) ** (j // 2) * piv, form.ctx) for j, (s, piv) in pairs]
 
 

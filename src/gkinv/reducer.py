@@ -24,16 +24,16 @@ backtracking: a failed clear, a prefix with no move or a failed shear
 raises ``ReductionError`` naming the prefix.  ``SEARCH_BUDGET`` caps the
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
-Both reducers work on the form's integer rows and return R as integer rows
-over one denominator and U as integer rows over a scale per column;
-``reduce_form`` alone builds the certificate, each column of U in lowest
-terms, and verifies it.  The dyadic search keeps Mi = den·E²·M and Ui = E·U,
-with den the common denominator of B and E an odd integer, so the 2-adic
-order of an exact entry is the order of its integer minus ord(den) and every
-move is chosen as it would be on the exact rows.  Its clear takes X = A^-1 C
-as Y / L in lowest terms from ``linalg.solve_int`` and applies the integer
-congruence L·E_X, which multiplies E by L; an even L is exactly a clear that
-leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
+Both reducers work on the form's integer rows and return integral U and
+R = B[U] over B's denominator, each column of U the exact one times a p-unit
+(no order or square class that the reduced conditions read changes);
+``reduce_form`` alone builds the certificate and verifies it.  The dyadic
+search keeps Mi = den·E²·M and Ui = E·U, with den the common denominator of B
+and E odd, so the 2-adic order of an exact entry is its integer's minus
+ord(den) and every move is chosen as on the exact rows.  Its clear takes
+X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int`` and applies the
+integer congruence L·E_X, which multiplies E by L; an even L is exactly a
+clear that leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class ReductionCertificate:
     column in lowest terms: c_j > 0 is the least common denominator of column
     j.  ``u``, U as a matrix of Fractions, is built on first read.  The
     constructor takes U as a matrix of ints or Fractions, of any shape (the
-    verifier rejects a wrong one); ``reduce_form`` builds certificates from
-    integer rows over column scales with ``_of_rows``."""
+    verifier rejects a wrong one), which may carry p-unit denominators;
+    ``reduce_form`` builds certificates of integral U with ``_of_rows``."""
 
     y: tuple[tuple[int, ...], ...]
     c: tuple[int, ...]
@@ -100,11 +100,7 @@ class ReductionCertificate:
 
     def _set(self, y, c, reduced, gk_type) -> None:
         """Store U = y·diag(c)^-1 with each column brought to lowest terms."""
-        # zip_longest, not zip: a ragged U keeps its shape for the verifier
-        cols = zip_longest(*y, fillvalue=0)
-        g = [math.gcd(cj, *col) * (1 if cj > 0 else -1) for cj, col in zip(c, cols)]
-        if any(gj != 1 for gj in g):
-            y = [[x // gj for x, gj in zip(row, g)] for row in y]
+        y, g = _lowest_columns(y, c)
         values = (tuple(map(tuple, y)), tuple(cj // gj for cj, gj in zip(c, g)), reduced, gk_type)
         for name, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, name, value)
@@ -117,6 +113,15 @@ class ReductionCertificate:
     @property
     def exps(self) -> tuple[int, ...]:
         return self.gk_type.exps
+
+
+def _lowest_columns(y, c):
+    """(y / g, g) with g_j = gcd(c_j, column j of the integer rows y), of c_j's
+    sign: c_j / g_j > 0 is the least denominator of column j of y·diag(c)^-1."""
+    # zip_longest, not zip: a ragged U keeps its shape for the verifier
+    cols = zip_longest(*y, fillvalue=0)
+    g = [math.gcd(cj, *col) * (1 if cj > 0 else -1) for cj, col in zip(c, cols)]
+    return (y if g.count(1) == len(g) else [[x // gj for x, gj in zip(row, g)] for row in y]), g
 
 
 def binary_gk(form: HalfIntegralForm) -> tuple[int, int]:
@@ -299,20 +304,20 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
 
 
 def _dyadic_search(form: HalfIntegralForm):
-    """(M, U, exps, sigma, d, c) with B[U / e] = M / d reduced, c = (e,) * n,
-    for integer rows M and U: clear the prefix, then take the smallest move,
-    until the prefix is everything, in at most ``SEARCH_BUDGET`` passes.
+    """(M, U, exps, sigma) with B[U] = M / den reduced, den the denominator of
+    B, for integer rows M and U: clear the prefix, then take the smallest
+    move, until the prefix is everything, in at most ``SEARCH_BUDGET`` passes.
 
-    The rows start as den·B and 1, with den the common denominator of B,
-    and every step is an integer congruence, so M = den·e²·B[U / e] with e
-    the product of the clearing scales L, all odd.  The order of an exact
-    entry is then its integer's order minus s = ord(den), and each move is
-    chosen as it would be on the exact rows."""
+    The rows start as den·B and 1, and every step is an integer congruence,
+    so M = den·e²·B[U / e] with e the product of the clearing scales L, all
+    odd.  The order of an exact entry is then its integer's order minus
+    s = ord(den), and each move is chosen as it would be on the exact rows.
+    At the end column k of U is divided by gcd(e, column k), and M to match."""
     ctx, n = form.ctx, form.n
     # ord det(2B) = n·e + ord det B, from the determinant validation
     det_cap = n * ctx.e + valuation(form.det, ctx)
-    m, den = [list(row) for row in form.rows], form.den
-    s = valuation(den, ctx)
+    m = [list(row) for row in form.rows]
+    s = valuation(form.den, ctx)
     u = linalg.identity(n)
     e, budget = 1, SEARCH_BUDGET
     exps, sigma = (), ()
@@ -354,7 +359,10 @@ def _dyadic_search(form: HalfIntegralForm):
         # a split pair has x < y, so moving x to k leaves y where it was
         for t, i in enumerate(chosen):
             linalg.move(m, i, k + t, u)
-    return m, u, exps, sigma, den * e * e, (e,) * n
+    if e != 1:
+        u, g = _lowest_columns(u, (e,) * n)
+        m = [[x // (gi * gj) for x, gj in zip(row, g)] for row, gi in zip(m, g)]
+    return m, u, exps, sigma
 
 
 def _standardize(m, u, exps, sigma):
@@ -398,9 +406,10 @@ def jordan_split(form: HalfIntegralForm):
     entries have the same order at odd p), and ``linalg.pivot`` brings an
     entry that p^(v_k + 1) does not divide to the diagonal at k: the first
     such tail diagonal entry, else the one a shear exposes.  The pivot
-    becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Returns
-    (M, U, exps, sigma, d, c) with B[U·diag(c)^-1] = M / d, c = (prev_k) and
-    d = den·lcm(prev_k), as ``_dyadic_search`` does."""
+    becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Column k of U, prev_k
+    times the exact one, is divided by g_k = gcd(prev_k, column k), and
+    D_kk = m[k][k]·(prev_k / g_k) / g_k is an integer, as D = t(U)·(den·B)·U.
+    Returns (D, U, exps, sigma) with B[U] = D / den, as ``_dyadic_search`` does."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
@@ -419,11 +428,10 @@ def jordan_split(form: HalfIntegralForm):
         prev, last = m[k][k], v
     # each pivot has the least order in its tail and elimination keeps the
     # tail at or above it, so the exponents are already non-decreasing
-    # R_kk = m[k][k] / (den·prev_k), over den times the common multiple l of
-    # the prev_k, since a form has one denominator
-    l = math.lcm(*prevs)
-    diag = [[m[i][i] * (l // prevs[i]) if i == j else 0 for j in range(n)] for i in range(n)]
-    return diag, u, exps, standard_involution(exps), form.den * l, prevs
+    u, g = _lowest_columns(u, prevs)
+    d = [m[k][k] * (pk // gk) // gk for k, (pk, gk) in enumerate(zip(prevs, g))]
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return diag, u, exps, standard_involution(exps)
 
 
 # the instance-dict key under which a form keeps its verified certificate,
@@ -447,11 +455,12 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     if not form.nondegenerate:
         raise FormError("degenerate form")
     if form.ctx.p != 2:
-        m, u, exps, sigma, d, c = jordan_split(form)
+        m, u, exps, sigma = jordan_split(form)
     else:
-        m, u, exps, sigma, d, c = _dyadic_search(form)
+        m, u, exps, sigma = _dyadic_search(form)
         sigma = _standardize(m, u, exps, sigma)
-    cert = ReductionCertificate._of_rows(u, c, _from_rows(m, d, form.ctx), GKType(exps, sigma))
+    r = _from_rows(m, form.den, form.ctx)
+    cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType(exps, sigma))
     ok, reason = verify_certificate(form, cert)
     if not ok:
         raise ReductionError(f"certificate rejected: {reason}")

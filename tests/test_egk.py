@@ -285,6 +285,38 @@ def test_leading_signs_match_the_per_block_reference(monkeypatch):
         naive_datum_of_diagonal(validate_form([[1, 0, 0], [0, 0, 0], [0, 0, 3]], CTX3))
 
 
+def test_leading_signs_take_symbols_only_up_to_the_last_odd_end(monkeypatch):
+    """leading_signs reads eta only at odd ends, so it takes the running
+    product of Hilbert symbols only up to the last odd end L, and (-1, -1)
+    and (-1, P) only where eta is read: L + (odd ends) symbols in all, none
+    with only even ends.  Its signs equal the per-block reference."""
+    calls = []
+    symbol = invariants.hilbert_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return symbol(*args)
+
+    monkeypatch.setattr(invariants, "hilbert_symbol", counted)
+    rng = random.Random("odd ends")
+    even_only = 0
+    for k in range(60):
+        ctx = (CTX2, CTX3, CTX5)[k % 3]
+        g = random_egk(rng, max_r=4, max_m=5, max_n=8)
+        r = synthesize_reduced(g, ctx) if ctx.p == 2 else synthesize_nondyadic(lift(g), ctx)
+        b = transform(r, random_unimodular(r.n, ctx, rng, steps=10))
+        for f in (b, reduce_form(b).reduced):
+            ends = [e for e in range(1, f.n + 1) if leading(f, e).nondegenerate]
+            for chosen in (ends, [e for e in ends if e % 2 == 0]):
+                odd = [e for e in chosen if e % 2]
+                calls.clear()
+                signs = leading_signs(f, chosen)
+                assert len(calls) == (max(odd) + len(odd) if odd else 0), (chosen, calls)
+                assert signs == ref_leading_signs(f, chosen)
+                even_only += bool(chosen) and not odd
+    assert even_only >= 40, even_only
+
+
 def test_egk_of_builds_no_leading_subform(monkeypatch):
     """With its certificate cached, egk_of reads every sign off integer rows:
     it builds no leading subform and no form at all, on forms of several

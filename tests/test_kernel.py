@@ -490,13 +490,14 @@ def test_integer_step_matches_fraction_elimination(seed):
 
 
 # SHA-256 of the certificates of the corpora, one `gkinv reduce` JSON line
-# each; "dyadic" and "odd" were taken from the dense reducers before the
-# in-place kernel replaced them, "dyadic_even_den" from the reducers of the
-# integer-row certificates.  Any change to a certificate shows here.
+# each, taken when the reducers made U integral by scaling each column by its
+# least denominator; `test_integral_certificates.py` checks on these corpora
+# that each certificate is the one before with exactly that scaling.  Any
+# change to a certificate shows here.
 GOLDEN = {
-    "dyadic": "84e3edcdd7b0d2ad67279710a41166979f036acfa01f55cb9d877a5bd522f440",
-    "odd": "5dadcd142b2c823b89cf797d7a3d0f15c3734be7212b40f2aefe551ebf25568d",
-    "dyadic_even_den": "7233ad844876039a719ccb5edd2f66c27cd9f057262e1d08b6def6a924cb74cb",
+    "dyadic": "ea1c617d1dc08551346d729f5dbcf18241056c3ec1772c811278bfcdda9c0b89",
+    "odd": "a31a869f8b78b6ec85ea5fb7e1bace1981dbdf635b01b3361480ab083f8849c4",
+    "dyadic_even_den": "b679b7b9fe3ef7fcc50ecac05fd95d570beb38e510b04a767aea5bded3a1f881",
 }
 
 

@@ -240,7 +240,9 @@ def test_jordan_examples():
 
 def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
     """3·H has no nonzero diagonal, so the split shears e_0 += e_1 before its
-    first pivot; the fraction-free step then gives the exact certificate."""
+    first pivot; the fraction-free step then gives the exact certificate with
+    U's second column scaled by its least denominator 2, and R's second
+    diagonal entry by 2², so U is integral."""
     shears = []
     shear = linalg.shear
 
@@ -253,8 +255,8 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
     cert = reduce_form(b)
     assert shears == [(1, 0, 1)]
     assert cert.exps == (1, 1)
-    assert cert.u == linalg.mat([[1, Fraction(-1, 2)], [1, Fraction(1, 2)]])
-    assert cert.reduced.entries == linalg.mat([[3, 0], [0, Fraction(-3, 4)]])
+    assert cert.u == linalg.mat([[1, -1], [1, 1]])
+    assert cert.reduced.entries == linalg.mat([[3, 0], [0, -3]])
     assert verify_certificate(b, cert) == (True, "ok")
 
 
