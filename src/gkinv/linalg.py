@@ -166,7 +166,7 @@ def inverse(a) -> tuple[list[list[int]], int]:
     return solve_int(a, identity(len(a)))
 
 
-def submatrix(m: Matrix, rows, cols) -> Matrix:
+def submatrix(m: Rows, rows, cols) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 

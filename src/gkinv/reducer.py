@@ -54,7 +54,7 @@ from .forms import (
     is_unimodular,
     norm_ideal_ord,
 )
-from .involutions import GKType, blocks, is_standard, standard_involution
+from .involutions import GKType, is_standard, standard_involution
 from .linalg import Matrix
 from .padic import INF, PrimeContext, Rational, _disc_ideal_ord, valuation
 
@@ -312,7 +312,14 @@ def _dyadic_search(form: HalfIntegralForm):
     so M = den·e²·B[U / e] with e the product of the clearing scales L, all
     odd.  The order of an exact entry is then its integer's order minus
     s = ord(den), and each move is chosen as it would be on the exact rows.
-    At the end column k of U is divided by gcd(e, column k), and M to match."""
+    At the end column k of U is divided by gcd(e, column k), and M to match.
+
+    The involution comes out standard.  Each move is the least (c, kind, x, y),
+    so at each exponent c the search appends the raised kind-0 coordinate
+    first, then kind-1 equal pairs side by side, then the kind-2 fixed point.
+    After that fixed point no move at c is left: a kind-0 or kind-1 move at c
+    would have been taken first, and a later diagonal of its parity is sheared
+    past c.  The verifier's ``is_standard`` rejects any other layout."""
     ctx, n = form.ctx, form.n
     # ord det(2B) = n·e + ord det B, from the determinant validation
     det_cap = n * ctx.e + valuation(form.det, ctx)
@@ -321,18 +328,21 @@ def _dyadic_search(form: HalfIntegralForm):
     u = linalg.identity(n)
     e, budget = 1, SEARCH_BUDGET
     exps, sigma = (), ()
+
+    def at():  # where the search stopped, built only for a failure
+        return f"at prefix exps={list(exps)} sigma={list(sigma)}"
+
     while len(exps) < n:
         if budget <= 0:
             raise BudgetExhausted("reduction budget exhausted")
         budget -= 1
-        at = f"at prefix exps={list(exps)} sigma={list(sigma)}"
         l = _clear_matrix(m, u, exps, sigma)
         if l is None:
-            raise ReductionError(f"clearing transform is not integral {at}")
+            raise ReductionError(f"clearing transform is not integral {at()}")
         e *= l
         moves = _candidates(m, s, exps, sigma, det_cap, ctx)
         if not moves:
-            raise ReductionError(f"no admissible move {at}")
+            raise ReductionError(f"no admissible move {at()}")
         c, kind, x, y = min(moves)
         k = len(exps)
         if kind == 3:  # parity collision: shear the tail diagonal away
@@ -341,7 +351,7 @@ def _dyadic_search(form: HalfIntegralForm):
                 sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x] + s, c + s, ctx)
             except (FormError, ReductionError) as ex:
                 what = f"collision shear of {y} against {x} to exponent {c}"
-                raise ReductionError(f"{what} failed {at}: {ex}") from ex
+                raise ReductionError(f"{what} failed {at()}: {ex}") from ex
             linalg.shear(m, x, y, sh, u)
             continue
         if kind == 0:  # pair the prefix fixed point x with tail coordinate y
@@ -363,33 +373,6 @@ def _dyadic_search(form: HalfIntegralForm):
         u, g = _lowest_columns(u, (e,) * n)
         m = [[x // (gi * gj) for x, gj in zip(row, g)] for row, gi in zip(m, g)]
     return m, u, exps, sigma
-
-
-def _standardize(m, u, exps, sigma):
-    """Reorder the working rows m, u within equal-exponent blocks so the
-    involution is standard, by one ``linalg.move`` per coordinate; returns
-    the new involution."""
-    bl = blocks(exps)
-    target: list[int] = []
-    for s in range(bl.r):
-        idx = list(bl.indices(s))
-        plus = [i for i in idx if sigma[i] != i and exps[sigma[i]] < exps[i]]
-        dang = [i for i in idx if sigma[i] == i or exps[sigma[i]] > exps[i]]
-        pairs = []
-        for i in idx:
-            j = sigma[i]
-            if j != i and exps[j] == exps[i] and i < j:
-                pairs.extend((i, j))
-        target.extend(plus + pairs + dang)
-    # order holds the input coordinates in their current order: place each
-    # target coordinate in turn, behind those already placed
-    order, inv = list(range(len(target))), [0] * len(target)
-    for k, old in enumerate(target):
-        t = order.index(old, k)
-        order.insert(k, order.pop(t))
-        linalg.move(m, t, k, u)
-        inv[old] = k
-    return tuple(inv[sigma[old]] for old in target)
 
 
 def jordan_split(form: HalfIntegralForm):
@@ -458,7 +441,6 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
         m, u, exps, sigma = jordan_split(form)
     else:
         m, u, exps, sigma = _dyadic_search(form)
-        sigma = _standardize(m, u, exps, sigma)
     r = _from_rows(m, form.den, form.ctx)
     cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType(exps, sigma))
     ok, reason = verify_certificate(form, cert)

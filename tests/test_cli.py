@@ -285,6 +285,22 @@ def test_synth_dyadic_and_nondyadic(tmp_path, capsys):
         assert json.loads(out)["error"] == "invalid_egk_datum"
 
 
+@pytest.mark.parametrize("sigma", [[1, 3, 2], [2, 1, 3]])
+def test_reduce_keeps_the_standard_involution_synth_was_given(tmp_path, capsys, sigma):
+    """Exponents (0, 2, 2) have two standard involutions: the fixed point 1
+    with the pair (2 3), and the cross-block pair (1 2) with the fixed point
+    3.  The search lays out each one as it is, with no reordering pass."""
+    egk = write(tmp_path, "egk.json", {"p": 2, "n": [1, 2], "m": [0, 2], "zeta": [1, 1]})
+    sig = write(tmp_path, "sigma.json", {"sigma": sigma})
+    code, out = run_cli(["synth", "--egk", egk, "--sigma", sig], capsys)
+    assert code == 0
+    form = write(tmp_path, "synth.json", json.loads(out))
+    code, out = run_cli(["reduce", "--input", form], capsys)
+    assert code == 0
+    cert = json.loads(out)
+    assert (cert["ua"], cert["sigma"]) == ([0, 2, 2], sigma)
+
+
 def test_reduce_output_is_byte_identical(tmp_path, capsys):
     path = write(tmp_path, "f.json", DIAG11)
     _, out1 = run_cli(["reduce", "--input", path], capsys)

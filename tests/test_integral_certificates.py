@@ -33,13 +33,13 @@ from gkinv.reducer import (
     _candidates,
     _clear_matrix,
     _dyadic_search,
-    _standardize,
     complete_square,
     jordan_split,
     reduce_form,
     verify_certificate,
 )
 from test_kernel import dyadic_corpus, dyadic_even_den_corpus, odd_corpus
+from test_standard_layout import parent_standardize
 
 CTX3 = PrimeContext(3)
 
@@ -103,7 +103,7 @@ def parent_certificate(form):
         m, u, exps, sigma, d, c = parent_jordan_split(form)
     else:
         m, u, exps, sigma, d, c = parent_dyadic_search(form)
-        sigma = _standardize(m, u, exps, sigma)
+        sigma = parent_standardize(m, u, exps, sigma)
     return ReductionCertificate._of_rows(u, c, _from_rows(m, d, form.ctx), GKType(exps, sigma))
 
 

@@ -16,7 +16,7 @@ from gkinv.involutions import (
     standard_involutions,
 )
 from gkinv.linalg import identity
-from gkinv.reducer import _standardize
+from test_standard_layout import parent_standardize
 
 PICTURE_EXPS = (0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 5, 5, 6, 6, 6, 6, 7, 7, 7)
 # pairing (1 2)(3 5)(4 17)(6 7)(8 13)(9 10)(11 12)(14 15)(18 19), 0-based
@@ -136,17 +136,27 @@ def standardize(exps, sigma):
 
 
 def test_standardize_maps_to_signature_match():
-    """The reducer's _standardize, which permutes coordinates within blocks,
-    gives the standard involution of the same plus-signature."""
-    for exps in [(0, 0, 1, 1), (0, 1, 2), (0, 0, 2, 2), (1, 1, 1), (0, 0, 0, 1, 1)]:
+    """The reordering pass the reducer once ran after the dyadic search, kept
+    as the reference in test_standard_layout, permutes coordinates within
+    blocks and gives the standard involution of the same plus-signature.  It
+    moves every involution that is not standard, so the check there that it
+    leaves the search's output as it is can fail."""
+    moved = 0
+    for exps in [(0, 0, 1, 1), (0, 1, 2), (0, 0, 2, 2), (1, 1, 1), (0, 0, 0, 1, 1),
+                 (0, 1, 1, 1, 2, 2), (0, 0, 0, 2, 2, 2)]:
         n = len(exps)
         for sigma in all_involutions(n):
             if not is_admissible(exps, sigma):
                 continue
-            std = _standardize(identity(n), identity(n), exps, sigma)
+            u = identity(n)
+            std = parent_standardize(identity(n), u, exps, sigma)
             assert is_standard(exps, std)
             assert plus_signature(exps, std) == plus_signature(exps, sigma)
             assert std == standardize(exps, sigma)
+            assert (std == sigma) == is_standard(exps, sigma)
+            assert (u == identity(n)) == (std == sigma)
+            moved += std != sigma
+    assert moved >= 15
 
 
 def test_census_small():
