@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .egk import EGKDatum, EGKError, lift, synthesize_nondyadic, synthesize_reduced
-from .forms import FormError, HalfIntegralForm, delta, random_form, validate_form
+from .forms import FormError, HalfIntegralForm, _from_rows, delta, random_form
 from .invariants import egk_of, eta, gk, xi
 from .involutions import GKType, is_standard
 from .padic import PrimeContext
@@ -82,30 +82,36 @@ def _parse_json_int(literal: str) -> int:
     return int(literal)
 
 
-def _parse_rational(s) -> Fraction:
+def _parse_rational(s) -> tuple[int, int]:
+    """A JSON int or a rational string as (numerator, denominator > 0), not
+    necessarily in lowest terms."""
     if type(s) is int:
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str) or not _RATIONAL.match(s.strip()):
         raise CliError(1, {"error": "bad_rational", "value": str(s)})
-    for digits in s.strip().lstrip("+-").split("/"):
-        _check_digits(digits)
-    return Fraction(s.strip())
+    num, _, den = s.strip().partition("/")
+    _check_digits(num.lstrip("+-"))
+    if den:
+        _check_digits(den)
+    return int(num), int(den or 1)
 
 
-def _fmt_rational(x: Fraction) -> str:
-    """x as JSON text, held to NUMBER_MAX_DIGITS digits like the input, so
-    ``verify`` reads back every certificate that ``reduce`` prints."""
-    x = Fraction(x)
-    if abs(x.numerator) >= _NUMBER_BOUND or x.denominator >= _NUMBER_BOUND:
+def _fmt_rational(num: int, den: int) -> str:
+    """num / den, for den > 0, as JSON text in lowest terms, held to
+    NUMBER_MAX_DIGITS digits like the input, so ``verify`` reads back every
+    certificate that ``reduce`` prints."""
+    if den != 1:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    if abs(num) >= _NUMBER_BOUND or den >= _NUMBER_BOUND:
         detail = f"an output number has more than {NUMBER_MAX_DIGITS} digits"
         raise CliError(1, {"error": "number_too_large", "detail": detail})
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _fmt_matrix(m) -> list[list[str]]:
-    return [[_fmt_rational(x) for x in row] for row in m]
+def _fmt_matrix(rows, dens) -> list[list[str]]:
+    """The matrix of entries rows[i][j] / dens[j], for integer rows."""
+    return [[_fmt_rational(x, d) for x, d in zip(row, dens)] for row in rows]
 
 
 def _load_json(path: str):
@@ -133,21 +139,30 @@ def _form_from_payload(payload) -> HalfIntegralForm:
         ctx = PrimeContext(_json_int(payload["p"], "bad_prime"))
     except ValueError as ex:
         raise CliError(1, {"error": "bad_prime", "detail": str(ex)})
-    rows = [[_parse_rational(x) for x in row] for row in payload["matrix"]]
     try:
-        return validate_form(rows, ctx)
+        return _form_of(payload["matrix"], ctx)
     except FormError as ex:
         raise CliError(1, {"error": "invalid_form", "detail": str(ex)})
 
 
+def _form_of(matrix, ctx: PrimeContext) -> HalfIntegralForm:
+    """The form of a matrix of rationals, as ``validate_form`` builds it:
+    ``_from_rows`` over the lcm of the denominators, which brings it to
+    lowest terms."""
+    rows = [[_parse_rational(x) for x in row] for row in matrix]
+    d = math.lcm(*(den for row in rows for _, den in row))
+    return _from_rows([[num * (d // den) for num, den in row] for row in rows], d, ctx)
+
+
 def _form_payload(form: HalfIntegralForm) -> dict:
-    return {"p": form.ctx.p, "matrix": _fmt_matrix(form.entries)}
+    return {"p": form.ctx.p, "matrix": _fmt_matrix(form.rows, [form.den] * form.n)}
 
 
 def _cert_payload(cert: ReductionCertificate) -> dict:
+    r = cert.reduced
     return {
-        "U": _fmt_matrix(cert.u),
-        "R": _fmt_matrix(cert.reduced.entries),
+        "U": _fmt_matrix(cert.y, cert.c),
+        "R": _fmt_matrix(r.rows, [r.den] * r.n),
         "ua": list(cert.exps),
         "sigma": [s + 1 for s in cert.gk_type.sigma],
     }
@@ -155,17 +170,16 @@ def _cert_payload(cert: ReductionCertificate) -> dict:
 
 def _cert_from_payload(payload, ctx: PrimeContext) -> ReductionCertificate:
     try:
-        u = tuple(
-            tuple(_parse_rational(x) for x in row) for row in payload["U"]
-        )
-        r = validate_form(
-            [[_parse_rational(x) for x in row] for row in payload["R"]], ctx
-        )
+        u = [[_parse_rational(x) for x in row] for row in payload["U"]]
+        r = _form_of(payload["R"], ctx)
         exps = tuple(_json_int(a, "bad_certificate") for a in payload["ua"])
         sigma = tuple(_json_int(s, "bad_certificate") - 1 for s in payload["sigma"])
         if len(u) != r.n or any(len(row) != r.n for row in u):
             raise FormError("U is not a square matrix of the size of R")
-        return ReductionCertificate(u, r, GKType(exps, sigma))
+        # U = y·diag(c)^-1 with c_j the lcm of column j's denominators
+        c = [math.lcm(*(den for _, den in col)) for col in zip(*u)]
+        y = [[num * (cj // den) for (num, den), cj in zip(row, c)] for row in u]
+        return ReductionCertificate._of_rows(y, c, r, GKType(exps, sigma))
     except CliError:
         raise
     except (KeyError, TypeError, ValueError, FormError) as ex:

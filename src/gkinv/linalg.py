@@ -12,7 +12,7 @@ and ``inverse`` is the one solve, ``solve_int``, against the identity.
 ``solve_int`` is fraction-free Gauss-Jordan elimination and returns A^-1 B
 as Y / L in lowest terms.  ``congruence``, ``det`` and ``matmul`` share no
 code with the in-place kernel's steps, which is what lets the verifier check
-the reducers with ``congruence``.
+the reducers with ``matmul``.
 
 The in-place elimination kernel at the end is what both reducers run on:
 each of its steps applies a congruence M <- t(E) M E, and U <- U E when a

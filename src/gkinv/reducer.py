@@ -31,9 +31,10 @@ R = B[U] over B's denominator, each column of U the exact one times a p-unit
 search keeps Mi = den·E²·M and Ui = E·U, with den the common denominator of B
 and E odd, so the 2-adic order of an exact entry is its integer's minus
 ord(den) and every move is chosen as on the exact rows.  Its clear takes
-X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int`` and applies the
-integer congruence L·E_X, which multiplies E by L; an even L is exactly a
-clear that leaves Z_2.  The Jordan split eliminates fraction-free on den·B.
+X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int``, on the paired
+rows linked to the cross block C only, and applies the integer congruence
+L·E_X, which multiplies E by L; an even L is exactly a clear that leaves
+Z_2.  The Jordan split eliminates fraction-free on den·B.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
+from operator import mul
 
 from . import linalg
 from .forms import (
@@ -234,27 +236,38 @@ def complete_square(
 def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     """Zero the cross rows of the reduced prefix against the tail, skipping
     fixed-point rows, on integer rows.  With X = A^-1 C = Y / L in lowest
-    terms (``linalg.solve_int``), apply the integer congruence L·E_X, where
-    E_X takes X times the paired prefix columns off each tail column, to m
-    and u in place: scale the tail coordinates by L, shear by -Y, scale the
-    prefix coordinates by L.  Returns L, which is odd; returns None, with
-    both untouched, when L is even, that is when X leaves Z_2 (such a prefix
-    cannot extend)."""
+    terms (``linalg.solve_int``, on the rows of A that a non-zero entry of C
+    reaches through A's non-zero entries), apply the integer congruence
+    L·E_X, where E_X takes X times the paired prefix columns off each tail
+    column, to m and u in place: scale the tail coordinates by L, shear by
+    -Y, scale the prefix coordinates by L.  Returns L, which is odd; returns
+    None, with both untouched, when L is even, that is when X leaves Z_2
+    (such a prefix cannot extend)."""
     k = len(exps)
     paired = [i for i in range(k) if sigma[i] != i]
     tail = range(k, len(m))
-    if not any(any(m[i][k:]) for i in paired):  # nothing to clear
+    linked = [i for i in paired if any(m[i][k:])]
+    if not linked:  # nothing to clear
         return 1
-    y, l = linalg.solve_int(
-        linalg.submatrix(m, paired, paired), linalg.submatrix(m, paired, tail)
-    )
+    # close the rows with a non-zero cross entry over A's non-zero entries:
+    # A is block diagonal between them and the other paired rows, where C is
+    # zero, so X is zero there too and the solve needs only the closure
+    closed = set(linked)
+    while linked:
+        row = m[linked.pop()]
+        for j in paired:
+            if row[j] and j not in closed:
+                closed.add(j)
+                linked.append(j)
+    rows = [i for i in paired if i in closed]
+    y, l = linalg.solve_int(linalg.submatrix(m, rows, rows), linalg.submatrix(m, rows, tail))
     if l % 2 == 0:
         return None
     if l != 1:
         linalg.scale(m, tail, l, u)
     # in (prefix, tail) blocks diag(1, L)·[[1, -Y], [0, 1]]·diag(L, 1) = L·E_X;
     # the shears run from prefix to tail coordinates, so they commute
-    for i, row in zip(paired, y):
+    for i, row in zip(rows, y):
         for j, v in zip(tail, row):
             if v:
                 linalg.shear(m, i, j, -v, u)
@@ -468,13 +481,18 @@ def verify_certificate(
     # iff p divides no c_j, and then det y = det U·prod(c) is a unit iff det U is
     if any(cj % form.ctx.p == 0 for cj in c) or not is_unimodular(y, form.ctx):
         return False, "transform is not unimodular"
-    # t(U) B U = R as t(y)·(den·B)·y = den·diag(c)·R·diag(c), on integer rows
+    # t(U) B U = R as t(y)·(den·B)·y = den·diag(c)·R·diag(c), on integer rows;
+    # both sides are symmetric once B and R are, so entries i <= j suffice
     ri, dr = cert.reduced.rows, cert.reduced.den
-    t = linalg.congruence(form.rows, y)
-    for row, rrow, ci in zip(t, ri, c):
+    if any(tuple(map(tuple, m)) != tuple(zip(*m)) for m in (form.rows, ri)):
+        return False, "matrix is not symmetric"
+    yt = linalg.transpose(y)
+    byt = linalg.transpose(linalg.matmul(form.rows, y))
+    for i, (yi, rrow, ci) in enumerate(zip(yt, ri, c)):
         k = form.den * ci
-        if [x * dr for x in row] != [k * r * cj for cj, r in zip(c, rrow)]:
-            return False, "transform does not map the source to the claimed matrix"
+        for j in range(i, form.n):
+            if sum(map(mul, yi, byt[j])) * dr != k * rrow[j] * c[j]:
+                return False, "transform does not map the source to the claimed matrix"
     if not is_standard(exps, cert.gk_type.sigma):
         return False, "involution is not standard"
     if not is_reduced(cert.reduced, cert.gk_type):

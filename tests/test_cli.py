@@ -13,8 +13,10 @@ import pytest
 import gkinv
 from gkinv import cli
 from gkinv.cli import main
-from gkinv.forms import random_form
+from gkinv.forms import FormError, random_form, transform, validate_form
+from gkinv.involutions import GKType
 from gkinv.padic import PrimeContext
+from gkinv.reducer import ReductionCertificate
 
 
 def run_cli(args, capsys):
@@ -577,11 +579,12 @@ def test_fmt_rational_holds_the_digit_bound():
     most the input reader takes, and names a larger number."""
     top = 10**cli.NUMBER_MAX_DIGITS
     nines = "9" * cli.NUMBER_MAX_DIGITS
-    assert cli._fmt_rational(top - 1) == nines
-    assert cli._fmt_rational(Fraction(-1, top - 1)) == "-1/" + nines
-    for x in (top, -top, Fraction(1, top), Fraction(top + 1, 3)):
+    assert cli._fmt_rational(top - 1, 1) == nines
+    assert cli._fmt_rational(-1, top - 1) == "-1/" + nines
+    assert cli._fmt_rational(-2, 2 * (top - 1)) == "-1/" + nines
+    for x in ((top, 1), (-top, 1), (1, top), (top + 1, 3)):
         with pytest.raises(cli.CliError) as ex:
-            cli._fmt_rational(x)
+            cli._fmt_rational(*x)
         assert ex.value.code == 1 and ex.value.payload["error"] == "number_too_large"
 
 
@@ -616,3 +619,224 @@ def test_oversize_certificate_number_is_named(tmp_path, capsys):
                 "error": "number_too_large",
                 "detail": f"an output number has more than {cli.NUMBER_MAX_DIGITS} digits",
             }
+
+
+# The parent's Fraction parser and serializer, verbatim but for the names:
+# the reference that the integer helpers of ``gkinv.cli`` must match byte for
+# byte, in output and in error JSON.
+def parent_parse_rational(s) -> Fraction:
+    if type(s) is int:
+        return Fraction(s)
+    if not isinstance(s, str) or not cli._RATIONAL.match(s.strip()):
+        raise cli.CliError(1, {"error": "bad_rational", "value": str(s)})
+    for digits in s.strip().lstrip("+-").split("/"):
+        cli._check_digits(digits)
+    return Fraction(s.strip())
+
+
+def parent_fmt_rational(x: Fraction) -> str:
+    x = Fraction(x)
+    if abs(x.numerator) >= cli._NUMBER_BOUND or x.denominator >= cli._NUMBER_BOUND:
+        detail = f"an output number has more than {cli.NUMBER_MAX_DIGITS} digits"
+        raise cli.CliError(1, {"error": "number_too_large", "detail": detail})
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parent_fmt_matrix(m):
+    return [[parent_fmt_rational(x) for x in row] for row in m]
+
+
+def parent_form_from_payload(payload):
+    if (
+        not isinstance(payload, dict)
+        or "p" not in payload
+        or not cli._is_rows(payload.get("matrix"))
+    ):
+        raise cli.CliError(1, {"error": "bad_form_payload"})
+    try:
+        ctx = PrimeContext(cli._json_int(payload["p"], "bad_prime"))
+    except ValueError as ex:
+        raise cli.CliError(1, {"error": "bad_prime", "detail": str(ex)})
+    rows = [[parent_parse_rational(x) for x in row] for row in payload["matrix"]]
+    try:
+        return validate_form(rows, ctx)
+    except FormError as ex:
+        raise cli.CliError(1, {"error": "invalid_form", "detail": str(ex)})
+
+
+def parent_form_payload(form):
+    return {"p": form.ctx.p, "matrix": parent_fmt_matrix(form.entries)}
+
+
+def parent_cert_payload(cert):
+    return {
+        "U": parent_fmt_matrix(cert.u),
+        "R": parent_fmt_matrix(cert.reduced.entries),
+        "ua": list(cert.exps),
+        "sigma": [s + 1 for s in cert.gk_type.sigma],
+    }
+
+
+def parent_cert_from_payload(payload, ctx):
+    try:
+        u = tuple(
+            tuple(parent_parse_rational(x) for x in row) for row in payload["U"]
+        )
+        r = validate_form(
+            [[parent_parse_rational(x) for x in row] for row in payload["R"]], ctx
+        )
+        exps = tuple(cli._json_int(a, "bad_certificate") for a in payload["ua"])
+        sigma = tuple(cli._json_int(s, "bad_certificate") - 1 for s in payload["sigma"])
+        if len(u) != r.n or any(len(row) != r.n for row in u):
+            raise FormError("U is not a square matrix of the size of R")
+        return ReductionCertificate(u, r, GKType(exps, sigma))
+    except cli.CliError:
+        raise
+    except (KeyError, TypeError, ValueError, FormError) as ex:
+        raise cli.CliError(1, {"error": "bad_certificate", "detail": str(ex)})
+
+
+PARENT_CLI = {
+    "_form_from_payload": parent_form_from_payload,
+    "_form_payload": parent_form_payload,
+    "_cert_payload": parent_cert_payload,
+    "_cert_from_payload": parent_cert_from_payload,
+}
+
+
+def both_clis(args, capsys, monkeypatch):
+    """(exit code, stdout) of main(args) with the integer helpers, then with
+    the parent's Fraction helpers in their place."""
+    outs = [run_cli(args, capsys)]
+    with monkeypatch.context() as mp:
+        for name, fn in PARENT_CLI.items():
+            mp.setattr(cli, name, fn)
+        outs.append(run_cli(args, capsys))
+    return outs
+
+
+MAX = cli.NUMBER_MAX_DIGITS
+EDGE_FORMS = [
+    {"p": 5, "matrix": [["+3", " 4/6 "], [" 4/6 ", "0/5"]]},
+    {"p": 3, "matrix": [[2, "-1/2"], ["-1/2", 6]]},
+    {"p": 2, "matrix": [["0", "+1/2", 0], ["1/2", "2/1", "-3/6"], [0, "-1/2", "4"]]},
+    {"p": 7, "matrix": [["-14/10", "7/4"], ["7/4", "21"]]},
+    {"p": 5, "matrix": [["1" + "0" * (MAX - 1)]]},  # a 4,300-digit R entry
+    {"p": 2, "matrix": [["2/" + "3" * MAX]]},
+    {"p": 3, "matrix": []},
+]
+
+
+def _edge_batches(rng):
+    """Batches for p = 2, 3, 5, 7: random forms of n = 1..5, scrambled by
+    rational transforms so that entries carry mixed denominators, with the
+    rationals written in every accepted spelling."""
+    spell = [
+        lambda x: f"{x.numerator}/{x.denominator}",
+        lambda x: f" {2 * x.numerator}/{2 * x.denominator} ",
+        lambda x: ("+" if x >= 0 else "") + f"{x.numerator}/{x.denominator}",
+        lambda x: x.numerator if x.denominator == 1 else str(x),
+    ]
+    for p in (2, 3, 5, 7):
+        ctx, batch = PrimeContext(p), []
+        for k in range(24):
+            n = 1 + k % 5
+            form = random_form(n, ctx, rng, height=3)
+            d = Fraction(rng.choice((1, 3, 5, 7, 11)), rng.choice([q for q in (1, 2, 3, 4, 5) if q % p]))
+            form = transform(form, [[d if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+            matrix = [[rng.choice(spell)(x) for x in row] for row in form.entries]
+            for i in range(n):  # keep the matrix symmetric, as spelled
+                for j in range(i):
+                    matrix[i][j] = matrix[j][i]
+            batch.append({"p": p, "matrix": matrix})
+        yield p, batch
+
+
+def test_integer_rows_print_the_parents_bytes(tmp_path, capsys, monkeypatch):
+    """``reduce``, ``compute --what egk`` and ``verify`` print byte for byte
+    what the parent's Fraction parser and serializer printed, on p = 2, 3, 5,
+    7 batches in every spelling the reader takes, at the digit bound, and on a
+    certificate whose U has p-unit column denominators."""
+    batches = list(_edge_batches(random.Random("integer rows")))
+    batches.append(("edge", EDGE_FORMS))
+    h3 = {"p": 3, "matrix": [["0", "3/2"], ["3/2", "0"]]}
+    h3_cert = {"U": [["1", "-1/2"], ["1", "1/2"]], "R": [["3", "0"], ["0", "-3/4"]],
+               "ua": [1, 1], "sigma": [2, 1]}
+    seen = 0
+    for name, batch in batches:
+        forms = write(tmp_path, f"{name}.json", batch)
+        certs = str(tmp_path / f"{name}_cert.json")
+        new, old = both_clis(["reduce", "--input", forms, "--emit-certificate", certs],
+                             capsys, monkeypatch)
+        assert new == old and new[0] == 0, name
+        for args in (
+            ["compute", "--what", "egk", "--input", forms],
+            ["verify", "--input", forms, "--certificate", certs],
+        ):
+            new, old = both_clis(args, capsys, monkeypatch)
+            assert new == old, (name, args)
+        seen += len(batch)
+    assert seen >= 100
+    assert f'"R":[["1{"0" * (MAX - 1)}"]]' in run_cli(
+        ["reduce", "--input", write(tmp_path, "top.json", EDGE_FORMS[4])], capsys)[1]
+    args = ["verify", "--input", write(tmp_path, "h3.json", h3),
+            "--certificate", write(tmp_path, "h3c.json", h3_cert)]
+    new, old = both_clis(args, capsys, monkeypatch)
+    assert new == old == (0, '{"verified":true}\n')
+    # rand and synth print a form from its rows as the parent printed entries
+    for args in (["rand", "--n", "5", "--p", "7", "--count", "6", "--seed", "3"],
+                 ["synth", "--egk", write(tmp_path, "g.json",
+                                          {"p": 2, "n": [1, 2], "m": [0, 2], "zeta": [1, 1]})]):
+        new, old = both_clis(args, capsys, monkeypatch)
+        assert new == old and new[0] == 0
+
+
+def test_integer_rows_keep_the_parents_error_json(tmp_path, capsys, monkeypatch):
+    """bad_rational, number_too_large, invalid_form and bad_certificate come
+    out as the same JSON document, with the same exit code, as from the
+    parent's Fraction helpers."""
+    rng = random.Random("cli/oversize-certificate")
+    a, b, c = (rng.randrange(10**4298, 10**4299) for _ in range(3))
+    good = {"p": 3, "matrix": [["1", "1/2"], ["1/2", "2"]]}
+    forms = [
+        ({"p": 2, "matrix": [["1.5"]]}, "bad_rational"),
+        ({"p": 2, "matrix": [[True]]}, "bad_rational"),
+        ({"p": 2, "matrix": [[1.0]]}, "bad_rational"),
+        ({"p": 2, "matrix": [["1/0"]]}, "bad_rational"),
+        ({"p": 2, "matrix": [["++1"]]}, "bad_rational"),
+        ({"p": 2, "matrix": [["1" * (MAX + 1)]]}, "number_too_large"),
+        ({"p": 2, "matrix": [["-1/" + "1" * (MAX + 1)]]}, "number_too_large"),
+        ({"p": 3, "matrix": [[a, b], [b, c]]}, "number_too_large"),  # on output
+        ({"p": 2, "matrix": [["1/2", "0"], ["0", "1"]]}, "invalid_form"),
+        ({"p": 3, "matrix": [["1", "1/3"], ["1/3", "1"]]}, "invalid_form"),
+        ({"p": 3, "matrix": [["1", "1"], ["2", "1"]]}, "invalid_form"),
+        ({"p": 3, "matrix": [["1", "1"], ["1"]]}, "invalid_form"),
+        ({"p": 2, "matrix": [[]]}, "invalid_form"),
+    ]
+    for payload, error in forms:
+        path = write(tmp_path, "f.json", payload)
+        new, old = both_clis(["compute", "--what", "gk", "--input", path], capsys, monkeypatch)
+        assert new == old, payload
+        new, old = both_clis(["reduce", "--input", path], capsys, monkeypatch)
+        assert new == old, payload
+        assert new[0] == 1 and json.loads(new[1])["error"] == error, payload
+    cert = {"U": [["1", "0"], ["0", "1"]], "R": good["matrix"], "ua": [0, 0], "sigma": [2, 1]}
+    certs = [
+        ({**cert, "U": [["1", "x"], ["0", "1"]]}, "bad_rational"),
+        ({**cert, "U": [["1", "1" * (MAX + 1)], ["0", "1"]]}, "number_too_large"),
+        ({**cert, "R": [["1", "1/3"], ["1/3", "1"]]}, "bad_certificate"),
+        ({**cert, "R": [["1", "0"], ["1", "1"]]}, "bad_certificate"),
+        ({**cert, "U": [["1"], ["0"]]}, "bad_certificate"),
+        ({**cert, "U": 5}, "bad_certificate"),
+        ({**cert, "ua": [0, 0.5]}, "bad_certificate"),
+        ({k: v for k, v in cert.items() if k != "U"}, "bad_certificate"),
+        ([cert], "bad_certificate"),
+    ]
+    forms = write(tmp_path, "good.json", good)
+    for payload, error in certs:
+        args = ["verify", "--input", forms, "--certificate", write(tmp_path, "c.json", payload)]
+        new, old = both_clis(args, capsys, monkeypatch)
+        assert new == old, payload
+        assert new[0] == 1 and json.loads(new[1])["error"] == error, payload
