@@ -136,12 +136,13 @@ def norm_ideal_ord(form: HalfIntegralForm) -> int | float:
 
 
 def _norm_gcd(rows, k: int = 0, q: int = 1) -> int:
-    """gcd of the diagonal and doubled entries of the integer rows from
+    """gcd of the diagonal and doubled entries of the n integer rows from
     coordinate k on, or of those it has read when q = p^(b + 1), b a lower
-    bound on their least order, stops dividing it: its order is that order."""
-    g = 0
-    for i in range(k, len(rows)):
-        g = math.gcd(g, rows[i][i], 2 * math.gcd(*rows[i][i + 1 :]))
+    bound on their least order, stops dividing it: its order is that order.
+    Columns past n (the Jordan split's t(U)) are not read."""
+    g, n = 0, len(rows)
+    for i in range(k, n):
+        g = math.gcd(g, rows[i][i], 2 * math.gcd(*rows[i][i + 1 : n]))
         if g % q:
             break
     return g

@@ -82,11 +82,10 @@ def is_admissible(exps, sigma: Involution) -> bool:
             return False
 
     # (ii) per block: at most one raised index, at most one lowered-or-fixed
+    raised, lowered = set(plus), set(minus + fixed)
     for s in range(bl.r):
         idx = set(bl.indices(s))
-        if len(idx & set(plus)) > 1:
-            return False
-        if len(idx & (set(minus) | set(fixed))) > 1:
+        if len(idx & raised) > 1 or len(idx & lowered) > 1:
             return False
 
     # (iii) cross-block pairs join nearest exponents of equal parity
@@ -131,6 +130,13 @@ class GKType:
     def __post_init__(self) -> None:
         if not is_admissible(self.exps, self.sigma):
             raise ValueError("involution is not admissible for the exponents")
+
+    @classmethod
+    def _of(cls, exps, sigma) -> GKType:
+        """Unchecked: ``reduce_form``'s verifier runs ``is_standard`` on it."""
+        t = cls.__new__(cls)
+        t.__dict__.update(exps=exps, sigma=sigma)
+        return t
 
     @property
     def n(self) -> int:

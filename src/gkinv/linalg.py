@@ -18,9 +18,11 @@ The in-place elimination kernel at the end is what both reducers run on:
 each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
 working U is given, to mutable lists of rows without building E.  ``move``
 (the one coordinate move), ``shear`` and ``scale`` work on rows of any exact
-numbers and give the same values as t(E) M E and U E.  ``pivot`` is the one
-pivot step of the Jordan split and the field diagonalization, which differ
-only in the entries it accepts; ``eliminate`` is a fraction-free step.  The
+numbers and give the same values as t(E) M E and U E, and t(E) on any
+columns past n.  ``pivot`` is the one pivot step of the Jordan split and the
+field diagonalization, which differ only in the entries it accepts;
+``eliminate`` is a fraction-free step that takes no U: the Jordan split runs
+it on the rows [den·B | 1], whose right half is t(U).  The
 reducers and the field diagonalization start from a form's integer rows den·B
 and keep every entry an integer, with a known scale, to the end: the Jordan
 split and the field diagonalization through ``pivot`` and ``eliminate``, the
@@ -50,7 +52,7 @@ def mat(rows) -> Matrix:
 
 def identity(n: int) -> list[list[int]]:
     """The n x n identity as integer rows, new each call."""
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -97,8 +99,9 @@ def det(a) -> int:
     gives is a minor of A, so the division is exact.  A row with c = 0 would
     only be scaled by p / prev, so it is left as it is and base[i] keeps the
     pivot of the step that last changed it: its Bareiss value is
-    r·prev / base[i], and its next real step divides by base[i].  Triangular
-    and diagonal matrices then cost no elimination at all."""
+    r·prev / base[i], and its next real step divides by base[i].  The pivot
+    row is brought to scale prev only if a row below needs it, so triangular
+    and diagonal matrices cost no elimination at all."""
     a = [list(row) for row in a]
     n = len(a)
     base = [1] * n
@@ -111,14 +114,14 @@ def det(a) -> int:
             a[k], a[piv] = a[piv], a[k]
             base[k], base[piv] = base[piv], base[k]
             sign = -sign
-        rk = a[k]
-        if base[k] != prev:
-            rk = [x * prev // base[k] for x in rk]
-        p, tail = rk[k], rk[k + 1 :]
+        rk, bk = a[k], base[k]
+        p, tail = rk[k] * prev // bk, None
         for i in range(k + 1, n):
             ri = a[i]
             c = ri[k]
             if c:
+                if tail is None:
+                    tail = rk[k + 1 :] if bk == prev else [x * prev // bk for x in rk[k + 1 :]]
                 ri[k + 1 :] = [(x * p - c * y) // base[i] for x, y in zip(ri[k + 1 :], tail)]
                 base[i] = p
         prev = p
@@ -215,25 +218,25 @@ def pivot(m: Rows, k: int, ok, u: Rows | None = None, end: int | None = None) ->
     move(m, t, k, u)
 
 
-def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None, base: list | None = None) -> None:
+def eliminate(m: Rows, k: int, prev: int, base: list | None = None) -> None:
     """One fraction-free symmetric pivot step (Bareiss) on integer rows: with
-    p = m[k][k] != 0, each tail entry (i, j > k) becomes
-    (p·m[i][j] - m[i][k]·m[k][j]) // prev, and each tail column j of U
-    becomes (p·u[:, j] - m[k][j]·u[:, k]) // prev.
+    p = m[k][k] != 0, each entry (i > k, j > k) of a later row becomes
+    (p·m[i][j] - m[i][k]·m[k][j]) // prev.
 
     This is the exact step E = 1 - sum over j > k of (m[k][j] / p) e_k t(e_j)
-    on scaled rows: if the tail of m is prev·T and the tail columns of U are
-    prev·V, afterwards they are p·T' and p·V' for the exact results T', V'.
-    Every division is exact.  Started on an integer matrix S with prev = 1
-    and U = 1, and with prev the pivot of the step before, each tail entry
-    of m is a bordered minor of S (Sylvester's identity) and each tail entry
-    of U, by Cramer's rule for the leading block of S, a minor of S, so
-    both are integers.  Moves and shears among tail coordinates between steps
-    are integer congruences that commute with the earlier steps, so
-    the entries stay minors of S transformed by them.  Row and column k are
-    left as they are (the exact step clears them off the diagonal); callers
-    read only the pivots and the tail.  With ``base`` (``det``'s row scales;
-    no U, row k at scale prev), a row with m[i][k] = 0 stays base[i]·T_i."""
+    on scaled rows: if the tail of m is prev·T, afterwards it is p·T' for the
+    exact result T'.  Started on an integer matrix S with prev = 1, and with
+    prev the pivot of the step before, each tail entry is a bordered minor of
+    S (Sylvester's identity), so every division is exact.  Moves and shears
+    among tail coordinates between steps are integer congruences that commute
+    with the earlier steps, so the entries stay minors of S transformed by
+    them.  Row and column k are left as they are (the exact step clears them
+    off the diagonal); callers read only the pivots and the tail.  Rows may
+    run on past column n: on [S | 1] the right half is t(U), as the row
+    update is U's column update U E (m[i][k] = m[k][i]), each entry a minor
+    of [S | 1], prev times the exact one before the step and p times after.
+    With ``base`` (``det``'s row scales, row k at scale prev), a row with
+    m[i][k] = 0 stays base[i]·T_i."""
     p, tail = m[k][k], m[k][k + 1 :]
     scales = base or [prev] * len(m)
     for i, ri in enumerate(m[k + 1 :], k + 1):
@@ -241,7 +244,3 @@ def eliminate(m: Rows, k: int, prev: int, u: Rows | None = None, base: list | No
         if c or base is None:
             ri[k + 1 :] = [(p * x - c * y) // scales[i] for x, y in zip(ri[k + 1 :], tail)]
             scales[i] = p
-    if u is not None:
-        for row in u:
-            c = row[k]
-            row[k + 1 :] = [(p * x - y * c) // prev for x, y in zip(row[k + 1 :], tail)]

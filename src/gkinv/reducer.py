@@ -34,7 +34,7 @@ ord(den) and every move is chosen as on the exact rows.  Its clear takes
 X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int``, on the paired
 rows linked to the cross block C only, and applies the integer congruence
 L·E_X, which multiplies E by L; an even L is exactly a clear that leaves
-Z_2.  The Jordan split eliminates fraction-free on den·B.
+Z_2.  The Jordan split eliminates fraction-free on the rows [den·B | 1].
 """
 
 from __future__ import annotations
@@ -120,6 +120,8 @@ class ReductionCertificate:
 def _lowest_columns(y, c):
     """(y / g, g) with g_j = gcd(c_j, column j of the integer rows y), of c_j's
     sign: c_j / g_j > 0 is the least denominator of column j of y·diag(c)^-1."""
+    if c.count(1) == len(c):
+        return y, c
     # zip_longest, not zip: a ragged U keeps its shape for the verifier
     cols = zip_longest(*y, fillvalue=0)
     g = [math.gcd(cj, *col) * (1 if cj > 0 else -1) for cj, col in zip(c, cols)]
@@ -392,12 +394,13 @@ def jordan_split(form: HalfIntegralForm):
     """Non-dyadic reduction: diagonalize with unimodular congruences, taking
     a pivot of least order each time, and attach a standard involution.
 
-    The steps run fraction-free on the integer rows den·B (``linalg.eliminate``),
-    so the tail at step k is the exact tail times den·prev_k, with prev_k the
-    pivot of step k - 1 (1 at k = 0), and column k of U is the exact column
-    times prev_k.  Both den and the pivots' scale are the same for every tail
-    entry, and den is prime to p, so the pivot orders compare as they would
-    on the exact rows.  Step k reads the tail's least order v_k off
+    The steps run fraction-free (``linalg.eliminate``) on the integer rows
+    [den·B | 1], whose right half is t(U), so the tail at step k is the exact
+    tail times den·prev_k, with prev_k the pivot of step k - 1 (1 at k = 0),
+    and row k of the right half, read off as column k of U, is the exact
+    column times prev_k.  Both den and the pivots' scale are the same for
+    every tail entry, and den is prime to p, so the pivot orders compare as
+    they would on the exact rows.  Step k reads the tail's least order v_k off
     ``forms._norm_gcd`` (down to its bound v_(k-1) + exps[k - 1]; the doubled
     entries have the same order at odd p), and ``linalg.pivot`` brings an
     entry that p^(v_k + 1) does not divide to the diagonal at k: the first
@@ -411,20 +414,19 @@ def jordan_split(form: HalfIntegralForm):
     if not form.nondegenerate:
         raise FormError("degenerate form")
     ctx, n = form.ctx, form.n
-    m = [list(row) for row in form.rows]
-    u = linalg.identity(n)
+    m = [list(row) + e for row, e in zip(form.rows, linalg.identity(n))]
     prev, prevs, exps, last = 1, [], (), 0
     for k in range(n):
         v = valuation(_norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p), ctx)
         q = ctx.p ** (v + 1)
-        linalg.pivot(m, k, lambda x: x % q, u)
+        linalg.pivot(m, k, lambda x: x % q)
         prevs.append(prev)
         exps += (v - last,)
-        linalg.eliminate(m, k, prev, u)
+        linalg.eliminate(m, k, prev)
         prev, last = m[k][k], v
     # each pivot has the least order in its tail and elimination keeps the
     # tail at or above it, so the exponents are already non-decreasing
-    u, g = _lowest_columns(u, prevs)
+    u, g = _lowest_columns([list(col) for col in zip(*(row[n:] for row in m))], prevs)
     d = [m[k][k] * (pk // gk) // gk for k, (pk, gk) in enumerate(zip(prevs, g))]
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return diag, u, exps, standard_involution(exps)
@@ -455,7 +457,7 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     else:
         m, u, exps, sigma = _dyadic_search(form)
     r = _from_rows(m, form.den, form.ctx)
-    cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType(exps, sigma))
+    cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType._of(exps, sigma))
     ok, reason = verify_certificate(form, cert)
     if not ok:
         raise ReductionError(f"certificate rejected: {reason}")

@@ -38,7 +38,7 @@ from gkinv.reducer import (
     reduce_form,
     verify_certificate,
 )
-from test_kernel import dyadic_corpus, dyadic_even_den_corpus, odd_corpus
+from test_kernel import dyadic_corpus, dyadic_even_den_corpus, odd_corpus, parent_eliminate
 from test_standard_layout import parent_standardize
 
 CTX3 = PrimeContext(3)
@@ -57,7 +57,7 @@ def parent_jordan_split(form):
         linalg.pivot(m, k, lambda x: x % q, u)
         prevs.append(prev)
         exps += (v - last,)
-        linalg.eliminate(m, k, prev, u)
+        parent_eliminate(m, k, prev, u)
         prev, last = m[k][k], v
     l = math.lcm(*prevs)
     diag = [[m[i][i] * (l // prevs[i]) if i == j else 0 for j in range(n)] for i in range(n)]

@@ -9,6 +9,7 @@ from gkinv.involutions import (
     blocks,
     choice_block_count,
     is_admissible,
+    is_involution,
     is_standard,
     plus_signature,
     restrict,
@@ -248,3 +249,61 @@ def test_is_standard_matches_the_reference_exhaustively():
                         rejected[fault] += 1
     assert pairs == 36_135
     assert standard and all(rejected.values()), (standard, rejected)
+
+
+def parent_is_admissible(exps, sigma):
+    """``is_admissible`` as it was when it built its sets of raised and
+    lowered-or-fixed indices once per block, kept verbatim as the reference."""
+    exps = tuple(exps)
+    n = len(exps)
+    if len(sigma) != n or not is_involution(sigma):
+        return False
+    bl = blocks(exps)
+    fixed, plus, minus = _partition(exps, sigma)
+
+    # (i) at most two fixed points, of distinct exponent parity, each maximal
+    # among fixed-or-raised exponents of its parity
+    if len(fixed) > 2:
+        return False
+    if len(fixed) == 2 and (exps[fixed[0]] - exps[fixed[1]]) % 2 == 0:
+        return False
+    for i in fixed:
+        pool = [exps[j] for j in fixed + plus if (exps[j] - exps[i]) % 2 == 0]
+        if exps[i] != max(pool):
+            return False
+
+    # (ii) per block: at most one raised index, at most one lowered-or-fixed
+    for s in range(bl.r):
+        idx = set(bl.indices(s))
+        if len(idx & set(plus)) > 1:
+            return False
+        if len(idx & (set(minus) | set(fixed))) > 1:
+            return False
+
+    # (iii) cross-block pairs join nearest exponents of equal parity
+    for i in minus:
+        cands = [exps[j] for j in plus
+                 if exps[j] > exps[i] and (exps[j] - exps[i]) % 2 == 0]
+        if not cands or exps[sigma[i]] != min(cands):
+            return False
+    for i in plus:
+        cands = [exps[j] for j in minus
+                 if exps[j] < exps[i] and (exps[j] - exps[i]) % 2 == 0]
+        if not cands or exps[sigma[i]] != max(cands):
+            return False
+    return True
+
+
+def test_is_admissible_matches_the_parent_exhaustively():
+    """Every involution of n <= 6 points against every non-decreasing
+    exponent sequence with entries in 0..4."""
+    pairs = admissible = 0
+    for n in range(7):
+        involutions = all_involutions(n)
+        for exps in combinations_with_replacement(range(5), n):
+            for sigma in involutions:
+                verdict = is_admissible(exps, sigma)
+                assert verdict == parent_is_admissible(exps, sigma), (exps, sigma)
+                pairs += 1
+                admissible += verdict
+    assert pairs == 20_112 and 0 < admissible < pairs, admissible

@@ -367,6 +367,32 @@ def test_det_matches_cofactor_expansion_on_special_matrices(m, expected):
     assert rows == linalg._scaled(m)[0]  # det works on a copy
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_on_diagonal_permuted_triangular_and_singular_matrices(n):
+    """``det`` updates only the rows with a non-zero entry in the pivot
+    column: diagonal matrices (some with a zero diagonal entry), upper and
+    lower triangular ones with their rows permuted (a row swap at a zero
+    pivot, and rows left at an older scale), and singular ones with a
+    multiple of another row, a zero row or a zero column."""
+    rng = random.Random(f"det/{n}")
+    for trial in range(10):
+        d = [rng.randint(-9, 9) or trial % 3 for _ in range(n)]
+        diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        upper = [[rng.randint(-9, 9) if j > i else d[i] * (j == i) for j in range(n)]
+                 for i in range(n)]
+        lower = [list(col) for col in zip(*upper)]
+        perm = rng.sample(range(n), n)
+        for m in (diag, upper, lower, [upper[i] for i in perm], [lower[i] for i in perm]):
+            assert linalg.det(m) == naive_det(m)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        multiple = [[3 * x for x in a[i]] if k == j else row for k, row in enumerate(a)]
+        zero_row = [[0] * n if k == j else row for k, row in enumerate(a)]
+        zero_col = [[0 if k == j else x for k, x in enumerate(row)] for row in a]
+        for m in ((multiple,) if n > 1 else ()) + (zero_row, zero_col):
+            assert linalg.det(m) == 0 == naive_det(m)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_dense_routines_match_naive_fraction_references(n):
     rng = random.Random(f"dense/{n}")
@@ -419,6 +445,23 @@ def fraction_step(m, u, k):
     return naive_congruence(m, e), linalg.matmul(u, e)
 
 
+def parent_eliminate(m, k, prev, u=None, base=None):
+    """``linalg.eliminate`` as it was when it still took a working U and
+    updated U's tail columns in a second loop, kept verbatim as the
+    reference for the step on the rows [S | 1]."""
+    p, tail = m[k][k], m[k][k + 1 :]
+    scales = base or [prev] * len(m)
+    for i, ri in enumerate(m[k + 1 :], k + 1):
+        c = ri[k]
+        if c or base is None:
+            ri[k + 1 :] = [(p * x - c * y) // scales[i] for x, y in zip(ri[k + 1 :], tail)]
+            scales[i] = p
+    if u is not None:
+        for row in u:
+            c = row[k]
+            row[k + 1 :] = [(p * x - y * c) // prev for x, y in zip(row[k + 1 :], tail)]
+
+
 def _random_symmetric(rng, n):
     """Mixed denominators; some diagonals zero, and all of them in a third of
     the cases, so pivots are reached through moves and exposing shears."""
@@ -435,7 +478,10 @@ def test_integer_step_matches_fraction_elimination(seed):
     """The fraction-free step against the exact Fraction elimination, one
     pivot at a time, with tail moves and shears between the steps: the
     tail of the integer rows stays den·prev times the exact tail, U's tail
-    columns prev times the exact ones, and every division is exact."""
+    columns prev times the exact ones, and every division is exact.  U is
+    carried by the parent's step (``parent_eliminate``); the library's step,
+    which takes no U, runs on the rows [w | t(U)] beside it and must give
+    the same rows with t(U) as their right half."""
     rng = random.Random(f"bareiss/{seed}")
     seen = {"move": 0, "shear": 0, "tail move": 0}
     for _ in range(25):
@@ -446,12 +492,13 @@ def test_integer_step_matches_fraction_elimination(seed):
         m, u = _copy(b), linalg.identity(n)
         w, den = linalg._scaled(b)
         wu = [[int(i == j) for j in range(n)] for i in range(n)]
+        wa = [row + e for row, e in zip(w, linalg.identity(n))]
         prev, prevs = 1, []
         for k in range(n):
             if n - k > 1 and rng.random() < 0.5:  # a tail-only move or shear
                 i, j = rng.sample(range(k, n), 2)
                 c = rng.randint(-3, 3)
-                for a, v in ((m, u), (w, wu)):
+                for a, v in ((m, u), (w, wu), (wa, None)):
                     if c:
                         linalg.shear(a, i, j, c, v)
                     else:
@@ -463,13 +510,13 @@ def test_integer_step_matches_fraction_elimination(seed):
                     i, j = next(
                         (i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0
                     )
-                    for a, v in ((m, u), (w, wu)):
+                    for a, v in ((m, u), (w, wu), (wa, None)):
                         linalg.shear(a, j, i, 1, v)
                     piv = i
                     seen["shear"] += 1
                 else:
                     seen["move"] += 1
-                for a, v in ((m, u), (w, wu)):
+                for a, v in ((m, u), (w, wu), (wa, None)):
                     linalg.move(a, piv, k, v)
             p, tail = w[k][k], range(k + 1, n)
             assert p == den * prev * m[k][k] != 0
@@ -477,7 +524,9 @@ def test_integer_step_matches_fraction_elimination(seed):
             assert all((p * row[j] - w[k][j] * row[k]) % prev == 0 for row in wu for j in tail)
             m, u = (_copy(x) for x in fraction_step(m, u, k))
             prevs.append(prev)
-            linalg.eliminate(w, k, prev, wu)
+            parent_eliminate(w, k, prev, wu)
+            linalg.eliminate(wa, k, prev)
+            assert wa == [row + list(col) for row, col in zip(w, zip(*wu))]
             prev = p
             assert all(w[i][j] == den * p * m[i][j] for i in tail for j in tail)
             assert all(row[j] == p * x[j] for row, x in zip(wu, u) for j in tail)

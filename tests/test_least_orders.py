@@ -17,6 +17,7 @@ from gkinv.involutions import standard_involution
 from gkinv.padic import INF, PrimeContext, valuation
 from gkinv.reducer import _candidates, jordan_split
 from test_integral_certificates import through_column_scales
+from test_kernel import parent_eliminate
 
 
 def ref_jordan_split(form):
@@ -35,7 +36,7 @@ def ref_jordan_split(form):
         piv = min(idx, key=lambda t: ords[t, t])
         linalg.move(m, piv, k, u)
         prevs.append(prev)
-        linalg.eliminate(m, k, prev, u)
+        parent_eliminate(m, k, prev, u)
         prev = m[k][k]
     exps = tuple(valuation(m[k][k], ctx) - valuation(pk, ctx) for k, pk in enumerate(prevs))
     l = math.lcm(*prevs)

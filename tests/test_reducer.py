@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -6,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkinv import forms, linalg, reducer
+from gkinv import forms, involutions, linalg, reducer
+from gkinv.cli import main
 from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
@@ -454,6 +456,39 @@ def test_failed_collision_shear_is_a_reduction_error(monkeypatch):
     prefix = re.search(r"exps=\[([\d, ]*)\]", str(info.value)).group(1)
     prefix = tuple(int(a) for a in prefix.split(","))
     assert prefix == exps[: len(prefix)] and len(prefix) < len(exps)
+
+
+def test_an_inadmissible_involution_is_an_internal_failure(monkeypatch, tmp_path, capsys):
+    """A reducer that attached an inadmissible involution would be a fault of
+    the program, not of the input: ``reduce_form`` refuses the certificate
+    with a ``ReductionError``, and the CLI reports exit 2, internal_failure."""
+    monkeypatch.setattr(reducer, "standard_involution", lambda exps: tuple(range(len(exps))))
+    form = random_form(3, CTX3, random.Random(3))
+    assert not involutions.is_admissible(jordan_split(form)[2], (0, 1, 2))
+    with pytest.raises(ReductionError, match="certificate rejected: involution is not standard"):
+        reduce_form(form)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"p": 3, "matrix": [[str(x) for x in r] for r in form.entries]}))
+    assert main(["reduce", "--input", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "internal_failure"
+    assert out["detail"] == "certificate rejected: involution is not standard"
+
+
+def test_reduce_form_checks_admissibility_once(monkeypatch):
+    """The reducer's GK type is built unchecked: the verifier's
+    ``is_standard`` is the one admissibility check of ``reduce_form``."""
+    calls = []
+    real = involutions.is_admissible
+    monkeypatch.setattr(
+        involutions, "is_admissible", lambda *a: calls.append(a) or real(*a)
+    )
+    for form in _fresh_forms():
+        calls.clear()
+        reduce_form(form)
+        assert len(calls) == 1
+    with pytest.raises(ValueError):
+        GKType((0, 0, 0), (0, 1, 2))
 
 
 def _count_searches(monkeypatch):
