@@ -67,7 +67,8 @@ def is_admissible(exps, sigma: Involution) -> bool:
     n = len(exps)
     if len(sigma) != n or not is_involution(sigma):
         return False
-    bl = blocks(exps)
+    if any(exps[i] > exps[i + 1] for i in range(n - 1)):
+        raise ValueError("exponent sequence must be non-decreasing")
     fixed, plus, minus = _partition(exps, sigma)
 
     # (i) at most two fixed points, of distinct exponent parity, each maximal
@@ -81,11 +82,10 @@ def is_admissible(exps, sigma: Involution) -> bool:
         if exps[i] != max(pool):
             return False
 
-    # (ii) per block: at most one raised index, at most one lowered-or-fixed
-    raised, lowered = set(plus), set(minus + fixed)
-    for s in range(bl.r):
-        idx = set(bl.indices(s))
-        if len(idx & raised) > 1 or len(idx & lowered) > 1:
+    # (ii) per block: at most one raised index, at most one lowered-or-fixed;
+    # a block is a run of equal exponents, so no two may share an exponent
+    for side in (plus, minus + fixed):
+        if len({exps[i] for i in side}) < len(side):
             return False
 
     # (iii) cross-block pairs join nearest exponents of equal parity

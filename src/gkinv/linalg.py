@@ -15,18 +15,16 @@ code with the in-place kernel's steps, which is what lets the verifier check
 the reducers with ``matmul``.
 
 The in-place elimination kernel at the end is what both reducers run on:
-each of its steps applies a congruence M <- t(E) M E, and U <- U E when a
-working U is given, to mutable lists of rows without building E.  ``move``
-(the one coordinate move), ``shear`` and ``scale`` work on rows of any exact
-numbers and give the same values as t(E) M E and U E, and t(E) on any
-columns past n.  ``pivot`` is the one pivot step of the Jordan split and the
-field diagonalization, which differ only in the entries it accepts;
-``eliminate`` is a fraction-free step that takes no U: the Jordan split runs
-it on the rows [den·B | 1], whose right half is t(U).  The
-reducers and the field diagonalization start from a form's integer rows den·B
-and keep every entry an integer, with a known scale, to the end: the Jordan
-split and the field diagonalization through ``pivot`` and ``eliminate``, the
-dyadic search through ``solve_int``, integer shears and scalings, and ``move``.
+each step applies a congruence M <- t(E) M E to mutable rows without building
+E, and no step takes a U.  The reducers run them on the rows [den·B | 1]: a
+step's column update reads only the first n columns, and its row update takes
+the right half t(U) to t(E)·t(U) = t(U E).  ``move`` (the one coordinate move),
+``shear`` and ``scale`` work on rows of any exact numbers; ``pivot`` is the
+one pivot step of the Jordan split and the field diagonalization, which
+differ only in the entries it accepts; ``eliminate`` is fraction-free.  Every
+entry stays an integer, with a known scale, to the end: through ``pivot`` and
+``eliminate`` in the Jordan split and the field diagonalization, and through
+``solve_int``, integer shears and scalings, and ``move`` in the dyadic search.
 """
 
 from __future__ import annotations
@@ -173,49 +171,48 @@ def submatrix(m: Rows, rows, cols) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def move(m: Rows, t: int, k: int, u: Rows | None = None) -> None:
+def move(m: Rows, t: int, k: int) -> None:
     """E moves coordinate t to position k; the coordinates between them shift
-    by one.  In place, and nothing happens when t == k."""
+    by one, and columns past n stay.  In place; nothing happens when t == k."""
     if t == k:
         return
     m.insert(k, m.pop(t))
-    for row in m if u is None else m + u:
+    for row in m:
         row.insert(k, row.pop(t))
 
 
-def shear(m: Rows, i: int, j: int, c, u: Rows | None = None) -> None:
-    """E = 1 + c e_i t(e_j): column j += c * column i, then row j += c * row i."""
+def shear(m: Rows, i: int, j: int, c) -> None:
+    """E = 1 + c e_i t(e_j): column j += c * column i, then row j += c * row i,
+    the whole row, so on [M | t(U)] U's column j gains c times its column i."""
     for row in m:
         row[j] += c * row[i]
     m[j] = [x + c * y for x, y in zip(m[j], m[i])]
-    if u is not None:
-        for row in u:
-            row[j] += c * row[i]
 
 
-def scale(m: Rows, idx, c, u: Rows | None = None) -> None:
-    """E = diagonal, c at each coordinate in idx and 1 elsewhere."""
+def scale(m: Rows, idx, c) -> None:
+    """E = diagonal, c at each coordinate in idx and 1 elsewhere (whole rows)."""
     for i in idx:
         m[i] = [c * x for x in m[i]]
-    for row in m if u is None else m + u:
+    for row in m:
         for i in idx:
             row[i] *= c
 
 
-def pivot(m: Rows, k: int, ok, u: Rows | None = None, end: int | None = None) -> None:
+def pivot(m: Rows, k: int, ok, end: int | None = None) -> None:
     """Bring an entry that ``ok`` accepts to the diagonal at k, by congruences
     on the coordinates from k to ``end`` (n by default): m[k][k] stays if
     ``ok`` accepts it, else the first later diagonal entry it accepts moves to
     k, else the shear e_i += e_j by the first (i, j), k <= i < j, row-major,
-    with ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j], i moves to k."""
+    with ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j], i moves to k;
+    on [M | t(U)] the move and the shear carry t(U) along."""
     if ok(m[k][k]):
         return
     n = end or len(m)
     t = next((t for t in range(k + 1, n) if ok(m[t][t])), None)
     if t is None:
         t, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))
-        shear(m, j, t, 1, u)
-    move(m, t, k, u)
+        shear(m, j, t, 1)
+    move(m, t, k)
 
 
 def eliminate(m: Rows, k: int, prev: int, base: list | None = None) -> None:

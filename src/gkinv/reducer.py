@@ -27,14 +27,15 @@ passes (one per move, shears included); ``verify_certificate`` is the net.
 Both reducers work on the form's integer rows and return integral U and
 R = B[U] over B's denominator, each column of U the exact one times a p-unit
 (no order or square class that the reduced conditions read changes);
-``reduce_form`` alone builds the certificate and verifies it.  The dyadic
-search keeps Mi = den·E²·M and Ui = E·U, with den the common denominator of B
-and E odd, so the 2-adic order of an exact entry is its integer's minus
-ord(den) and every move is chosen as on the exact rows.  Its clear takes
-X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int``, on the paired
-rows linked to the cross block C only, and applies the integer congruence
-L·E_X, which multiplies E by L; an even L is exactly a clear that leaves
-Z_2.  The Jordan split eliminates fraction-free on the rows [den·B | 1].
+``reduce_form`` alone builds the certificate and verifies it.  Both run on
+the rows [den·B | 1] and read U off their right half.  The dyadic search
+keeps the rows [Mi | t(Ui)], Mi = den·E²·M and Ui = E·U, with den the common
+denominator of B and E odd, so the 2-adic order of an exact entry is its
+integer's minus ord(den) and every move is chosen as on the exact rows.  Its
+clear takes X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int``, on
+the paired rows linked to the cross block C only, and applies the integer
+congruence L·E_X, which multiplies E by L; an even L is exactly a clear that
+leaves Z_2.  The Jordan split eliminates fraction-free.
 """
 
 from __future__ import annotations
@@ -235,20 +236,20 @@ def complete_square(
     return x
 
 
-def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
+def _clear_matrix(m: linalg.Rows, exps, sigma) -> int | None:
     """Zero the cross rows of the reduced prefix against the tail, skipping
-    fixed-point rows, on integer rows.  With X = A^-1 C = Y / L in lowest
-    terms (``linalg.solve_int``, on the rows of A that a non-zero entry of C
-    reaches through A's non-zero entries), apply the integer congruence
-    L·E_X, where E_X takes X times the paired prefix columns off each tail
-    column, to m and u in place: scale the tail coordinates by L, shear by
+    fixed-point rows, on the integer rows [M | t(U)].  With X = A^-1 C = Y / L
+    in lowest terms (``linalg.solve_int``, on the rows of A that a non-zero
+    entry of C reaches through A's non-zero entries), apply the integer
+    congruence L·E_X, where E_X takes X times the paired prefix columns off
+    each tail column, to m in place: scale the tail coordinates by L, shear by
     -Y, scale the prefix coordinates by L.  Returns L, which is odd; returns
-    None, with both untouched, when L is even, that is when X leaves Z_2
-    (such a prefix cannot extend)."""
-    k = len(exps)
+    None, with m untouched, when L is even, that is when X leaves Z_2 (such a
+    prefix cannot extend)."""
+    k, n = len(exps), len(m)
     paired = [i for i in range(k) if sigma[i] != i]
-    tail = range(k, len(m))
-    linked = [i for i in paired if any(m[i][k:])]
+    tail = range(k, n)
+    linked = [i for i in paired if any(m[i][k:n])]
     if not linked:  # nothing to clear
         return 1
     # close the rows with a non-zero cross entry over A's non-zero entries:
@@ -266,15 +267,15 @@ def _clear_matrix(m: linalg.Rows, u: linalg.Rows, exps, sigma) -> int | None:
     if l % 2 == 0:
         return None
     if l != 1:
-        linalg.scale(m, tail, l, u)
+        linalg.scale(m, tail, l)
     # in (prefix, tail) blocks diag(1, L)·[[1, -Y], [0, 1]]·diag(L, 1) = L·E_X;
     # the shears run from prefix to tail coordinates, so they commute
     for i, row in zip(rows, y):
         for j, v in zip(tail, row):
             if v:
-                linalg.shear(m, i, j, -v, u)
+                linalg.shear(m, i, j, -v)
     if l != 1:
-        linalg.scale(m, range(k), l, u)
+        linalg.scale(m, range(k), l)
     return l
 
 
@@ -323,11 +324,12 @@ def _dyadic_search(form: HalfIntegralForm):
     B, for integer rows M and U: clear the prefix, then take the smallest
     move, until the prefix is everything, in at most ``SEARCH_BUDGET`` passes.
 
-    The rows start as den·B and 1, and every step is an integer congruence,
-    so M = den·e²·B[U / e] with e the product of the clearing scales L, all
-    odd.  The order of an exact entry is then its integer's order minus
-    s = ord(den), and each move is chosen as it would be on the exact rows.
-    At the end column k of U is divided by gcd(e, column k), and M to match.
+    The rows start as [den·B | 1] and every step is an integer congruence, so
+    they stay [M | t(U)], M = den·e²·B[U / e] with e the product of the
+    clearing scales L, all odd.  The order of an exact entry is then its
+    integer's order minus s = ord(den), and each move is chosen as it would
+    be on the exact rows.  At the end column k of U is divided by
+    gcd(e, column k), and M to match.
 
     The involution comes out standard.  Each move is the least (c, kind, x, y),
     so at each exponent c the search appends the raised kind-0 coordinate
@@ -338,9 +340,8 @@ def _dyadic_search(form: HalfIntegralForm):
     ctx, n = form.ctx, form.n
     # ord det(2B) = n·e + ord det B, from the determinant validation
     det_cap = n * ctx.e + valuation(form.det, ctx)
-    m = [list(row) for row in form.rows]
+    m = [list(row) + ei for row, ei in zip(form.rows, linalg.identity(n))]
     s = valuation(form.den, ctx)
-    u = linalg.identity(n)
     e, budget = 1, SEARCH_BUDGET
     exps, sigma = (), ()
 
@@ -351,7 +352,7 @@ def _dyadic_search(form: HalfIntegralForm):
         if budget <= 0:
             raise BudgetExhausted("reduction budget exhausted")
         budget -= 1
-        l = _clear_matrix(m, u, exps, sigma)
+        l = _clear_matrix(m, exps, sigma)
         if l is None:
             raise ReductionError(f"clearing transform is not integral {at()}")
         e *= l
@@ -367,7 +368,7 @@ def _dyadic_search(form: HalfIntegralForm):
             except (FormError, ReductionError) as ex:
                 what = f"collision shear of {y} against {x} to exponent {c}"
                 raise ReductionError(f"{what} failed {at()}: {ex}") from ex
-            linalg.shear(m, x, y, sh, u)
+            linalg.shear(m, x, y, sh)
             continue
         if kind == 0:  # pair the prefix fixed point x with tail coordinate y
             chosen = (y,)
@@ -383,7 +384,9 @@ def _dyadic_search(form: HalfIntegralForm):
             exps += (c,)
         # a split pair has x < y, so moving x to k leaves y where it was
         for t, i in enumerate(chosen):
-            linalg.move(m, i, k + t, u)
+            linalg.move(m, i, k + t)
+    u = [list(col) for col in zip(*(row[n:] for row in m))]
+    m = [row[:n] for row in m]
     if e != 1:
         u, g = _lowest_columns(u, (e,) * n)
         m = [[x // (gi * gj) for x, gj in zip(row, g)] for row, gi in zip(m, g)]

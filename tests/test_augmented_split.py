@@ -2,7 +2,8 @@
 t(U), and reads U off as its transpose.  The reference below is the split as
 it was before, verbatim: it carried U as its own rows and updated U's tail
 columns in a second loop of the step (``test_kernel.parent_eliminate``, the
-parent step kept verbatim).  Both must give the same (D, U, exps, sigma) on
+parent step kept verbatim) and passed U to its pivot steps
+(``parent_steps.pivot``).  Both must give the same (D, U, exps, sigma) on
 the golden odd corpus, odd_random-style forms, zero-diagonal forms (whose
 pivots need exposing shears) and the p = 3, n = 40 form of the CLI smoke
 test; the library's moves and exposing shears on the augmented rows are
@@ -18,6 +19,7 @@ from gkinv.involutions import standard_involution
 from gkinv.padic import PrimeContext, valuation
 from gkinv.reducer import _lowest_columns, jordan_split
 from test_integral_certificates import _zero_diagonal
+import parent_steps
 from test_kernel import odd_corpus, parent_eliminate
 
 
@@ -33,7 +35,7 @@ def parent_jordan_split(form):
     for k in range(n):
         v = valuation(_norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p), ctx)
         q = ctx.p ** (v + 1)
-        linalg.pivot(m, k, lambda x: x % q, u)
+        parent_steps.pivot(m, k, lambda x: x % q, u)
         prevs.append(prev)
         exps += (v - last,)
         parent_eliminate(m, k, prev, u)

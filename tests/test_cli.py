@@ -186,6 +186,19 @@ def test_verify_rejects_non_square_u(tmp_path, capsys):
     assert json.loads(out)["error"] == "bad_certificate"
 
 
+def test_verify_rejects_decreasing_exponents(tmp_path, capsys):
+    """A decreasing ``ua`` is no GK type: ``is_admissible`` raises
+    ValueError, reported as bad_certificate with exit 1."""
+    form = write(tmp_path, "f.json", DIAG11)
+    cert = {"U": [["1", "0"], ["0", "1"]], "R": DIAG11["matrix"], "ua": [1, 0], "sigma": [1, 2]}
+    cert_path = write(tmp_path, "c.json", cert)
+    code, out = run_cli(["verify", "--input", form, "--certificate", cert_path], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "bad_certificate", "detail": "exponent sequence must be non-decreasing"
+    }
+
+
 def test_payload_errors_are_named(tmp_path, capsys):
     for payload, error in [
         ({"p": 2, "matrix": [1, 2]}, "bad_form_payload"),

@@ -31,13 +31,13 @@ from gkinv.padic import PrimeContext, valuation
 from gkinv.reducer import (
     ReductionCertificate,
     _candidates,
-    _clear_matrix,
     _dyadic_search,
     complete_square,
     jordan_split,
     reduce_form,
     verify_certificate,
 )
+import parent_steps
 from test_kernel import dyadic_corpus, dyadic_even_den_corpus, odd_corpus, parent_eliminate
 from test_standard_layout import parent_standardize
 
@@ -54,7 +54,7 @@ def parent_jordan_split(form):
     for k in range(n):
         v = valuation(_norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p), ctx)
         q = ctx.p ** (v + 1)
-        linalg.pivot(m, k, lambda x: x % q, u)
+        parent_steps.pivot(m, k, lambda x: x % q, u)
         prevs.append(prev)
         exps += (v - last,)
         parent_eliminate(m, k, prev, u)
@@ -74,12 +74,12 @@ def parent_dyadic_search(form):
     u = linalg.identity(n)
     e, exps, sigma = 1, (), ()
     while len(exps) < n:
-        e *= _clear_matrix(m, u, exps, sigma)
+        e *= parent_steps.clear_matrix(m, u, exps, sigma)
         c, kind, x, y = min(_candidates(m, s, exps, sigma, det_cap, ctx))
         k = len(exps)
         if kind == 3:
             sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x] + s, c + s, ctx)
-            linalg.shear(m, x, y, sh, u)
+            parent_steps.shear(m, x, y, sh, u)
             continue
         if kind == 0:
             chosen = (y,)
@@ -94,7 +94,7 @@ def parent_dyadic_search(form):
             sigma += (k,)
             exps += (c,)
         for t, i in enumerate(chosen):
-            linalg.move(m, i, k + t, u)
+            parent_steps.move(m, i, k + t, u)
     return m, u, exps, sigma, den * e * e, (e,) * n
 
 

@@ -16,7 +16,10 @@ from gkinv.involutions import (
     standard_involution,
     standard_involutions,
 )
+from gkinv import involutions
 from gkinv.linalg import identity
+from gkinv.reducer import reduce_form
+from test_kernel import dyadic_corpus, odd_corpus
 from test_standard_layout import parent_standardize
 
 PICTURE_EXPS = (0, 0, 0, 1, 2, 2, 2, 2, 3, 3, 5, 5, 6, 6, 6, 6, 7, 7, 7)
@@ -307,3 +310,29 @@ def test_is_admissible_matches_the_parent_exhaustively():
                 pairs += 1
                 admissible += verdict
     assert pairs == 20_112 and 0 < admissible < pairs, admissible
+    # a decreasing sequence raises, as blocks() raised in the parent, once
+    # sigma is an involution of the right length
+    for exps in ((1, 0), (0, 2, 1), (3, 3, 2, 4)):
+        for sigma in all_involutions(len(exps)):
+            for check in (is_admissible, parent_is_admissible):
+                with pytest.raises(ValueError, match="non-decreasing"):
+                    check(exps, sigma)
+        assert not is_admissible(exps, (0,) * len(exps))
+
+
+def test_blocks_runs_once_per_odd_reduction(monkeypatch):
+    """The Jordan split's ``standard_involution`` reads the blocks of its
+    exponents; the verifier's ``is_standard`` reads none, so ``blocks`` runs
+    once per odd-p ``reduce_form`` and never in a dyadic one."""
+    calls = []
+
+    def counted(exps):
+        calls.append(exps)
+        return blocks(exps)
+
+    monkeypatch.setattr(involutions, "blocks", counted)
+    for forms, want in ((odd_corpus(), 1), (dyadic_corpus(10), 0)):
+        for form in forms:
+            calls.clear()
+            reduce_form(form)
+            assert len(calls) == want, form.rows

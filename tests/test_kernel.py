@@ -20,6 +20,7 @@ from gkinv.cli import _cert_payload
 from gkinv.egk import random_egk, synthesize_reduced
 from gkinv.forms import random_form, random_unimodular, transform
 from gkinv.padic import INF, PrimeContext, valuation
+import parent_steps
 
 
 def _random_matrix(rng, n, symmetric=False):
@@ -48,14 +49,16 @@ def _perm(new_to_old):
 
 
 def _check_step(m0, u0, e, step):
-    """step(m, u) and step(m, None) on working copies give t(E) M E and U E."""
-    m, u = _copy(m0), _copy(u0)
-    step(m, u)
-    assert linalg.mat(m) == naive_congruence(m0, e)
-    assert linalg.mat(u) == linalg.matmul(u0, e)
+    """step on the rows [M | t(U)] gives [t(E) M E | t(U E)], and on a copy
+    of M alone t(E) M E."""
+    n = len(m0)
+    rows = parent_steps.augmented(m0, u0)
+    step(rows)
+    assert linalg.mat(row[:n] for row in rows) == naive_congruence(m0, e)
+    assert linalg.mat(row[n:] for row in rows) == linalg.transpose(linalg.matmul(u0, e))
     alone = _copy(m0)
-    step(alone, None)
-    assert alone == m
+    step(alone)
+    assert alone == [row[:n] for row in rows]
 
 
 CASES = [(n, sym, seed) for n in (1, 2, 3, 5) for sym in (False, True) for seed in range(3)]
@@ -88,7 +91,7 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
     m0 = _random_matrix(rng, n, symmetric)
     u0 = _random_matrix(rng, n)
     for t, k in ((rng.randrange(n), rng.randrange(n)), (n - 1, 0), (0, n - 1), (0, 0)):
-        _check_step(m0, u0, _move(n, t, k), lambda m, u: linalg.move(m, t, k, u))
+        _check_step(m0, u0, _move(n, t, k), lambda m: linalg.move(m, t, k))
     # the pivot step on m0 with its zeros made 1, then also with m[k][k] = 0
     # (a move), then with every diagonal entry from k on 0 (a shear)
     k = rng.randrange(max(n - 1, 1))
@@ -100,15 +103,15 @@ def test_kernel_steps_match_dense_congruence(n, symmetric, seed):
         )
         e, branch = _pivot(mv, k, bool)
         assert branch == want
-        _check_step(mv, u0, e, lambda m, u: linalg.pivot(m, k, bool, u))
+        _check_step(mv, u0, e, lambda m: linalg.pivot(m, k, bool))
     if n > 1:
         i, j = rng.sample(range(n), 2)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 3))
-        _check_step(m0, u0, _elementary(n, {(i, j): c}), lambda m, u: linalg.shear(m, i, j, c, u))
+        _check_step(m0, u0, _elementary(n, {(i, j): c}), lambda m: linalg.shear(m, i, j, c))
     idx = rng.sample(range(n), rng.randint(1, n))
     c = rng.choice((-3, 5, Fraction(7, 3)))
     scaling = _elementary(n, {(i, i): c for i in idx})
-    _check_step(m0, u0, scaling, lambda m, u: linalg.scale(m, idx, c, u))
+    _check_step(m0, u0, scaling, lambda m: linalg.scale(m, idx, c))
 
 
 def _det(m):
@@ -307,10 +310,10 @@ def _clear_case(rng, kind):
 
 
 def test_clear_matrix_on_integer_rows_matches_the_exact_clear():
-    """``_clear_matrix`` on integer rows against the exact Fraction clear
-    E_X = 1 - sum of X[i][j] e_i t(e_j), X = A^-1 C: it returns the odd
-    L and leaves L²·t(E_X) M E_X and L·U E_X, or refuses with both rows
-    untouched when X has an even denominator."""
+    """``_clear_matrix`` on the integer rows [M | t(U)] against the exact
+    Fraction clear E_X = 1 - sum of X[i][j] e_i t(e_j), X = A^-1 C: it
+    returns the odd L and leaves [L²·t(E_X) M E_X | L·t(U E_X)], or refuses
+    with the rows untouched when X has an even denominator."""
     rng = random.Random("clear/int")
     seen = {"L = 1": 0, "odd L > 1": 0, "refused": 0}
     for trial in range(90):
@@ -321,7 +324,9 @@ def test_clear_matrix_on_integer_rows_matches_the_exact_clear():
         x = cramer_solve([[m[i][j] for j in paired] for i in paired],
                          [[m[i][j] for j in tail] for i in paired])
         big_l = math.lcm(*(v.denominator for row in x for v in row))
-        l = reducer._clear_matrix(m, u, exps, sigma)
+        rows = parent_steps.augmented(m, u)
+        l = reducer._clear_matrix(rows, exps, sigma)
+        m, u = parent_steps.split(rows)
         if big_l % 2 == 0:
             assert l is None and m == m0 and u == u0
             seen["refused"] += 1
@@ -498,11 +503,15 @@ def test_integer_step_matches_fraction_elimination(seed):
             if n - k > 1 and rng.random() < 0.5:  # a tail-only move or shear
                 i, j = rng.sample(range(k, n), 2)
                 c = rng.randint(-3, 3)
-                for a, v in ((m, u), (w, wu), (wa, None)):
+                for a, v in ((m, u), (w, wu)):
                     if c:
-                        linalg.shear(a, i, j, c, v)
+                        parent_steps.shear(a, i, j, c, v)
                     else:
-                        linalg.move(a, i, j, v)
+                        parent_steps.move(a, i, j, v)
+                if c:
+                    linalg.shear(wa, i, j, c)
+                else:
+                    linalg.move(wa, i, j)
                 seen["tail move"] += 1
             if m[k][k] == 0:
                 piv = next((t for t in range(k + 1, n) if m[t][t] != 0), None)
@@ -510,14 +519,16 @@ def test_integer_step_matches_fraction_elimination(seed):
                     i, j = next(
                         (i, j) for i in range(k, n) for j in range(i + 1, n) if m[i][j] != 0
                     )
-                    for a, v in ((m, u), (w, wu), (wa, None)):
-                        linalg.shear(a, j, i, 1, v)
+                    for a, v in ((m, u), (w, wu)):
+                        parent_steps.shear(a, j, i, 1, v)
+                    linalg.shear(wa, j, i, 1)
                     piv = i
                     seen["shear"] += 1
                 else:
                     seen["move"] += 1
-                for a, v in ((m, u), (w, wu), (wa, None)):
-                    linalg.move(a, piv, k, v)
+                for a, v in ((m, u), (w, wu)):
+                    parent_steps.move(a, piv, k, v)
+                linalg.move(wa, piv, k)
             p, tail = w[k][k], range(k + 1, n)
             assert p == den * prev * m[k][k] != 0
             assert all((p * w[i][j] - w[i][k] * w[k][j]) % prev == 0 for i in tail for j in tail)

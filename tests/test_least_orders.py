@@ -16,6 +16,7 @@ from gkinv.forms import FormError, norm_ideal_ord, random_form, validate_form
 from gkinv.involutions import standard_involution
 from gkinv.padic import INF, PrimeContext, valuation
 from gkinv.reducer import _candidates, jordan_split
+import parent_steps
 from test_integral_certificates import through_column_scales
 from test_kernel import parent_eliminate
 
@@ -31,10 +32,10 @@ def ref_jordan_split(form):
         ords = {(i, j): valuation(m[i][j], ctx) for i in idx for j in range(i, n)}
         v, i, j = min((v, i, j) for (i, j), v in ords.items())
         if i != j and all(ords[t, t] > v for t in idx):
-            linalg.shear(m, j, i, 1, u)
+            parent_steps.shear(m, j, i, 1, u)
             ords[i, i] = valuation(m[i][i], ctx)
         piv = min(idx, key=lambda t: ords[t, t])
-        linalg.move(m, piv, k, u)
+        parent_steps.move(m, piv, k, u)
         prevs.append(prev)
         parent_eliminate(m, k, prev, u)
         prev = m[k][k]

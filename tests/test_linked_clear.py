@@ -5,8 +5,10 @@ closes them over the non-zero entries of the paired block A, and solves on
 that closure S alone: A is block diagonal between S and the other paired
 rows, where the cross block C is zero, so X = A^-1 C is zero off S and Y / L
 in lowest terms is the same.  The clear that solved on every paired row is
-kept here, verbatim, as the reference: on every pass of the search over the
-corpora below both give the same M, U and L."""
+kept here, verbatim but for the parent's U-carrying steps it calls
+(``parent_steps``), as the reference: on every pass of the search over the
+corpora below it gives the same M, U and L as the library's clear on the
+rows [M | t(U)]."""
 
 import json
 import random
@@ -15,6 +17,7 @@ from collections import Counter
 from gkinv import cli, linalg, reducer
 from gkinv.forms import random_form
 from gkinv.padic import PrimeContext
+import parent_steps
 from test_cli import _quick_cli
 from test_kernel import dyadic_corpus, dyadic_even_den_corpus
 from test_standard_layout import random_dyadic, synthesized, zero_diagonal
@@ -42,15 +45,15 @@ def parent_clear_matrix(m, u, exps, sigma):
     if l % 2 == 0:
         return None
     if l != 1:
-        linalg.scale(m, tail, l, u)
+        parent_steps.scale(m, tail, l, u)
     # in (prefix, tail) blocks diag(1, L)·[[1, -Y], [0, 1]]·diag(L, 1) = L·E_X;
     # the shears run from prefix to tail coordinates, so they commute
     for i, row in zip(paired, y):
         for j, v in zip(tail, row):
             if v:
-                linalg.shear(m, i, j, -v, u)
+                parent_steps.shear(m, i, j, -v, u)
     if l != 1:
-        linalg.scale(m, range(k), l, u)
+        parent_steps.scale(m, range(k), l, u)
     return l
 
 
@@ -73,12 +76,12 @@ def test_the_linked_clear_is_the_full_clear(monkeypatch):
 
     passes = Counter()  # solves on a strict part of the paired rows, or all
 
-    def checked(m, u, exps, sigma):
-        m_ref, u_ref = [list(row) for row in m], [list(row) for row in u]
+    def checked(m, exps, sigma):
+        m_ref, u_ref = parent_steps.split(m)
         l_ref = parent_clear_matrix(m_ref, u_ref, exps, sigma)
         solved.clear()
-        l = clear(m, u, exps, sigma)
-        assert (m, u, l) == (m_ref, u_ref, l_ref), (exps, sigma)
+        l = clear(m, exps, sigma)
+        assert (m, l) == (parent_steps.augmented(m_ref, u_ref), l_ref), (exps, sigma)
         if solved:
             paired = sum(s != i for i, s in enumerate(sigma))
             passes["strict" if solved[0] < paired else "all"] += 1

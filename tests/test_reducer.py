@@ -37,6 +37,7 @@ from gkinv.reducer import (
     reduce_form,
     verify_certificate,
 )
+import parent_steps
 
 CTX2 = PrimeContext(2)
 CTX3 = PrimeContext(3)
@@ -142,14 +143,14 @@ def test_dyadic_shortcut_matches_pair_condition():
 
 
 def clear_rows(form, gk_type):
-    """(U, B[U]) for ``_clear_matrix`` on the integer rows of a form whose
-    leading block is reduced of the given type."""
+    """(U, B[U]) for ``_clear_matrix`` on the integer rows [den·B | 1] of a
+    form whose leading block is reduced of the given type."""
     if not is_reduced(leading(form, gk_type.n), gk_type):
         raise FormError("leading block is not reduced for the given type")
-    m = [list(row) for row in form.rows]
-    u = [[int(i == j) for j in range(form.n)] for i in range(form.n)]
-    l = _clear_matrix(m, u, gk_type.exps, gk_type.sigma)
+    rows = [list(row) + ei for row, ei in zip(form.rows, linalg.identity(form.n))]
+    l = _clear_matrix(rows, gk_type.exps, gk_type.sigma)
     assert l is not None
+    m, u = parent_steps.split(rows)
     return linalg.over(u, l), _from_rows(m, form.den * l * l, form.ctx)
 
 
@@ -248,9 +249,9 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
     shears = []
     shear = linalg.shear
 
-    def recorded(m, i, j, c, u=None):
+    def recorded(m, i, j, c):
         shears.append((i, j, c))
-        return shear(m, i, j, c, u)
+        return shear(m, i, j, c)
 
     monkeypatch.setattr(linalg, "shear", recorded)
     b = validate_form([[0, Fraction(3, 2)], [Fraction(3, 2), 0]], CTX3)
@@ -290,9 +291,9 @@ def test_pivots_in_place_make_no_move(monkeypatch):
     moves = []
     move = linalg.move
 
-    def recorded(m, t, k, u=None):
+    def recorded(m, t, k):
         moves.append((t, k))
-        return move(m, t, k, u)
+        return move(m, t, k)
 
     n = 40
     exps = [0, 1] + [2 + i // 2 for i in range(n - 2)]

@@ -8,11 +8,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from gkinv import linalg, reducer
+from gkinv import reducer
 from gkinv.egk import lift, random_egk, synthesize_reduced
 from gkinv.forms import _from_rows, random_form, random_unimodular, transform, validate_form
 from gkinv.involutions import blocks, is_standard, standard_involutions
 from gkinv.padic import PrimeContext
+import parent_steps
 from test_kernel import dyadic_corpus, dyadic_even_den_corpus
 
 CTX2 = PrimeContext(2)
@@ -20,8 +21,8 @@ CTX2 = PrimeContext(2)
 
 def parent_standardize(m, u, exps, sigma):
     """Reorder the working rows m, u within equal-exponent blocks so the
-    involution is standard, by one ``linalg.move`` per coordinate; returns
-    the new involution."""
+    involution is standard, by one move per coordinate (the parent's
+    ``parent_steps.move``, which carries u); returns the new involution."""
     bl = blocks(exps)
     target: list[int] = []
     for s in range(bl.r):
@@ -40,7 +41,7 @@ def parent_standardize(m, u, exps, sigma):
     for k, old in enumerate(target):
         t = order.index(old, k)
         order.insert(k, order.pop(t))
-        linalg.move(m, t, k, u)
+        parent_steps.move(m, t, k, u)
         inv[old] = k
     return tuple(inv[sigma[old]] for old in target)
 
