@@ -36,12 +36,12 @@ class FormError(ValueError):
 @dataclass(frozen=True)
 class HalfIntegralForm:
     """B = rows / den, with den > 0 the least common denominator of B's
-    entries, and det B.  Built by ``validate_form`` or ``_from_rows``."""
+    entries; det B is computed on first read, as ``entries`` is.  Built by
+    ``validate_form`` or ``_from_rows``."""
 
     ctx: PrimeContext
     rows: tuple[tuple[int, ...], ...]
     den: int
-    det: Fraction
 
     @property
     def n(self) -> int:
@@ -50,6 +50,10 @@ class HalfIntegralForm:
     @property
     def nondegenerate(self) -> bool:
         return self.det != 0
+
+    @cached_property
+    def det(self) -> Fraction:
+        return Fraction(linalg.det(self.rows), self.den**self.n)
 
     @cached_property
     def entries(self) -> Matrix:
@@ -77,12 +81,14 @@ def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
                     raise FormError(f"matrix is not symmetric at ({i},{j})")
                 if row[j] % q2:
                     raise FormError(f"doubled entry ({i},{j}) is not p-integral")
-    return HalfIntegralForm(ctx, ri, den, Fraction(linalg.det(ri), den**n))
+    return HalfIntegralForm(ctx, ri, den)
 
 
 def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
     """Check symmetry and half-integrality; record the exact determinant."""
-    return _from_rows(*linalg._scaled(linalg.mat(rows)), ctx)
+    form = _from_rows(*linalg._scaled(linalg.mat(rows)), ctx)
+    form.det
+    return form
 
 
 def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:

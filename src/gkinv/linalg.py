@@ -11,8 +11,8 @@ There is one dense routine per job, and each takes and returns integer rows:
 and ``inverse`` is the one solve, ``solve_int``, against the identity.
 ``solve_int`` is fraction-free Gauss-Jordan elimination and returns A^-1 B
 as Y / L in lowest terms.  ``congruence``, ``det`` and ``matmul`` share no
-code with the in-place kernel's steps, which is what lets the verifier check
-the reducers with ``matmul``.
+code with the kernel's steps or each other, which is what lets the verifier
+check the reducers, and R from ``congruence``, with ``matmul``.
 
 The in-place elimination kernel at the end is what both reducers run on:
 each step applies a congruence M <- t(E) M E to mutable rows without building
@@ -20,11 +20,12 @@ E, and no step takes a U.  The reducers run them on the rows [den·B | 1]: a
 step's column update reads only the first n columns, and its row update takes
 the right half t(U) to t(E)·t(U) = t(U E).  ``move`` (the one coordinate move),
 ``shear`` and ``scale`` work on rows of any exact numbers; ``pivot`` is the
-one pivot step of the Jordan split and the field diagonalization, which
-differ only in the entries it accepts; ``eliminate`` is fraction-free.  Every
-entry stays an integer, with a known scale, to the end: through ``pivot`` and
-``eliminate`` in the Jordan split and the field diagonalization, and through
-``solve_int``, integer shears and scalings, and ``move`` in the dyadic search.
+one pivot step of the Jordan splits (exact and over F_p) and the field
+diagonalization, which differ only in the entries it accepts; ``eliminate`` is
+fraction-free.  Every entry stays an integer, with a known scale, to the end:
+through ``pivot`` and ``eliminate`` in the Jordan split and the field
+diagonalization, and through ``solve_int``, integer shears and scalings, and
+``move`` in the dyadic search.
 """
 
 from __future__ import annotations
@@ -72,8 +73,12 @@ def _scaled(m) -> tuple[list[list[int]], int]:
 
 
 def congruence(b, u):
-    """t(U) B U for integer rows B and U."""
-    return matmul(transpose(u), matmul(b, u))
+    """t(U) B U for integer rows U and symmetric B, entry (i, j) = t(u_i)·B u_j
+    for columns u_i, u_j of U, formed for i <= j only and mirrored."""
+    ut = tuple(zip(*u))
+    w = [[sum(map(mul, row, col)) for row in b] for col in ut]
+    top = [[sum(map(mul, ui, wj)) for wj in w[i:]] for i, ui in enumerate(ut)]
+    return tuple(tuple(top[min(i, j)][abs(i - j)] for j in range(len(ut))) for i in range(len(ut)))
 
 
 def over(m, d: int) -> Matrix:

@@ -27,8 +27,10 @@ passes (one per move, shears included); ``verify_certificate`` is the net.
 Both reducers work on the form's integer rows and return integral U and
 R = B[U] over B's denominator, each column of U the exact one times a p-unit
 (no order or square class that the reduced conditions read changes);
-``reduce_form`` alone builds the certificate and verifies it.  Both run on
-the rows [den·B | 1] and read U off their right half.  The dyadic search
+``reduce_form`` alone builds the certificate and verifies it.  A p-unimodular
+form at odd p takes ``_unimodular_split``: its U diagonalizes den·B mod p and
+is taken mod p, so R is not diagonal.  All three run on the rows [den·B | 1]
+and read U off their right half.  The dyadic search
 keeps the rows [Mi | t(Ui)], Mi = den·E²·M and Ui = E·U, with den the common
 denominator of B and E odd, so the 2-adic order of an exact entry is its
 integer's minus ord(den) and every move is chosen as on the exact rows.  Its
@@ -435,6 +437,25 @@ def jordan_split(form: HalfIntegralForm):
     return diag, u, exps, standard_involution(exps)
 
 
+def _unimodular_split(form: HalfIntegralForm):
+    """The Jordan split of a p-unimodular form at odd p (ord det B = 0, so its
+    exponents are all 0), over F_p.  On the rows [den·B | 1] mod p each step
+    brings a unit to the diagonal by ``linalg.pivot`` and clears the tail mod p
+    against it.  U, the right half transposed, is kept in balanced residues, so
+    R = B[U], formed exactly by ``linalg.congruence``, has unit diagonal entries
+    and entries of order >= 1 off it: it is reduced, with the standard involution."""
+    p, n = form.ctx.p, form.n
+    m = [[x % p for x in row] + e for row, e in zip(form.rows, linalg.identity(n))]
+    for k in range(n):
+        linalg.pivot(m, k, lambda x: x % p)
+        rk, w = m[k][k:], pow(m[k][k], -1, p)
+        for ri in m[k + 1 :]:
+            if c := ri[k] * w % p:
+                ri[k:] = [(x - c * y) % p for x, y in zip(ri[k:], rk)]
+    u = [[(x + p // 2) % p - p // 2 for x in col] for col in zip(*(row[n:] for row in m))]
+    return linalg.congruence(form.rows, u), u, (0,) * n, standard_involution((0,) * n)
+
+
 # the instance-dict key under which a form keeps its verified certificate,
 # as ``cached_property`` keeps ``entries``: not a field, so it is not part of
 # ==, hash or repr, and no constructor or public name can set it
@@ -448,17 +469,19 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     The form keeps the certificate once ``verify_certificate`` has accepted
     it, and a later call on the same object returns it.  So ``gk``,
     ``egk_of`` and ``classify_binary`` after ``reduce_form`` pay for one
-    search and one verification.  A call that raises leaves the form as it
-    was, and an equal form built apart runs its own search."""
+    search and one verification.  A call that raises keeps no certificate,
+    and an equal form built apart runs its own search."""
     cert = vars(form).get(_CERT)
     if cert is not None:
         return cert
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    if form.ctx.p != 2:
+    if form.ctx.p == 2:
+        m, u, exps, sigma = _dyadic_search(form)
+    elif valuation(form.det, form.ctx):
         m, u, exps, sigma = jordan_split(form)
     else:
-        m, u, exps, sigma = _dyadic_search(form)
+        m, u, exps, sigma = _unimodular_split(form)
     r = _from_rows(m, form.den, form.ctx)
     cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType._of(exps, sigma))
     ok, reason = verify_certificate(form, cert)

@@ -162,9 +162,18 @@ def corpora():
 
 
 def test_certificates_are_the_parents_scaled_by_least_column_denominators():
+    """A p-unimodular form at odd p takes ``_unimodular_split``, whose U is
+    another one mod p: there the exponents and involution are the parent's,
+    and both certificates verify."""
     scaled = {True: 0, False: 0}  # forms whose old U had a denominator, by p = 2
+    unimodular = 0
     for form in corpora():
         old, new = parent_certificate(form), reduce_form(form)
+        if form.ctx.p != 2 and valuation(form.det, form.ctx) == 0:
+            assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
+            assert verify_certificate(form, old) == verify_certificate(form, new) == (True, "ok")
+            unimodular += 1
+            continue
         f = [math.lcm(*(x.denominator for x in col)) for col in zip(*old.u)]
         assert new.u == tuple(tuple(x * fj for x, fj in zip(row, f)) for row in old.u)
         r_old = old.reduced.entries
@@ -173,7 +182,7 @@ def test_certificates_are_the_parents_scaled_by_least_column_denominators():
         )
         assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
         scaled[form.ctx.p == 2] += any(fj != 1 for fj in f)
-    assert min(scaled.values()) >= 40, scaled
+    assert min(scaled.values()) >= 40 and unimodular >= 30, (scaled, unimodular)
 
 
 def test_reducer_outputs_are_the_parents_through_the_column_scales():

@@ -413,9 +413,10 @@ def test_dense_routines_match_naive_fraction_references(n):
         assert c == naive_congruence(b, u)
         assert all(type(x) is Fraction for row in c for x in row)
         assert all(x is linalg.mat([[0]])[0][0] for row in c for x in row if not x)
-        ints = tuple(tuple(x.numerator for x in row) for row in u)
-        c = linalg.congruence(ints, ints)
-        assert c == naive_congruence(ints, ints)
+        # on integer rows, B symmetric as every form's rows are
+        bi, ui = (tuple(tuple(x.numerator for x in row) for row in m) for m in (b, u))
+        c = linalg.congruence(bi, ui)
+        assert c == naive_congruence(bi, ui)
         assert all(type(x) is int for row in c for x in row)
     assert linalg.congruence((), ()) == ()
 
@@ -552,11 +553,13 @@ def test_integer_step_matches_fraction_elimination(seed):
 # SHA-256 of the certificates of the corpora, one `gkinv reduce` JSON line
 # each, taken when the reducers made U integral by scaling each column by its
 # least denominator; `test_integral_certificates.py` checks on these corpora
-# that each certificate is the one before with exactly that scaling.  Any
-# change to a certificate shows here.
+# that each certificate is the one before with exactly that scaling.  "odd" was
+# taken again when the p-unimodular forms moved to the split over F_p, which
+# `test_unimodular_split.py` checks against the Jordan split.  Any change to a
+# certificate shows here.
 GOLDEN = {
     "dyadic": "ea1c617d1dc08551346d729f5dbcf18241056c3ec1772c811278bfcdda9c0b89",
-    "odd": "a31a869f8b78b6ec85ea5fb7e1bace1981dbdf635b01b3361480ab083f8849c4",
+    "odd": "b90a50bc3e7ebfe9e4eeb81cb973feb44b162da9a1e60cc330231a58dea5ac55",
     "dyadic_even_den": "b679b7b9fe3ef7fcc50ecac05fd95d570beb38e510b04a767aea5bded3a1f881",
 }
 

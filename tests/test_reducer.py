@@ -493,12 +493,14 @@ def test_reduce_form_checks_admissibility_once(monkeypatch):
 
 
 def _count_searches(monkeypatch):
-    """Count the searches (``_dyadic_search`` or ``jordan_split``) and the
-    certificate checks that ``reduce_form`` runs."""
+    """Count the searches (``_dyadic_search``, ``jordan_split`` or
+    ``_unimodular_split``) and the certificate checks that ``reduce_form``
+    runs."""
     calls = {"search": 0, "verify": 0}
     for name, kind in (
         ("_dyadic_search", "search"),
         ("jordan_split", "search"),
+        ("_unimodular_split", "search"),
         ("verify_certificate", "verify"),
     ):
 
@@ -544,9 +546,12 @@ def test_a_form_keeps_its_verified_certificate(monkeypatch):
 def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
     """BudgetExhausted and a rejected certificate store nothing, so the next
     call searches again and succeeds; a kept certificate is returned whatever
-    the budget."""
+    the budget.  Each form's det, which ``reduce_form`` reads before any
+    search, is read first, so the dicts compare whole."""
     calls = _count_searches(monkeypatch)
     forms = _fresh_forms()
+    for form in forms:
+        form.det
     dyadic = forms[0]
     before = dict(vars(dyadic))
     budget = reducer.SEARCH_BUDGET
@@ -570,6 +575,32 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
         assert verify_certificate(form, cert) == (True, "ok")
     monkeypatch.setattr(reducer, "SEARCH_BUDGET", 1)
     assert reduce_form(dyadic) is reduce_form(dyadic)
+
+
+def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
+    """On a form built by ``_from_rows``, as the CLI builds them, reduce_form
+    makes two ``linalg.det`` calls, det B and ``is_unimodular``'s det of U
+    mod p, at p = 2, 3 and 5 and on both odd routes; R's det is never
+    computed.  ``validate_form`` records det B with one call."""
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or det(a))
+    rng = random.Random("two determinants")
+    odd = {}
+    while len(odd) < 4:
+        form = random_form(rng.choice((4, 6)), (CTX3, CTX5)[len(odd) % 2], rng, height=3)
+        odd.setdefault((form.ctx.p, valuation(form.det, form.ctx) == 0), form)
+    from test_kernel import dyadic_corpus
+
+    for form in dyadic_corpus(3) + list(odd.values()):
+        fresh = _from_rows(form.rows, form.den, form.ctx)
+        calls.clear()
+        reduce_form(fresh)
+        assert len(calls) == 2
+        assert fresh.det == form.det and "det" not in vars(reduce_form(fresh).reduced)
+        calls.clear()
+        validate_form(form.entries, form.ctx)
+        assert len(calls) == 1
 
 
 def test_reduce_empty_and_unary():
@@ -638,16 +669,27 @@ def test_verify_rejects_a_tampered_column_scale():
                 assert verify_certificate(form, bad) == (False, reason)
 
 
-def test_certificate_columns_are_in_lowest_terms():
+def test_certificate_columns_are_in_lowest_terms(monkeypatch):
     """At p = 3, n = 16 each column of y is in lowest terms against its c_j,
-    and c_j is the least common denominator of column j of U.  Over one
-    common denominator the same U has entries of 2,626 bits; y has 342."""
-    form = random_form(16, CTX3, random.Random(16), height=14)
+    and c_j is the least common denominator of column j of U.  The form has
+    ord det B = 1, so it takes the Jordan split, which divides 12 columns of
+    its U by a scale g_k > 1.  Over one common denominator the same U has
+    entries of 2,658 bits; y has 341."""
+    scales, lowest = [], reducer._lowest_columns
+
+    def counted(y, c):
+        y, g = lowest(y, c)
+        scales.append(g)
+        return y, g
+
+    monkeypatch.setattr(reducer, "_lowest_columns", counted)
+    form = random_form(16, CTX3, random.Random(17), height=14)
     cert = reduce_form(form)
+    assert sum(g != 1 for g in scales[0]) == 12
     for j, (cj, col) in enumerate(zip(cert.c, zip(*cert.y))):
         assert cj > 0 and math.gcd(cj, *col) == 1
         assert cj == math.lcm(*(row[j].denominator for row in cert.u))
-    assert max(abs(x).bit_length() for row in cert.y for x in row) == 342
+    assert max(abs(x).bit_length() for row in cert.y for x in row) == 341
 
 
 def test_reduction_stays_on_integer_rows(monkeypatch):

@@ -80,7 +80,7 @@ def _lower_tampered(form, i, j, delta):
     symmetric, so built by hand, around ``_from_rows``."""
     rows = [list(row) for row in form.rows]
     rows[i][j] += delta
-    return HalfIntegralForm(form.ctx, tuple(map(tuple, rows)), form.den, form.det)
+    return HalfIntegralForm(form.ctx, tuple(map(tuple, rows)), form.den)
 
 
 def test_a_certificate_tampered_below_the_diagonal_is_rejected():
@@ -101,6 +101,6 @@ def test_a_certificate_tampered_below_the_diagonal_is_rejected():
         # a ragged R of the right row count is not symmetric either, and no
         # entry past a short row is read
         r = cert.reduced
-        ragged = HalfIntegralForm(r.ctx, r.rows[:-1] + (r.rows[-1][:-1],), r.den, r.det)
+        ragged = HalfIntegralForm(r.ctx, r.rows[:-1] + (r.rows[-1][:-1],), r.den)
         tampered = ReductionCertificate._of_rows(cert.y, cert.c, ragged, cert.gk_type)
         assert verify_certificate(form, tampered) == (False, "matrix is not symmetric")
