@@ -35,9 +35,8 @@ class FormError(ValueError):
 
 @dataclass(frozen=True)
 class HalfIntegralForm:
-    """B = rows / den, with den > 0 the least common denominator of B's
-    entries; det B is computed on first read, as ``entries`` is.  Built by
-    ``validate_form`` or ``_from_rows``."""
+    """B = rows / den, den > 0 the least common denominator of B's entries;
+    det B is computed on first read.  Built by ``validate_form``/``_from_rows``."""
 
     ctx: PrimeContext
     rows: tuple[tuple[int, ...], ...]

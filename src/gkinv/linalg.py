@@ -20,19 +20,18 @@ E, and no step takes a U.  The reducers run them on the rows [den·B | 1]: a
 step's column update reads only the first n columns, and its row update takes
 the right half t(U) to t(E)·t(U) = t(U E).  ``move`` (the one coordinate move),
 ``shear`` and ``scale`` work on rows of any exact numbers; ``pivot`` is the
-one pivot step of the Jordan splits (exact and over F_p) and the field
-diagonalization, which differ only in the entries it accepts; ``eliminate`` is
-fraction-free.  Every entry stays an integer, with a known scale, to the end:
-through ``pivot`` and ``eliminate`` in the Jordan split and the field
-diagonalization, and through ``solve_int``, integer shears and scalings, and
-``move`` in the dyadic search.
+pivot step of the exact and F_p Jordan splits and the field diagonalization,
+which differ only in the entries it accepts; ``eliminate`` is fraction-free.
+Every entry stays an integer, with a known scale: through ``pivot`` and
+``eliminate`` in the exact split and the field diagonalization, and through
+``solve_int``, integer shears and scalings, and ``move`` in the dyadic search.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, ne
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Rows = list[list]
@@ -75,6 +74,8 @@ def _scaled(m) -> tuple[list[list[int]], int]:
 def congruence(b, u):
     """t(U) B U for integer rows U and symmetric B, entry (i, j) = t(u_i)·B u_j
     for columns u_i, u_j of U, formed for i <= j only and mirrored."""
+    if any(map(ne, map(tuple, b), zip(*b))):
+        raise ValueError("congruence needs a symmetric B")
     ut = tuple(zip(*u))
     w = [[sum(map(mul, row, col)) for row in b] for col in ut]
     top = [[sum(map(mul, ui, wj)) for wj in w[i:]] for i, ui in enumerate(ut)]

@@ -25,19 +25,20 @@ raises ``ReductionError`` naming the prefix.  ``SEARCH_BUDGET`` caps the
 passes (one per move, shears included); ``verify_certificate`` is the net.
 
 Both reducers work on the form's integer rows and return integral U and
-R = B[U] over B's denominator, each column of U the exact one times a p-unit
-(no order or square class that the reduced conditions read changes);
-``reduce_form`` alone builds the certificate and verifies it.  A p-unimodular
-form at odd p takes ``_unimodular_split``: its U diagonalizes den·B mod p and
-is taken mod p, so R is not diagonal.  All three run on the rows [den·B | 1]
-and read U off their right half.  The dyadic search
-keeps the rows [Mi | t(Ui)], Mi = den·E²·M and Ui = E·U, with den the common
-denominator of B and E odd, so the 2-adic order of an exact entry is its
-integer's minus ord(den) and every move is chosen as on the exact rows.  Its
-clear takes X = A^-1 C = Y / L in lowest terms from ``linalg.solve_int``, on
-the paired rows linked to the cross block C only, and applies the integer
-congruence L·E_X, which multiplies E by L; an even L is exactly a clear that
-leaves Z_2.  The Jordan split eliminates fraction-free.
+R = B[U] over B's denominator; ``reduce_form`` alone builds the certificate
+and verifies it.  ``jordan_split`` sends a p-unimodular form to
+``_unimodular_split``, whose U diagonalizes den·B mod p and is taken mod p,
+so R is not diagonal; in the other splits each column of U is the exact one
+times a p-unit (no order or square class that the reduced conditions read
+changes).  All three run on the rows [den·B | 1] and read U off their right
+half.  The dyadic search keeps the rows [Mi | t(Ui)], Mi = den·E²·M and
+Ui = E·U, with den the common denominator of B and E odd, so the 2-adic order
+of an exact entry is its integer's minus ord(den) and every move is chosen as
+on the exact rows.  Its clear takes X = A^-1 C = Y / L in lowest terms from
+``linalg.solve_int``, on the paired rows linked to the cross block C only,
+and applies the integer congruence L·E_X, which multiplies E by L; an even L
+is exactly a clear that leaves Z_2.  The exact Jordan split eliminates
+fraction-free.
 """
 
 from __future__ import annotations
@@ -396,8 +397,18 @@ def _dyadic_search(form: HalfIntegralForm):
 
 
 def jordan_split(form: HalfIntegralForm):
-    """Non-dyadic reduction: diagonalize with unimodular congruences, taking
-    a pivot of least order each time, and attach a standard involution.
+    """Non-dyadic reduction: ``_unimodular_split`` when ord_p det B = 0, else
+    ``_exact_split``.  Returns (R, U, exps, sigma) with B[U] = R / den."""
+    if form.ctx.p == 2:
+        raise FormError("Jordan splitting requires p odd")
+    if not form.nondegenerate:
+        raise FormError("degenerate form")
+    return _exact_split(form) if valuation(form.det, form.ctx) else _unimodular_split(form)
+
+
+def _exact_split(form: HalfIntegralForm):
+    """Diagonalize with unimodular congruences, taking a pivot of least order
+    each time, and attach a standard involution.
 
     The steps run fraction-free (``linalg.eliminate``) on the integer rows
     [den·B | 1], whose right half is t(U), so the tail at step k is the exact
@@ -414,10 +425,6 @@ def jordan_split(form: HalfIntegralForm):
     times the exact one, is divided by g_k = gcd(prev_k, column k), and
     D_kk = m[k][k]·(prev_k / g_k) / g_k is an integer, as D = t(U)·(den·B)·U.
     Returns (D, U, exps, sigma) with B[U] = D / den, as ``_dyadic_search`` does."""
-    if form.ctx.p == 2:
-        raise FormError("Jordan splitting requires p odd")
-    if not form.nondegenerate:
-        raise FormError("degenerate form")
     ctx, n = form.ctx, form.n
     m = [list(row) + e for row, e in zip(form.rows, linalg.identity(n))]
     prev, prevs, exps, last = 1, [], (), 0
@@ -438,12 +445,10 @@ def jordan_split(form: HalfIntegralForm):
 
 
 def _unimodular_split(form: HalfIntegralForm):
-    """The Jordan split of a p-unimodular form at odd p (ord det B = 0, so its
-    exponents are all 0), over F_p.  On the rows [den·B | 1] mod p each step
-    brings a unit to the diagonal by ``linalg.pivot`` and clears the tail mod p
-    against it.  U, the right half transposed, is kept in balanced residues, so
-    R = B[U], formed exactly by ``linalg.congruence``, has unit diagonal entries
-    and entries of order >= 1 off it: it is reduced, with the standard involution."""
+    """The split over F_p, exponents all 0: on the rows [den·B | 1] mod p each
+    step pivots a unit by ``linalg.pivot`` and clears the tail mod p.  U, taken
+    in balanced residues, makes R = B[U] (exact, by ``linalg.congruence``) unit
+    on the diagonal and of order >= 1 off it: reduced, with sigma standard."""
     p, n = form.ctx.p, form.n
     m = [[x % p for x in row] + e for row, e in zip(form.rows, linalg.identity(n))]
     for k in range(n):
@@ -476,12 +481,7 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
         return cert
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    if form.ctx.p == 2:
-        m, u, exps, sigma = _dyadic_search(form)
-    elif valuation(form.det, form.ctx):
-        m, u, exps, sigma = jordan_split(form)
-    else:
-        m, u, exps, sigma = _unimodular_split(form)
+    m, u, exps, sigma = jordan_split(form) if form.ctx.p != 2 else _dyadic_search(form)
     r = _from_rows(m, form.den, form.ctx)
     cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType._of(exps, sigma))
     ok, reason = verify_certificate(form, cert)

@@ -17,7 +17,7 @@ from gkinv import linalg
 from gkinv.forms import FormError, _norm_gcd, random_form
 from gkinv.involutions import standard_involution
 from gkinv.padic import PrimeContext, valuation
-from gkinv.reducer import _lowest_columns, jordan_split
+from gkinv.reducer import _exact_split, _lowest_columns
 from test_integral_certificates import _zero_diagonal
 import parent_steps
 from test_kernel import odd_corpus, parent_eliminate
@@ -77,7 +77,7 @@ def test_augmented_split_matches_the_parent_split(monkeypatch):
     for name in seen:
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
     for form in _forms():
-        assert jordan_split(form) == parent_jordan_split(form)
+        assert _exact_split(form) == parent_jordan_split(form)
     assert seen["move"] >= 200 and seen["shear"] >= 100, seen
 
 
@@ -89,7 +89,7 @@ def test_zero_diagonal_split_needs_an_exposing_shear_first(p, monkeypatch):
     step = linalg.shear
     monkeypatch.setattr(linalg, "shear", lambda m, *a: shears.append(len(m[0])) or step(m, *a))
     form = _zero_diagonal(random.Random(f"first shear/{p}"), p, 6)
-    d, u, _, _ = jordan_split(form)
+    d, u, _, _ = _exact_split(form)
     assert shears and shears[0] == 12
     bu = linalg.matmul(form.rows, u)
     assert linalg.matmul(linalg.transpose(u), bu) == tuple(map(tuple, d))

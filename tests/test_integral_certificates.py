@@ -32,8 +32,8 @@ from gkinv.reducer import (
     ReductionCertificate,
     _candidates,
     _dyadic_search,
+    _exact_split,
     complete_square,
-    jordan_split,
     reduce_form,
     verify_certificate,
 )
@@ -190,7 +190,7 @@ def test_reducer_outputs_are_the_parents_through_the_column_scales():
         if form.ctx.p == 2:
             assert _dyadic_search(form) == through_column_scales(form, parent_dyadic_search(form))
         else:
-            assert jordan_split(form) == through_column_scales(form, parent_jordan_split(form))
+            assert _exact_split(form) == through_column_scales(form, parent_jordan_split(form))
 
 
 def _invariant_forms():

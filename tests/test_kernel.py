@@ -18,7 +18,7 @@ import pytest
 from gkinv import linalg, reducer
 from gkinv.cli import _cert_payload
 from gkinv.egk import random_egk, synthesize_reduced
-from gkinv.forms import random_form, random_unimodular, transform
+from gkinv.forms import HalfIntegralForm, random_form, random_unimodular, transform
 from gkinv.padic import INF, PrimeContext, valuation
 import parent_steps
 
@@ -419,6 +419,19 @@ def test_dense_routines_match_naive_fraction_references(n):
         assert c == naive_congruence(bi, ui)
         assert all(type(x) is int for row in c for x in row)
     assert linalg.congruence((), ()) == ()
+
+
+def test_congruence_refuses_a_non_symmetric_b():
+    """``congruence`` forms the entries i <= j only and mirrors them, which is
+    t(U) B U only for a symmetric B: any other B raises, and so does
+    ``transform`` of a form built by hand with non-symmetric rows."""
+    u = ((1, 1), (0, 1))
+    with pytest.raises(ValueError, match="symmetric"):
+        linalg.congruence(((1, 2), (3, 4)), u)
+    form = HalfIntegralForm(PrimeContext(3), ((1, 2), (3, 4)), 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        transform(form, u)
+    assert linalg.congruence(((1, 2), (2, 4)), u) == ((1, 3), (3, 9))
 
 
 def old_valuation(x, ctx):

@@ -15,7 +15,7 @@ from gkinv import linalg
 from gkinv.forms import FormError, norm_ideal_ord, random_form, validate_form
 from gkinv.involutions import standard_involution
 from gkinv.padic import INF, PrimeContext, valuation
-from gkinv.reducer import _candidates, jordan_split
+from gkinv.reducer import _candidates, _exact_split
 import parent_steps
 from test_integral_certificates import through_column_scales
 from test_kernel import parent_eliminate
@@ -144,7 +144,7 @@ def test_jordan_split_matches_the_order_table(p):
     shears = ties = 0
     for form in _jordan_forms(rng, ctx):
         ref = through_column_scales(form, ref_jordan_split(form))
-        assert jordan_split(form) == ref, (form.rows, form.den)
+        assert _exact_split(form) == ref, (form.rows, form.den)
         least = _least_order_entries(form)
         shears += all(i != j for i, j in least)
         ties += len(least) > 1

@@ -29,6 +29,7 @@ from gkinv.reducer import (
     BudgetExhausted,
     ReductionError,
     _clear_matrix,
+    _exact_split,
     binary_gk,
     complete_square,
     dyadic_pair_conditions,
@@ -279,7 +280,7 @@ def test_jordan_split_reads_one_order_per_step(monkeypatch):
     rows = [[3**a if i == j else 0 for j in range(n)] for i, a in enumerate(exps)]
     b = validate_form(rows, CTX3)
     monkeypatch.setattr(reducer, "valuation", counted)
-    assert jordan_split(b)[2] == tuple(exps)
+    assert _exact_split(b)[2] == tuple(exps)
     assert len(calls) <= n
 
 
@@ -493,14 +494,12 @@ def test_reduce_form_checks_admissibility_once(monkeypatch):
 
 
 def _count_searches(monkeypatch):
-    """Count the searches (``_dyadic_search``, ``jordan_split`` or
-    ``_unimodular_split``) and the certificate checks that ``reduce_form``
-    runs."""
+    """Count the searches (``_dyadic_search`` or ``jordan_split``) and the
+    certificate checks that ``reduce_form`` runs."""
     calls = {"search": 0, "verify": 0}
     for name, kind in (
         ("_dyadic_search", "search"),
         ("jordan_split", "search"),
-        ("_unimodular_split", "search"),
         ("verify_certificate", "verify"),
     ):
 

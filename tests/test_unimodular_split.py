@@ -1,12 +1,12 @@
-"""``reduce_form`` sends each odd-p form with ord_p det B = 0 to
+"""``jordan_split`` sends each odd-p form with ord_p det B = 0 to
 ``_unimodular_split``, which diagonalizes den·B over F_p and keeps U mod p.
-The library's own ``jordan_split`` is the reference.  On odd_random-style
+The library's own exact split, ``_exact_split``, is the reference.  On odd_random-style
 forms (the bench's draws, seeds 1-3), random p = 3, 5, 7 forms at n = 2-12
 and zero-diagonal unimodular forms, both routes give the same exponents and
 involution and both certificates verify; U's entries are balanced residues
 mod p; the exposing shears of ``linalg.pivot`` are counted, so that path
-provably runs; and exactly the odd-p forms with ord_p det B = 0 take the new
-route.  R is formed by ``linalg.congruence`` and checked by the verifier's
+provably runs; and ``reduce_form`` calls ``jordan_split`` once on every
+odd-p form, and exactly those with ord_p det B = 0 take the new route.  R is formed by ``linalg.congruence`` and checked by the verifier's
 own product, so a fault in either one is caught."""
 
 import random
@@ -20,8 +20,8 @@ from gkinv.padic import PrimeContext, valuation
 from gkinv.reducer import (
     ReductionCertificate,
     ReductionError,
+    _exact_split,
     _unimodular_split,
-    jordan_split,
     reduce_form,
     verify_certificate,
 )
@@ -64,7 +64,7 @@ def _certificate(form, split):
     return ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType(exps, sigma))
 
 
-def test_unimodular_split_matches_the_jordan_split(monkeypatch):
+def test_unimodular_split_matches_the_exact_split(monkeypatch):
     shears = []
     step = linalg.shear
     monkeypatch.setattr(linalg, "shear", lambda m, *a: shears.append(a) or step(m, *a))
@@ -76,7 +76,7 @@ def test_unimodular_split_matches_the_jordan_split(monkeypatch):
         before = len(shears)
         new = _certificate(form, _unimodular_split)
         exposing += len(shears) - before
-        ref = _certificate(form, jordan_split)
+        ref = _certificate(form, _exact_split)
         assert (new.exps, new.gk_type.sigma) == (ref.exps, ref.gk_type.sigma)
         assert verify_certificate(form, new) == verify_certificate(form, ref) == (True, "ok")
         assert all(2 * abs(x) < form.ctx.p for row in new.y for x in row)
@@ -84,7 +84,7 @@ def test_unimodular_split_matches_the_jordan_split(monkeypatch):
 
 
 def test_exactly_the_unimodular_odd_forms_take_the_new_route(monkeypatch):
-    calls = {"_dyadic_search": 0, "jordan_split": 0, "_unimodular_split": 0}
+    calls = {"_dyadic_search": 0, "jordan_split": 0, "_exact_split": 0, "_unimodular_split": 0}
     for name in calls:
 
         def counted(form, _name=name, _original=getattr(reducer, name)):
@@ -97,12 +97,13 @@ def test_exactly_the_unimodular_odd_forms_take_the_new_route(monkeypatch):
         before = dict(calls)
         reduce_form(form)
         if form.ctx.p == 2:
-            route = "_dyadic_search"
+            route = {"_dyadic_search"}
         else:
-            route = "_unimodular_split" if _unimodular(form) else "jordan_split"
-        assert {k for k in calls if calls[k] != before[k]} == {route}
-        assert calls[route] == before[route] + 1
-        taken[route] += 1
+            route = {"jordan_split", "_unimodular_split" if _unimodular(form) else "_exact_split"}
+        assert {k for k in calls if calls[k] != before[k]} == route
+        assert all(calls[k] == before[k] + 1 for k in route)
+        for k in route:
+            taken[k] += 1
     assert min(taken.values()) >= 20, taken
 
 
