@@ -73,13 +73,19 @@ def _scaled(m) -> tuple[list[list[int]], int]:
 
 def congruence(b, u):
     """t(U) B U for integer rows U and symmetric B, entry (i, j) = t(u_i)·B u_j
-    for columns u_i, u_j of U, formed for i <= j only and mirrored."""
+    for columns u_i, u_j of U, formed for i <= j only and written to (i, j)
+    and (j, i) at once."""
     if any(map(ne, map(tuple, b), zip(*b))):
         raise ValueError("congruence needs a symmetric B")
     ut = tuple(zip(*u))
     w = [[sum(map(mul, row, col)) for row in b] for col in ut]
-    top = [[sum(map(mul, ui, wj)) for wj in w[i:]] for i, ui in enumerate(ut)]
-    return tuple(tuple(top[min(i, j)][abs(i - j)] for j in range(len(ut))) for i in range(len(ut)))
+    n = len(ut)
+    r = [[0] * n for _ in range(n)]
+    for i, ui in enumerate(ut):
+        ri = r[i]
+        for j in range(i, n):
+            ri[j] = r[j][i] = sum(map(mul, ui, w[j]))
+    return tuple(map(tuple, r))
 
 
 def over(m, d: int) -> Matrix:

@@ -26,10 +26,11 @@ passes (one per move, shears included); ``verify_certificate`` is the net.
 
 Both reducers work on the form's integer rows and return integral U and
 R = B[U] over B's denominator; ``reduce_form`` alone builds the certificate
-and verifies it.  ``jordan_split`` sends a p-unimodular form to
-``_unimodular_split``, whose U diagonalizes den·B mod p and is taken mod p,
-so R is not diagonal; in the other splits each column of U is the exact one
-times a p-unit (no order or square class that the reduced conditions read
+and verifies it.  ``jordan_split`` sends a form with d = ord_p det B <= 1,
+whose exponents are (0, ..., 0) and then d ones before any split, to
+``_split_mod_p``, whose U diagonalizes den·B mod p and is taken mod p, so R
+is not diagonal; in the other splits each column of U is the exact one times
+a p-unit (no order or square class that the reduced conditions read
 changes).  All three run on the rows [den·B | 1] and read U off their right
 half.  The dyadic search keeps the rows [Mi | t(Ui)], Mi = den·E²·M and
 Ui = E·U, with den the common denominator of B and E odd, so the 2-adic order
@@ -397,13 +398,16 @@ def _dyadic_search(form: HalfIntegralForm):
 
 
 def jordan_split(form: HalfIntegralForm):
-    """Non-dyadic reduction: ``_unimodular_split`` when ord_p det B = 0, else
-    ``_exact_split``.  Returns (R, U, exps, sigma) with B[U] = R / den."""
+    """Non-dyadic reduction: ``_split_mod_p`` when d = ord_p det B is at most
+    1, else ``_exact_split``.  Only for d <= 1 is the type known before any
+    split, and every pivot but the last a unit.  Returns (R, U, exps, sigma)
+    with B[U] = R / den."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    return _exact_split(form) if valuation(form.det, form.ctx) else _unimodular_split(form)
+    d = valuation(form.det, form.ctx)
+    return _split_mod_p(form, d) if d <= 1 else _exact_split(form)
 
 
 def _exact_split(form: HalfIntegralForm):
@@ -444,21 +448,29 @@ def _exact_split(form: HalfIntegralForm):
     return diag, u, exps, standard_involution(exps)
 
 
-def _unimodular_split(form: HalfIntegralForm):
-    """The split over F_p, exponents all 0: on the rows [den·B | 1] mod p each
-    step pivots a unit by ``linalg.pivot`` and clears the tail mod p.  U, taken
-    in balanced residues, makes R = B[U] (exact, by ``linalg.congruence``) unit
-    on the diagonal and of order >= 1 off it: reduced, with sigma standard."""
+def _split_mod_p(form: HalfIntegralForm, d: int):
+    """The split over F_p of a form with d = ord_p det B <= 1, whose exponents
+    are (0, ..., 0) and then d ones.  den·B has rank n - d mod p, so on the
+    rows [den·B | 1] mod p each of n - d steps pivots a unit by
+    ``linalg.pivot`` and clears the tail mod p, from column k + 1 on: no later
+    step reads column k.  U, taken in balanced residues, makes
+    den·R = t(U)·(den·B)·U (exact, by ``linalg.congruence``) unit on the
+    diagonal but at a last entry t divisible by p when d = 1, and of order
+    >= 1 off it.  Every term of det(den·R) but the diagonal product has two
+    off-diagonal factors, so det(den·R) = (product of the units)·t mod p², and
+    ord det R = d leaves t of order exactly 1: U mod p suffices.  R is
+    reduced, with sigma standard."""
     p, n = form.ctx.p, form.n
     m = [[x % p for x in row] + e for row, e in zip(form.rows, linalg.identity(n))]
-    for k in range(n):
+    for k in range(n - d):
         linalg.pivot(m, k, lambda x: x % p)
-        rk, w = m[k][k:], pow(m[k][k], -1, p)
+        rk, w = m[k][k + 1 :], pow(m[k][k], -1, p)
         for ri in m[k + 1 :]:
             if c := ri[k] * w % p:
-                ri[k:] = [(x - c * y) % p for x, y in zip(ri[k:], rk)]
+                ri[k + 1 :] = [(x - c * y) % p for x, y in zip(ri[k + 1 :], rk)]
     u = [[(x + p // 2) % p - p // 2 for x in col] for col in zip(*(row[n:] for row in m))]
-    return linalg.congruence(form.rows, u), u, (0,) * n, standard_involution((0,) * n)
+    exps = (0,) * (n - d) + (1,) * d
+    return linalg.congruence(form.rows, u), u, exps, standard_involution(exps)
 
 
 # the instance-dict key under which a form keeps its verified certificate,

@@ -135,14 +135,14 @@ def _scrambled(rng, p, n):
     return transform(r, random_unimodular(n, ctx, rng, steps=12))
 
 
-def _zero_diagonal(rng, p, n):
+def _zero_diagonal(rng, p, n, top=3):
     """A non-degenerate form with a zero diagonal, its entries units times
-    powers of p over a denominator prime to p."""
+    powers p^0 to p^top over a denominator prime to p."""
     while True:
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                x = rng.choice((0, 1, -1, 2, 4, 5)) * p ** rng.randint(0, 3)
+                x = rng.choice((0, 1, -1, 2, 4, 5)) * p ** rng.randint(0, top)
                 m[i][j] = m[j][i] = Fraction(x, rng.choice((1, 2, p + 1)) if p != 2 else 3)
         form = validate_form(m, PrimeContext(p))
         if form.nondegenerate:
@@ -155,24 +155,24 @@ def corpora():
     cli_batch-style forms (p = 2, 3, 5, 7, n = 3, 4)."""
     rng = random.Random("integral certificates")
     yield from dyadic_corpus() + dyadic_even_den_corpus() + odd_corpus()
-    for k in range(40):
+    for k in range(50):
         yield random_form((6, 8)[k % 3 // 2], PrimeContext((3, 5)[k % 2]), rng, height=6)
         yield _scrambled(rng, 2, (5, 6)[k % 2])
         yield _scrambled(rng, (2, 3, 5, 7)[k % 4], (3, 4)[k % 5 // 4])
 
 
 def test_certificates_are_the_parents_scaled_by_least_column_denominators():
-    """A p-unimodular form at odd p takes ``_unimodular_split``, whose U is
-    another one mod p: there the exponents and involution are the parent's,
-    and both certificates verify."""
+    """A form at odd p with ord_p det B <= 1 takes ``_fixed_precision_split``,
+    whose U is another one mod p^(ord_p det B + 1): there the exponents and
+    involution are the parent's, and both certificates verify."""
     scaled = {True: 0, False: 0}  # forms whose old U had a denominator, by p = 2
-    unimodular = 0
+    fixed = 0
     for form in corpora():
         old, new = parent_certificate(form), reduce_form(form)
-        if form.ctx.p != 2 and valuation(form.det, form.ctx) == 0:
+        if form.ctx.p != 2 and valuation(form.det, form.ctx) <= 1:
             assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
             assert verify_certificate(form, old) == verify_certificate(form, new) == (True, "ok")
-            unimodular += 1
+            fixed += 1
             continue
         f = [math.lcm(*(x.denominator for x in col)) for col in zip(*old.u)]
         assert new.u == tuple(tuple(x * fj for x, fj in zip(row, f)) for row in old.u)
@@ -182,7 +182,7 @@ def test_certificates_are_the_parents_scaled_by_least_column_denominators():
         )
         assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
         scaled[form.ctx.p == 2] += any(fj != 1 for fj in f)
-    assert min(scaled.values()) >= 40 and unimodular >= 30, (scaled, unimodular)
+    assert min(scaled.values()) >= 40 and fixed >= 30, (scaled, fixed)
 
 
 def test_reducer_outputs_are_the_parents_through_the_column_scales():

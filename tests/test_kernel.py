@@ -567,12 +567,13 @@ def test_integer_step_matches_fraction_elimination(seed):
 # each, taken when the reducers made U integral by scaling each column by its
 # least denominator; `test_integral_certificates.py` checks on these corpora
 # that each certificate is the one before with exactly that scaling.  "odd" was
-# taken again when the p-unimodular forms moved to the split over F_p, which
-# `test_unimodular_split.py` checks against the Jordan split.  Any change to a
-# certificate shows here.
+# taken again when the p-unimodular forms moved to the split over F_p, and
+# again when the forms of ord_p det B = 1 (indices 7 and 13) followed them;
+# `test_unimodular_split.py` checks that split against the exact one.  Any
+# change to a certificate shows here.
 GOLDEN = {
     "dyadic": "ea1c617d1dc08551346d729f5dbcf18241056c3ec1772c811278bfcdda9c0b89",
-    "odd": "b90a50bc3e7ebfe9e4eeb81cb973feb44b162da9a1e60cc330231a58dea5ac55",
+    "odd": "428a4503be384cdaa84f3d980abf2645929041cc6b6f7b154e3e3b1675dbb585",
     "dyadic_even_den": "b679b7b9fe3ef7fcc50ecac05fd95d570beb38e510b04a767aea5bded3a1f881",
 }
 

@@ -588,7 +588,7 @@ def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
     odd = {}
     while len(odd) < 4:
         form = random_form(rng.choice((4, 6)), (CTX3, CTX5)[len(odd) % 2], rng, height=3)
-        odd.setdefault((form.ctx.p, valuation(form.det, form.ctx) == 0), form)
+        odd.setdefault((form.ctx.p, valuation(form.det, form.ctx) <= 1), form)
     from test_kernel import dyadic_corpus
 
     for form in dyadic_corpus(3) + list(odd.values()):
@@ -671,9 +671,9 @@ def test_verify_rejects_a_tampered_column_scale():
 def test_certificate_columns_are_in_lowest_terms(monkeypatch):
     """At p = 3, n = 16 each column of y is in lowest terms against its c_j,
     and c_j is the least common denominator of column j of U.  The form has
-    ord det B = 1, so it takes the Jordan split, which divides 12 columns of
+    ord det B = 2, so it takes the exact split, which divides 13 columns of
     its U by a scale g_k > 1.  Over one common denominator the same U has
-    entries of 2,658 bits; y has 341."""
+    entries of about 2,640 bits; y has 341."""
     scales, lowest = [], reducer._lowest_columns
 
     def counted(y, c):
@@ -682,9 +682,9 @@ def test_certificate_columns_are_in_lowest_terms(monkeypatch):
         return y, g
 
     monkeypatch.setattr(reducer, "_lowest_columns", counted)
-    form = random_form(16, CTX3, random.Random(17), height=14)
+    form = random_form(16, CTX3, random.Random(25), height=14)
     cert = reduce_form(form)
-    assert sum(g != 1 for g in scales[0]) == 12
+    assert sum(g != 1 for g in scales[0]) == 13
     for j, (cj, col) in enumerate(zip(cert.c, zip(*cert.y))):
         assert cj > 0 and math.gcd(cj, *col) == 1
         assert cj == math.lcm(*(row[j].denominator for row in cert.u))

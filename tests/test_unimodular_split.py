@@ -1,13 +1,16 @@
-"""``jordan_split`` sends each odd-p form with ord_p det B = 0 to
-``_unimodular_split``, which diagonalizes den·B over F_p and keeps U mod p.
-The library's own exact split, ``_exact_split``, is the reference.  On odd_random-style
-forms (the bench's draws, seeds 1-3), random p = 3, 5, 7 forms at n = 2-12
-and zero-diagonal unimodular forms, both routes give the same exponents and
-involution and both certificates verify; U's entries are balanced residues
-mod p; the exposing shears of ``linalg.pivot`` are counted, so that path
-provably runs; and ``reduce_form`` calls ``jordan_split`` once on every
-odd-p form, and exactly those with ord_p det B = 0 take the new route.  R is formed by ``linalg.congruence`` and checked by the verifier's
-own product, so a fault in either one is caught."""
+"""``jordan_split`` sends each odd-p form with d = ord_p det B <= 1 to
+``_split_mod_p``, which diagonalizes den·B over F_p and keeps U mod p.  The
+library's own exact split, ``_exact_split``, is the reference.  On
+odd_random-style forms (the bench's draws, seeds 1-3), random p = 3, 5, 7
+forms at n = 2-12 and zero-diagonal forms with d = 0 and d = 1, both routes
+give the same exponents and involution and both certificates verify; U's
+entries are balanced residues mod p; R's last diagonal entry has order
+exactly d; the exposing shears of ``linalg.pivot`` are counted, so that path
+provably runs; at d = 1 any other lift of U mod p certifies too, so no digit
+past the first is needed; and ``reduce_form`` calls ``jordan_split`` once on
+every odd-p form, and exactly those with d <= 1 take the new route.  R is
+formed by ``linalg.congruence`` and checked by the verifier's own product,
+so a fault in either one is caught."""
 
 import random
 
@@ -21,7 +24,7 @@ from gkinv.reducer import (
     ReductionCertificate,
     ReductionError,
     _exact_split,
-    _unimodular_split,
+    _split_mod_p,
     reduce_form,
     verify_certificate,
 )
@@ -32,20 +35,23 @@ from test_kernel import dyadic_corpus
 ODD_SHAPES = ((3, 6), (5, 6), (3, 8), (5, 6), (3, 6), (5, 8))
 
 
-def _unimodular(form):
-    return valuation(form.det, form.ctx) == 0
+def _order(form):
+    """d = ord_p det B."""
+    return valuation(form.det, form.ctx)
 
 
 def _forms():
     """The first 100 odd_random forms of seeds 1-3; random p = 3, 5, 7 forms
     at n = 2-12 and heights 1-6; zero-diagonal forms at p = 3, 5, 7, n = 2-12,
-    five unimodular ones per size."""
+    five with d = 0 per size and, from n = 3 on, five with d = 1 (a
+    zero-diagonal binary form has det -b², of even order), drawn with entries
+    of order at most 1, among which d = 1 is common."""
     for seed in (1, 2, 3):
         rng = random.Random(f"odd_random/{seed}")
         for k in range(100):
             p, n = ODD_SHAPES[k % len(ODD_SHAPES)]
             yield random_form(n, PrimeContext(p), rng, height=6)
-    rng = random.Random("unimodular split")
+    rng, order_one = random.Random("unimodular split"), random.Random("order one")
     for p in (3, 5, 7):
         for n in range(2, 13):
             for _ in range(4):
@@ -53,63 +59,108 @@ def _forms():
             kept = 0
             while kept < 5:
                 form = _zero_diagonal(rng, p, n)
-                if _unimodular(form):
+                if _order(form) == 0:
+                    kept += 1
+                    yield form
+            kept = 0
+            while kept < 5 and n > 2:
+                form = _zero_diagonal(order_one, p, n, top=1)
+                if _order(form) == 1:
                     kept += 1
                     yield form
 
 
-def _certificate(form, split):
-    m, u, exps, sigma = split(form)
+def _certificate(form, rows):
+    m, u, exps, sigma = rows
     r = _from_rows(m, form.den, form.ctx)
     return ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType(exps, sigma))
 
 
-def test_unimodular_split_matches_the_exact_split(monkeypatch):
+def _matches_the_exact_split(monkeypatch, d):
+    """(forms seen, exposing shears) over the forms of order d, asserting on
+    each what the module docstring lists."""
     shears = []
     step = linalg.shear
     monkeypatch.setattr(linalg, "shear", lambda m, *a: shears.append(a) or step(m, *a))
     seen = exposing = 0
     for form in _forms():
-        if not _unimodular(form):
+        if _order(form) != d:
             continue
         seen += 1
         before = len(shears)
-        new = _certificate(form, _unimodular_split)
+        new = _certificate(form, _split_mod_p(form, d))
         exposing += len(shears) - before
-        ref = _certificate(form, _exact_split)
+        ref = _certificate(form, _exact_split(form))
         assert (new.exps, new.gk_type.sigma) == (ref.exps, ref.gk_type.sigma)
         assert verify_certificate(form, new) == verify_certificate(form, ref) == (True, "ok")
         assert all(2 * abs(x) < form.ctx.p for row in new.y for x in row)
+        r = new.reduced
+        assert valuation(r.rows[-1][-1], form.ctx) - valuation(r.den, form.ctx) == d
+    return seen, exposing
+
+
+def test_unimodular_split_matches_the_exact_split(monkeypatch):
+    seen, exposing = _matches_the_exact_split(monkeypatch, 0)
     assert seen >= 400 and exposing >= 300, (seen, exposing)
 
 
+def test_order_one_split_matches_the_exact_split(monkeypatch):
+    seen, exposing = _matches_the_exact_split(monkeypatch, 1)
+    assert seen >= 150 and exposing >= 50, (seen, exposing)
+
+
+def test_any_lift_of_u_mod_p_certifies_an_order_one_form():
+    """At d = 1 the certificate rests on U mod p alone: with V = U + p·E for
+    a random integer E, R = B[V] still has order exactly 1 at the last
+    diagonal entry, as det(den·R) is the diagonal product mod p², so V
+    certifies the same type."""
+    rng = random.Random("lift")
+    seen = 0
+    for form in _forms():
+        if _order(form) != 1:
+            continue
+        seen += 1
+        m, u, exps, sigma = _split_mod_p(form, 1)
+        p = form.ctx.p
+        v = [[x + p * rng.randint(-p, p) for x in row] for row in u]
+        cert = _certificate(form, (linalg.congruence(form.rows, v), v, exps, sigma))
+        assert verify_certificate(form, cert) == (True, "ok")
+    assert seen >= 150, seen
+
+
 def test_exactly_the_unimodular_odd_forms_take_the_new_route(monkeypatch):
-    calls = {"_dyadic_search": 0, "jordan_split": 0, "_exact_split": 0, "_unimodular_split": 0}
+    """Every odd-p form with d <= 1 takes ``_split_mod_p``, every
+    other one ``_exact_split``."""
+    names = ("_dyadic_search", "jordan_split", "_exact_split", "_split_mod_p")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
-        def counted(form, _name=name, _original=getattr(reducer, name)):
+        def counted(*args, _name=name, _original=getattr(reducer, name)):
             calls[_name] += 1
-            return _original(form)
+            return _original(*args)
 
         monkeypatch.setattr(reducer, name, counted)
     taken = dict.fromkeys(calls, 0)
+    orders = set()
     for form in [*_forms(), *dyadic_corpus(20)]:
         before = dict(calls)
         reduce_form(form)
         if form.ctx.p == 2:
             route = {"_dyadic_search"}
         else:
-            route = {"jordan_split", "_unimodular_split" if _unimodular(form) else "_exact_split"}
+            orders.add(_order(form))
+            split = "_split_mod_p" if _order(form) <= 1 else "_exact_split"
+            route = {"jordan_split", split}
         assert {k for k in calls if calls[k] != before[k]} == route
         assert all(calls[k] == before[k] + 1 for k in route)
         for k in route:
             taken[k] += 1
-    assert min(taken.values()) >= 20, taken
+    assert min(taken.values()) >= 20 and {0, 1, 2} <= orders, (taken, orders)
 
 
 def _unimodular_form():
     form = random_form(8, PrimeContext(3), random.Random(1), height=6)
-    assert _unimodular(form)
+    assert _order(form) == 0
     return form
 
 
