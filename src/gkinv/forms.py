@@ -121,17 +121,26 @@ def signed_disc(form: HalfIntegralForm) -> Fraction:
     return Fraction(-4) ** (form.n // 2) * form.det
 
 
+def _disc_class(form: HalfIntegralForm) -> int:
+    """An integer of the square class of the signed discriminant
+    (-4)^k det B, k = n // 2: (-1)^k·a·b for det B = a / b in lowest terms,
+    as 4^k and b² are squares.  No Fraction is built."""
+    if not form.nondegenerate:
+        raise FormError("degenerate form has no discriminant")
+    x = form.det.numerator * form.det.denominator
+    return -x if form.n // 2 % 2 else x
+
+
 def delta(form: HalfIntegralForm) -> int:
     """ord of the signed discriminant, corrected in even size by the
-    discriminant ideal of its square class; equals |gk(B)|."""
-    d = signed_disc(form)
-    v = valuation(d, form.ctx)
+    discriminant ideal of its square class; equals |gk(B)|.  The order is
+    ord det B + 2k·e, and the class is read off ``_disc_class``."""
+    x, ctx = _disc_class(form), form.ctx
+    v = valuation(form.det, ctx) + 2 * (form.n // 2) * ctx.e
     if form.n % 2 == 1:
-        return int(v)
-    ext = quad_ext(d, form.ctx)
-    if ext.d == 0:
-        return int(v)
-    return int(v) - ext.d + 1
+        return v
+    d = quad_ext(x, ctx).d
+    return v - d + 1 if d else v
 
 
 def norm_ideal_ord(form: HalfIntegralForm) -> int | float:

@@ -9,13 +9,14 @@ from . import linalg
 from .forms import (
     FormError,
     HalfIntegralForm,
+    _disc_class,
     delta,
     membership,
     norm_ideal_ord,
     signed_disc,
 )
 from .involutions import GKType, blocks
-from .padic import QuadExtKind, hilbert_symbol, quad_ext, valuation, xi_code, zpow
+from .padic import QuadExtKind, _unit_class, hilbert_symbol, quad_ext, valuation, xi_code, zpow
 from .reducer import ReductionError, is_reduced, reduce_form
 
 
@@ -31,9 +32,10 @@ def gk(form: HalfIntegralForm) -> tuple[int, ...]:
 
 
 def xi(form: HalfIntegralForm) -> int:
-    """Split/inert/ramified indicator of the signed discriminant.  Defined for
-    all sizes; downstream block invariants only consume it in even size."""
-    return xi_code(signed_disc(form), form.ctx)
+    """Split/inert/ramified indicator of the signed discriminant, read off
+    ``forms._disc_class``, an integer of its square class.  Defined for all
+    sizes; downstream block invariants only consume it in even size."""
+    return xi_code(_disc_class(form), form.ctx)
 
 
 def block_sign(form: HalfIntegralForm) -> int:
@@ -49,11 +51,15 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
     the diagonal, so pivot k is a leading (k+1)-minor of den·B and
     piv = den^end·det.  With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over
     i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j): one running
-    product of symbols on the integers piv_k·den^((k+1) mod 2), of the same
-    square classes, up to the last end in ``signed``, gives every eta."""
+    product of symbols, up to the last end in ``signed``, gives every eta.
+    Each P_k below that end is read once, by ``padic._unit_class`` on the
+    integer piv_k·den^((k+1) mod 2) of its square class, into the small
+    representative p^(v mod 2)·(u mod 8p), on which the symbols are taken
+    (a symbol reads only v mod 2 and u mod 8 or mod p)."""
     size, last, den, ctx = max(ends, default=0), max(signed, default=0), form.den, form.ctx
     a = [list(row[:size]) for row in form.rows[:size]]
     base, h = [1] * size, hilbert_symbol(-1, -1, ctx) if last else 1
+    p = ctx.p
     prev, prod, val = 1, 1, 1
     for start, end in zip((0, *ends), ends):
         for k in range(start, end):
@@ -65,9 +71,11 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
             linalg.pivot(a, k, bool, end=end)
             linalg.eliminate(a, k, prev, base=base)
             prev = a[k][k]
-            q = prev * den if k % 2 == 0 else prev
-            val *= hilbert_symbol(prod, -q, ctx) if 0 < k < last else 1
-            prod = q
+            if k < last:
+                v, u = _unit_class(prev * den if k % 2 == 0 else prev, p, "singular pivot")
+                q = p ** (v % 2) * (u % (8 * p))
+                val *= hilbert_symbol(prod, -q, ctx) if k else 1
+                prod = q
         yield (val * zpow(h, (end + 1) // 4) * zpow(hilbert_symbol(-1, prod, ctx), (end - 1) // 2)
                if end in signed else None), prev
 
@@ -171,7 +179,7 @@ def check_inverse_bounds(form: HalfIntegralForm, gk_type: GKType) -> bool:
     # B^-1 = den·Y / L, so an entry's order is ord Y_ij + shift
     y, l = linalg.inverse(form.rows)
     shift = valuation(form.den, ctx) - valuation(l, ctx)
-    d = quad_ext(signed_disc(form), ctx).d
+    d = quad_ext(_disc_class(form), ctx).d
     base = 2 * ctx.e + 1 - d
     exps = gk_type.exps
     fixed = set(gk_type.fixed)

@@ -146,10 +146,14 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
     """Check the reduced-form conditions for the given GK type, in one pass
     over the integer rows den·R.
 
-    An exact entry's order is its integer's order minus ord(den), and
+    An exact entry's order is its integer's order minus s = ord(den), and
     ord(2x) = ord(x) + e.  The lattice bounds ord(b_ii) >= a_i and
-    2·ord(2 b_ij) >= a_i + a_j hold everywhere, strictly off the pairs of the
-    involution, and a fixed point's diagonal has order exactly a_i.  A pair
+    2·ord(2 b_ij) >= t = a_i + a_j hold everywhere, strictly off the pairs of
+    the involution, and a fixed point's diagonal has order exactly a_i.  Each
+    off-diagonal bound is one divisibility test, p^(need + s) | r_ij, with
+    need = ceil(t/2) - e on a pair and floor(t/2) + 1 - e off it, which holds
+    outright when need + s <= 0; orders are read only on the diagonal and
+    in the pairs' invariants.  A pair
     (i, j) must have GK invariant (a_i, a_j): its first entry is the norm
     order min(ord b_ii, ord b_jj, ord 2b_ij), and the two entries sum to
     ord(-4 det) - (delta - 1 if delta else 0), read off the integer
@@ -162,7 +166,7 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
     ctx = form.ctx
     r = form.rows
     s = valuation(form.den, ctx)
-    e = ctx.e
+    e, p = ctx.e, ctx.p
 
     def ord_of(x: int):
         return valuation(x, ctx) - s if x else INF
@@ -175,8 +179,8 @@ def is_reduced(form: HalfIntegralForm, gk_type: GKType) -> bool:
         for j in range(i + 1, n):
             if not row[j]:
                 continue
-            w = 2 * (ord_of(row[j]) + e)
-            if w < ai + exps[j] or (w == ai + exps[j] and j != si):
+            k = (ai + exps[j] + (1 if j == si else 2)) // 2 - e + s
+            if k > 0 and row[j] % p**k:
                 return False
         if i < si:
             rii, rij, rjj = row[i], row[si], r[si][si]
@@ -401,12 +405,20 @@ def jordan_split(form: HalfIntegralForm):
     """Non-dyadic reduction: ``_split_mod_p`` when d = ord_p det B is at most
     1, else ``_exact_split``.  Only for d <= 1 is the type known before any
     split, and every pivot but the last a unit.  Returns (R, U, exps, sigma)
-    with B[U] = R / den."""
-    if form.ctx.p == 2:
+    with B[U] = R / den.
+
+    A form whose det B is not yet recorded is first read mod p: den is prime
+    to p, so det(den·B mod p) != 0 proves both that B is non-degenerate and
+    that d = 0, and such a form is split with no exact det B."""
+    ctx = form.ctx
+    if ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
+    p = ctx.p
+    if "det" not in vars(form) and linalg.det([[x % p for x in row] for row in form.rows]) % p:
+        return _split_mod_p(form, 0)
     if not form.nondegenerate:
         raise FormError("degenerate form")
-    d = valuation(form.det, form.ctx)
+    d = valuation(form.det, ctx)
     return _split_mod_p(form, d) if d <= 1 else _exact_split(form)
 
 
@@ -491,7 +503,8 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     cert = vars(form).get(_CERT)
     if cert is not None:
         return cert
-    if not form.nondegenerate:
+    # jordan_split checks non-degeneracy itself, with no exact det if it can
+    if form.ctx.p == 2 and not form.nondegenerate:
         raise FormError("degenerate form")
     m, u, exps, sigma = jordan_split(form) if form.ctx.p != 2 else _dyadic_search(form)
     r = _from_rows(m, form.den, form.ctx)
@@ -522,16 +535,17 @@ def verify_certificate(
     if any(cj % form.ctx.p == 0 for cj in c) or not is_unimodular(y, form.ctx):
         return False, "transform is not unimodular"
     # t(U) B U = R as t(y)·(den·B)·y = den·diag(c)·R·diag(c), on integer rows;
-    # both sides are symmetric once B and R are, so entries i <= j suffice
+    # both sides are symmetric once B and R are, so entries i <= j suffice:
+    # row i of t(y)·(den·B) dotted with column j of y
     ri, dr = cert.reduced.rows, cert.reduced.den
     if any(tuple(map(tuple, m)) != tuple(zip(*m)) for m in (form.rows, ri)):
         return False, "matrix is not symmetric"
     yt = linalg.transpose(y)
-    byt = linalg.transpose(linalg.matmul(form.rows, y))
-    for i, (yi, rrow, ci) in enumerate(zip(yt, ri, c)):
-        k = form.den * ci
-        for j in range(i, form.n):
-            if sum(map(mul, yi, byt[j])) * dr != k * rrow[j] * c[j]:
+    n, den = form.n, form.den
+    for i, (ybi, rrow, ci) in enumerate(zip(linalg.matmul(yt, form.rows), ri, c)):
+        k = den * ci
+        for j in range(i, n):
+            if sum(map(mul, ybi, yt[j])) * dr != k * rrow[j] * c[j]:
                 return False, "transform does not map the source to the claimed matrix"
     if not is_standard(exps, cert.gk_type.sigma):
         return False, "involution is not standard"

@@ -578,28 +578,34 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
 
 def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
     """On a form built by ``_from_rows``, as the CLI builds them, reduce_form
-    makes two ``linalg.det`` calls, det B and ``is_unimodular``'s det of U
-    mod p, at p = 2, 3 and 5 and on both odd routes; R's det is never
-    computed.  ``validate_form`` records det B with one call."""
+    makes two ``linalg.det`` calls at p = 2, det B and ``is_unimodular``'s
+    det of U mod p.  At odd p it first takes det(den·B mod p): a p-unimodular
+    form then needs no exact det B (two calls), and any other form makes
+    three.  R's det is never computed.  ``validate_form`` records det B with
+    one call, and a form that has it makes no det of den·B mod p."""
     calls = []
     det = linalg.det
     monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or det(a))
     rng = random.Random("two determinants")
     odd = {}
-    while len(odd) < 4:
+    while len(odd) < 6:
         form = random_form(rng.choice((4, 6)), (CTX3, CTX5)[len(odd) % 2], rng, height=3)
-        odd.setdefault((form.ctx.p, valuation(form.det, form.ctx) <= 1), form)
+        odd.setdefault((form.ctx.p, min(valuation(form.det, form.ctx), 2)), form)
     from test_kernel import dyadic_corpus
 
     for form in dyadic_corpus(3) + list(odd.values()):
         fresh = _from_rows(form.rows, form.den, form.ctx)
         calls.clear()
         reduce_form(fresh)
-        assert len(calls) == 2
+        unimodular = form.ctx.p != 2 and valuation(form.det, form.ctx) == 0
+        assert len(calls) == (2 if form.ctx.p == 2 or unimodular else 3)
+        assert ("det" in vars(fresh)) != unimodular
         assert fresh.det == form.det and "det" not in vars(reduce_form(fresh).reduced)
         calls.clear()
-        validate_form(form.entries, form.ctx)
+        checked = validate_form(form.entries, form.ctx)
         assert len(calls) == 1
+        reduce_form(checked)
+        assert len(calls) == 2
 
 
 def test_reduce_empty_and_unary():
