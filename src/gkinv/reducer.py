@@ -26,10 +26,10 @@ passes (one per move, shears included); ``verify_certificate`` is the net.
 
 Both reducers work on the form's integer rows and return integral U and
 R = B[U] over B's denominator; ``reduce_form`` alone builds the certificate
-and verifies it.  ``jordan_split`` sends a form with d = ord_p det B <= 1,
-whose exponents are (0, ..., 0) and then d ones before any split, to
-``_split_mod_p``, whose U diagonalizes den·B mod p and is taken mod p, so R
-is not diagonal; in the other splits each column of U is the exact one times
+and verifies it.  ``_split_mod_p`` diagonalizes den·B mod p and, when its
+pivots show d = ord_p det B <= 1, takes U mod p, so R is not diagonal;
+``jordan_split`` runs ``_exact_split`` on the other forms.  In the exact
+split and the dyadic search each column of U is the exact one times
 a p-unit (no order or square class that the reduced conditions read
 changes).  All three run on the rows [den·B | 1] and read U off their right
 half.  The dyadic search keeps the rows [Mi | t(Ui)], Mi = den·E²·M and
@@ -287,7 +287,7 @@ def _clear_matrix(m: linalg.Rows, exps, sigma) -> int | None:
     return l
 
 
-def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
+def _candidates(m, s, exps, sigma, ctx: PrimeContext):
     """Every admissible move (c, kind, x, y) from the reduced prefix of the
     form m / (2^s·odd): kind 0 pairs fixed point x with tail coordinate y, 1
     splits the tail pair (x, y), 2 admits the fixed point x, 3 shears tail
@@ -298,7 +298,6 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
     2^(c_tail + s + 1) does not divide it."""
     k, n = len(exps), len(m)
     amin = exps[-1] if exps else 0
-    cap = (det_cap - sum(exps)) // (n - k)
     fixed = [i for i in range(k) if sigma[i] == i]
     tail = range(k, n)
     moves = []
@@ -309,10 +308,10 @@ def _candidates(m, s, exps, sigma, det_cap, ctx: PrimeContext):
                 continue
             c = 2 * (valuation(x, ctx) - s + 1) - exps[h]
             # the tail diagonal must not undercut c: ord(b_jj) >= c
-            if amin <= c <= cap and m[j][j] % 2 ** (c + s) == 0:
+            if amin <= c and m[j][j] % 2 ** (c + s) == 0:
                 moves.append((c, 0, h, j))
     c_tail = valuation(_norm_gcd(m, k), ctx) - s
-    if amin <= c_tail <= cap:
+    if amin <= c_tail < INF:
         q = 2 ** (c_tail + s + 1)
         collision = next((h for h in fixed if (exps[h] - c_tail) % 2 == 0), None)
         for i in tail:
@@ -345,9 +344,9 @@ def _dyadic_search(form: HalfIntegralForm):
     After that fixed point no move at c is left: a kind-0 or kind-1 move at c
     would have been taken first, and a later diagonal of its parity is sheared
     past c.  The verifier's ``is_standard`` rejects any other layout."""
+    if not form.nondegenerate:
+        raise FormError("degenerate form")
     ctx, n = form.ctx, form.n
-    # ord det(2B) = n·e + ord det B, from the determinant validation
-    det_cap = n * ctx.e + valuation(form.det, ctx)
     m = [list(row) + ei for row, ei in zip(form.rows, linalg.identity(n))]
     s = valuation(form.den, ctx)
     e, budget = 1, SEARCH_BUDGET
@@ -364,7 +363,7 @@ def _dyadic_search(form: HalfIntegralForm):
         if l is None:
             raise ReductionError(f"clearing transform is not integral {at()}")
         e *= l
-        moves = _candidates(m, s, exps, sigma, det_cap, ctx)
+        moves = _candidates(m, s, exps, sigma, ctx)
         if not moves:
             raise ReductionError(f"no admissible move {at()}")
         c, kind, x, y = min(moves)
@@ -402,24 +401,11 @@ def _dyadic_search(form: HalfIntegralForm):
 
 
 def jordan_split(form: HalfIntegralForm):
-    """Non-dyadic reduction: ``_split_mod_p`` when d = ord_p det B is at most
-    1, else ``_exact_split``.  Only for d <= 1 is the type known before any
-    split, and every pivot but the last a unit.  Returns (R, U, exps, sigma)
-    with B[U] = R / den.
-
-    A form whose det B is not yet recorded is first read mod p: den is prime
-    to p, so det(den·B mod p) != 0 proves both that B is non-degenerate and
-    that d = 0, and such a form is split with no exact det B."""
-    ctx = form.ctx
-    if ctx.p == 2:
+    """Non-dyadic reduction, reading no det B: ``_split_mod_p`` if it takes
+    the form, else ``_exact_split``.  Returns (R, U, exps, sigma), B[U] = R / den."""
+    if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
-    p = ctx.p
-    if "det" not in vars(form) and linalg.det([[x % p for x in row] for row in form.rows]) % p:
-        return _split_mod_p(form, 0)
-    if not form.nondegenerate:
-        raise FormError("degenerate form")
-    d = valuation(form.det, ctx)
-    return _split_mod_p(form, d) if d <= 1 else _exact_split(form)
+    return _split_mod_p(form) or _exact_split(form)
 
 
 def _exact_split(form: HalfIntegralForm):
@@ -436,8 +422,8 @@ def _exact_split(form: HalfIntegralForm):
     ``forms._norm_gcd`` (down to its bound v_(k-1) + exps[k - 1]; the doubled
     entries have the same order at odd p), and ``linalg.pivot`` brings an
     entry that p^(v_k + 1) does not divide to the diagonal at k: the first
-    such tail diagonal entry, else the one a shear exposes.  The pivot
-    becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Column k of U, prev_k
+    such tail diagonal entry, else the one a shear exposes (a zero tail means
+    det B = 0).  The pivot becomes prev_(k+1), so exps[k] = v_k - v_(k-1).  Column k of U, prev_k
     times the exact one, is divided by g_k = gcd(prev_k, column k), and
     D_kk = m[k][k]·(prev_k / g_k) / g_k is an integer, as D = t(U)·(den·B)·U.
     Returns (D, U, exps, sigma) with B[U] = D / den, as ``_dyadic_search`` does."""
@@ -445,7 +431,10 @@ def _exact_split(form: HalfIntegralForm):
     m = [list(row) + e for row, e in zip(form.rows, linalg.identity(n))]
     prev, prevs, exps, last = 1, [], (), 0
     for k in range(n):
-        v = valuation(_norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p), ctx)
+        g = _norm_gcd(m, k, ctx.p ** (last + exps[-1] + 1) if k else ctx.p)
+        if not g:
+            raise FormError("degenerate form")
+        v = valuation(g, ctx)
         q = ctx.p ** (v + 1)
         linalg.pivot(m, k, lambda x: x % q)
         prevs.append(prev)
@@ -460,28 +449,34 @@ def _exact_split(form: HalfIntegralForm):
     return diag, u, exps, standard_involution(exps)
 
 
-def _split_mod_p(form: HalfIntegralForm, d: int):
+def _split_mod_p(form: HalfIntegralForm):
     """The split over F_p of a form with d = ord_p det B <= 1, whose exponents
-    are (0, ..., 0) and then d ones.  den·B has rank n - d mod p, so on the
-    rows [den·B | 1] mod p each of n - d steps pivots a unit by
-    ``linalg.pivot`` and clears the tail mod p, from column k + 1 on: no later
-    step reads column k.  U, taken in balanced residues, makes
-    den·R = t(U)·(den·B)·U (exact, by ``linalg.congruence``) unit on the
-    diagonal but at a last entry t divisible by p when d = 1, and of order
-    >= 1 off it.  Every term of det(den·R) but the diagonal product has two
-    off-diagonal factors, so det(den·R) = (product of the units)·t mod p², and
-    ord det R = d leaves t of order exactly 1: U mod p suffices.  R is
-    reduced, with sigma standard."""
+    are (0, ..., 0) and then d ones; None for any other form.  On the rows
+    [den·B | 1] mod p, while the tail holds a unit, step r pivots one by
+    ``linalg.pivot`` and clears the tail mod p from column r + 1 on.  U, in
+    balanced residues, makes den·R = t(U)·(den·B)·U unit on the first r
+    diagonal entries, 0 mod p on the rest and off the diagonal; r = n means
+    d = 0.  At r = n - 1 every term of det(den·R) but the diagonal product
+    has two off-diagonal factors, so d = 1 exactly when p² does not divide
+    the last entry t, read by one product on U's last column before R is
+    formed.  R is reduced, with sigma standard."""
     p, n = form.ctx.p, form.n
     m = [[x % p for x in row] + e for row, e in zip(form.rows, linalg.identity(n))]
-    for k in range(n - d):
-        linalg.pivot(m, k, lambda x: x % p)
-        rk, w = m[k][k + 1 :], pow(m[k][k], -1, p)
-        for ri in m[k + 1 :]:
-            if c := ri[k] * w % p:
-                ri[k + 1 :] = [(x - c * y) % p for x, y in zip(ri[k + 1 :], rk)]
+    r = 0
+    while r < n and linalg.pivot(m, r, lambda x: x % p):
+        rk, w = m[r][r + 1 :], pow(m[r][r], -1, p)
+        for ri in m[r + 1 :]:
+            if c := ri[r] * w % p:
+                ri[r + 1 :] = [(x - c * y) % p for x, y in zip(ri[r + 1 :], rk)]
+        r += 1
+    if r < n - 1:
+        return None
     u = [[(x + p // 2) % p - p // 2 for x in col] for col in zip(*(row[n:] for row in m))]
-    exps = (0,) * (n - d) + (1,) * d
+    if r < n:
+        last = [row[-1] for row in u]
+        if sum(map(mul, last, (sum(map(mul, row, last)) for row in form.rows))) % (p * p) == 0:
+            return None
+    exps = (0,) * r + (1,) * (n - r)
     return linalg.congruence(form.rows, u), u, exps, standard_involution(exps)
 
 
@@ -499,13 +494,11 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     it, and a later call on the same object returns it.  So ``gk``,
     ``egk_of`` and ``classify_binary`` after ``reduce_form`` pay for one
     search and one verification.  A call that raises keeps no certificate,
-    and an equal form built apart runs its own search."""
+    and an equal form built apart runs its own search.  Each reducer rejects
+    a degenerate form itself."""
     cert = vars(form).get(_CERT)
     if cert is not None:
         return cert
-    # jordan_split checks non-degeneracy itself, with no exact det if it can
-    if form.ctx.p == 2 and not form.nondegenerate:
-        raise FormError("degenerate form")
     m, u, exps, sigma = jordan_split(form) if form.ctx.p != 2 else _dyadic_search(form)
     r = _from_rows(m, form.den, form.ctx)
     cert = ReductionCertificate._of_rows(u, (1,) * form.n, r, GKType._of(exps, sigma))

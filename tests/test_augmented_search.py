@@ -47,8 +47,6 @@ def parent_dyadic_search(form: HalfIntegralForm):
     would have been taken first, and a later diagonal of its parity is sheared
     past c.  The verifier's ``is_standard`` rejects any other layout."""
     ctx, n = form.ctx, form.n
-    # ord det(2B) = n·e + ord det B, from the determinant validation
-    det_cap = n * ctx.e + valuation(form.det, ctx)
     m = [list(row) for row in form.rows]
     s = valuation(form.den, ctx)
     u = linalg.identity(n)
@@ -66,7 +64,7 @@ def parent_dyadic_search(form: HalfIntegralForm):
         if l is None:
             raise ReductionError(f"clearing transform is not integral {at()}")
         e *= l
-        moves = _candidates(m, s, exps, sigma, det_cap, ctx)
+        moves = _candidates(m, s, exps, sigma, ctx)
         if not moves:
             raise ReductionError(f"no admissible move {at()}")
         c, kind, x, y = min(moves)

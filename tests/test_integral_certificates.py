@@ -68,14 +68,13 @@ def parent_dyadic_search(form):
     """(M, U, exps, sigma, d, c) with B[U / e] = M / d, c = (e,) * n and
     d = den·e²."""
     ctx, n = form.ctx, form.n
-    det_cap = n * ctx.e + valuation(form.det, ctx)
     m, den = [list(row) for row in form.rows], form.den
     s = valuation(den, ctx)
     u = linalg.identity(n)
     e, exps, sigma = 1, (), ()
     while len(exps) < n:
         e *= parent_steps.clear_matrix(m, u, exps, sigma)
-        c, kind, x, y = min(_candidates(m, s, exps, sigma, det_cap, ctx))
+        c, kind, x, y = min(_candidates(m, s, exps, sigma, ctx))
         k = len(exps)
         if kind == 3:
             sh = complete_square(m[x][x], m[x][y], m[y][y], exps[x] + s, c + s, ctx)

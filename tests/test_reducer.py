@@ -545,8 +545,8 @@ def test_a_form_keeps_its_verified_certificate(monkeypatch):
 def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
     """BudgetExhausted and a rejected certificate store nothing, so the next
     call searches again and succeeds; a kept certificate is returned whatever
-    the budget.  Each form's det, which ``reduce_form`` reads before any
-    search, is read first, so the dicts compare whole."""
+    the budget.  Each form's det, which the dyadic search reads before its
+    first pass, is read first, so the dicts compare whole."""
     calls = _count_searches(monkeypatch)
     forms = _fresh_forms()
     for form in forms:
@@ -579,10 +579,10 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
 def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
     """On a form built by ``_from_rows``, as the CLI builds them, reduce_form
     makes two ``linalg.det`` calls at p = 2, det B and ``is_unimodular``'s
-    det of U mod p.  At odd p it first takes det(den·B mod p): a p-unimodular
-    form then needs no exact det B (two calls), and any other form makes
-    three.  R's det is never computed.  ``validate_form`` records det B with
-    one call, and a form that has it makes no det of den·B mod p."""
+    det of U mod p.  At odd p it makes that one call on U mod p alone, for
+    every d = ord_p det B, and leaves det B untaken.  R's det is never
+    computed.  ``validate_form`` records det B with one call, and
+    reduce_form then adds the one det of U mod p at either prime."""
     calls = []
     det = linalg.det
     monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or det(a))
@@ -594,18 +594,20 @@ def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
     from test_kernel import dyadic_corpus
 
     for form in dyadic_corpus(3) + list(odd.values()):
+        p = form.ctx.p
         fresh = _from_rows(form.rows, form.den, form.ctx)
         calls.clear()
-        reduce_form(fresh)
-        unimodular = form.ctx.p != 2 and valuation(form.det, form.ctx) == 0
-        assert len(calls) == (2 if form.ctx.p == 2 or unimodular else 3)
-        assert ("det" in vars(fresh)) != unimodular
-        assert fresh.det == form.det and "det" not in vars(reduce_form(fresh).reduced)
+        cert = reduce_form(fresh)
+        u_mod_p = [[x % p for x in row] for row in cert.y]
+        assert calls[-1] == u_mod_p
+        assert len(calls) == (2 if p == 2 else 1)
+        assert ("det" in vars(fresh)) == (p == 2)
+        assert fresh.det == form.det and "det" not in vars(cert.reduced)
         calls.clear()
         checked = validate_form(form.entries, form.ctx)
         assert len(calls) == 1
-        reduce_form(checked)
-        assert len(calls) == 2
+        assert reduce_form(checked) == cert
+        assert len(calls) == 2 and calls[-1] == u_mod_p
 
 
 def test_reduce_empty_and_unary():
