@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import FormError, HalfIntegralForm, _from_rows
+from .forms import HalfIntegralForm, _from_rows
 from .invariants import block_sign, leading_signs, xi
 from .involutions import GKType, blocks, is_standard, standard_involution
 from .padic import PrimeContext, nonsquare_unit, valuation, zpow
@@ -239,9 +239,8 @@ def synthesize_nondyadic(h: NaiveEGK, ctx: PrimeContext) -> HalfIntegralForm:
 
 
 def naive_datum_of_diagonal(form: HalfIntegralForm) -> NaiveEGK:
-    """Per-prefix invariants of a non-dyadic diagonal form with sorted orders."""
-    if not form.nondegenerate:  # then a prefix is degenerate, and has no sign
-        raise FormError("degenerate form")
+    """Per-prefix invariants of a non-dyadic diagonal form with sorted orders;
+    ``FormError`` if a prefix is degenerate, and so has no sign."""
     eps = tuple(leading_signs(form, range(1, form.n + 1)))
     v = valuation(form.den, form.ctx)
     a = tuple(valuation(form.rows[i][i], form.ctx) - v for i in range(form.n))

@@ -44,18 +44,18 @@ def block_sign(form: HalfIntegralForm) -> int:
 
 
 def _leading_etas(form: HalfIntegralForm, ends, signed):
-    """(eta, piv) for the leading block of each size in ``ends``, ascending and
-    each non-degenerate, eta None at an end not in ``signed``, from one field
-    diagonalization: lazily scaled ``linalg.eliminate`` steps on den·B, each
-    after ``linalg.pivot`` put a non-zero entry of the block that ends next on
-    the diagonal, so pivot k is a leading (k+1)-minor of den·B and
-    piv = den^end·det.  With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over
-    i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j): one running
-    product of symbols, up to the last end in ``signed``, gives every eta.
-    Each P_k below that end is read once, by ``padic._unit_class`` on the
-    integer piv_k·den^((k+1) mod 2) of its square class, into the small
-    representative p^(v mod 2)·(u mod 8p), on which the symbols are taken
-    (a symbol reads only v mod 2 and u mod 8 or mod p)."""
+    """(eta, piv) for the leading block of each size in ``ends``, ascending, eta None
+    at an end not in ``signed``, from one field diagonalization: lazily scaled
+    ``linalg.eliminate`` steps on den·B, each after ``linalg.pivot`` put a non-zero
+    entry of the block that ends next on the diagonal, so pivot k is a leading
+    (k+1)-minor of den·B and piv = den^end·det; a block with no such entry left is
+    degenerate, and raises ``FormError("degenerate form")``.  With P_k = d_0⋯d_k =
+    piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod over j >= 1 of
+    (P_{j-1}, -P_j): one running product of symbols, up to the last end in
+    ``signed``, gives every eta.  Each P_k below that end is read once, by
+    ``padic._unit_class`` on the integer piv_k·den^((k+1) mod 2) of its square
+    class, into the small representative p^(v mod 2)·(u mod 8p), on which the
+    symbols are taken (a symbol reads only v mod 2 and u mod 8 or mod p)."""
     size, last, den, ctx = max(ends, default=0), max(signed, default=0), form.den, form.ctx
     a = [list(row[:size]) for row in form.rows[:size]]
     base, h = [1] * size, hilbert_symbol(-1, -1, ctx) if last else 1
@@ -68,7 +68,8 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
                 if base[i] != prev:
                     a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
                     base[i] = prev
-            linalg.pivot(a, k, bool, end=end)
+            if not linalg.pivot(a, k, bool, end=end):
+                raise FormError("degenerate form")
             linalg.eliminate(a, k, prev, base=base)
             prev = a[k][k]
             if k < last:
@@ -81,9 +82,8 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
 
 
 def eta(form: HalfIntegralForm) -> int:
-    """Clifford invariant: the Hilbert-symbol product of ``_leading_etas``."""
-    if not form.nondegenerate:
-        raise FormError("degenerate form")
+    """Clifford invariant: the Hilbert-symbol product of ``_leading_etas``,
+    whose one elimination also rejects a degenerate form."""
     return next(_leading_etas(form, (form.n,), (form.n,)))[0]
 
 
@@ -147,8 +147,8 @@ def is_optimal_binary(form: HalfIntegralForm, exps) -> bool:
 
 
 def egk_of(form: HalfIntegralForm) -> EGKDatum:
-    """Extended GK datum: block data of the invariant plus the sign of each
-    leading block of a reduced representative R, from one elimination."""
+    """Extended GK datum: block data of the invariant plus the sign of each leading
+    block of a reduced representative R, R itself included, from one elimination."""
     # deferred: egk imports this module at its top, for eta and xi
     from .egk import EGKDatum, validate_egk
 
@@ -157,9 +157,7 @@ def egk_of(form: HalfIntegralForm) -> EGKDatum:
     cert = reduce_form(form)
     bl = blocks(cert.exps)
     ends = [start + size for start, size in zip(bl.starts, bl.sizes)]
-    # the last leading block is the whole form: read its sign off B's entries
-    zeta = leading_signs(cert.reduced, ends[:-1]) + [block_sign(form)]
-    datum = EGKDatum(bl.sizes, bl.values, tuple(zeta))
+    datum = EGKDatum(bl.sizes, bl.values, tuple(leading_signs(cert.reduced, ends)))
     ok, bad = validate_egk(datum)
     if not ok:
         raise ReductionError("computed datum fails the axioms: " + "; ".join(bad))

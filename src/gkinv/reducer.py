@@ -343,7 +343,9 @@ def _dyadic_search(form: HalfIntegralForm):
     first, then kind-1 equal pairs side by side, then the kind-2 fixed point.
     After that fixed point no move at c is left: a kind-0 or kind-1 move at c
     would have been taken first, and a later diagonal of its parity is sheared
-    past c.  The verifier's ``is_standard`` rejects any other layout."""
+    past c.  The verifier's ``is_standard`` rejects any other layout.  det B is
+    read first: on a degenerate form, such as [[1, 1], [1, 1]], the collision shears
+    chase the radical, every entry growing each pass, until ``SEARCH_BUDGET`` runs out."""
     if not form.nondegenerate:
         raise FormError("degenerate form")
     ctx, n = form.ctx, form.n

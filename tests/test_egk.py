@@ -341,3 +341,44 @@ def test_egk_of_builds_no_leading_subform(monkeypatch):
                 monkeypatch.setattr(mod, name, forbidden)
     for b, g in cases:
         assert egk_of(b) == g
+
+
+def test_the_sign_readers_read_no_det_b(monkeypatch):
+    """On fresh forms at p = 2, 3 and 5, rebuilt by ``_from_rows`` so that no
+    det is cached, eta takes no ``linalg.det`` at all.  ``reduce_form`` then
+    ``egk_of`` takes no det of den·B at odd p and one at p = 2, the dyadic
+    search's non-degeneracy check, and none of den·R; its only other det is
+    the verifier's, of U mod p.  egk_of makes one ``leading_signs`` call, over
+    every block end with n included, calls neither block_sign nor eta, and
+    its signs equal the per-block reference."""
+    dets, signs = [], []
+    det, read = linalg.det, invariants.leading_signs
+
+    def forbidden(*args):
+        raise AssertionError("a sign was read apart")
+
+    rng = random.Random("no det")
+    for k in range(45):
+        ctx = (CTX2, CTX3, CTX5)[k % 3]
+        g = random_egk(rng, max_r=4, max_m=5, max_n=8)
+        r = synthesize_reduced(g, ctx) if ctx.p == 2 else synthesize_nondyadic(lift(g), ctx)
+        b = transform(r, random_unimodular(r.n, ctx, rng, steps=10))
+        fresh = [forms._from_rows(b.rows, b.den, ctx) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "det", lambda a: dets.append(a) or det(a))
+            patch.setattr(invariants, "leading_signs", lambda f, e: signs.append(e) or read(f, e))
+            patch.setattr(invariants, "block_sign", forbidden)
+            patch.setattr(invariants, "eta", forbidden)
+            dets.clear()
+            eta(fresh[0])
+            assert not dets and "det" not in vars(fresh[0])
+            cert = reduce_form(fresh[1])
+            signs.clear()
+            datum = egk_of(fresh[1])
+        assert datum == g
+        of_b = [a for a in dets if a is fresh[1].rows]
+        assert len(of_b) == (ctx.p == 2) and len(dets) == len(of_b) + 1
+        assert "det" not in vars(cert.reduced) and ("det" in vars(fresh[1])) == (ctx.p == 2)
+        ends = _block_ends(cert.exps)
+        assert signs == [ends] and ends[-1] == b.n
+        assert list(datum.zeta) == ref_leading_signs(cert.reduced, ends)
