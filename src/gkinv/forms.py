@@ -7,7 +7,10 @@ certificates trustworthy.
 
 A form keeps the integer rows den·B over the least common denominator den
 (as FLINT's ``fmpq_mat_get_fmpz_mat_matwise`` does), and builds ``entries``,
-B in Fractions, on first read; ``_from_rows`` is its one constructor.  Every
+B in Fractions, on first read; ``_from_rows`` is its one constructor.  It
+also keeps, on first read, ``pivots``, the pivot chain of one elimination
+of den·B: det B is its last pivot over den^n, and ``invariants.eta`` reads
+the square classes of its pivots, so the two take one elimination.  Every
 routine here reads integer rows; only the entry points ``validate_form``,
 ``transform`` and ``in_gk_group`` read a Fraction matrix, scaling it once.  In
 the same instance dict, outside the fields and so outside ==, hash and repr,
@@ -36,7 +39,8 @@ class FormError(ValueError):
 @dataclass(frozen=True)
 class HalfIntegralForm:
     """B = rows / den, den > 0 the least common denominator of B's entries;
-    det B is computed on first read.  Built by ``validate_form``/``_from_rows``."""
+    the pivot chain of den·B, and det B off it, are computed on first read.
+    Built by ``validate_form``/``_from_rows``."""
 
     ctx: PrimeContext
     rows: tuple[tuple[int, ...], ...]
@@ -51,8 +55,19 @@ class HalfIntegralForm:
         return self.det != 0
 
     @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivots of one elimination of den·B, ``linalg.pivot_chain`` over
+        the whole form: pivot k is a leading (k + 1)-minor of a matrix
+        congruent to den·B by determinant ±1.  Fewer than n iff B is degenerate."""
+        return tuple(linalg.pivot_chain(self.rows, (self.n,)))
+
+    @cached_property
     def det(self) -> Fraction:
-        return Fraction(linalg.det(self.rows), self.den**self.n)
+        """The last pivot over den^n: 0 when the chain stops short, 1 at n = 0."""
+        piv = self.pivots
+        if len(piv) < self.n:
+            return Fraction(0)
+        return Fraction(piv[-1] if piv else 1, self.den**self.n)
 
     @cached_property
     def entries(self) -> Matrix:
@@ -84,7 +99,8 @@ def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
 
 
 def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
-    """Check symmetry and half-integrality; record the exact determinant."""
+    """Check symmetry and half-integrality; record the pivot chain of den·B
+    and the exact determinant, its last pivot over den^n."""
     form = _from_rows(*linalg._scaled(linalg.mat(rows)), ctx)
     form.det
     return form

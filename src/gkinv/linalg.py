@@ -8,7 +8,8 @@ and ``lowest`` brings integer rows over a denominator to lowest terms.
 
 There is one dense routine per job, and each takes and returns integer rows:
 ``congruence`` is t(U) B U, ``det`` is fraction-free (Bareiss) elimination,
-and ``inverse`` is the one solve, ``solve_int``, against the identity.
+which the verifier runs on U mod p, and ``inverse`` is the one solve,
+``solve_int``, against the identity.
 ``solve_int`` is fraction-free Gauss-Jordan elimination and returns A^-1 B
 as Y / L in lowest terms.  ``congruence``, ``det`` and ``matmul`` share no
 code with the kernel's steps or each other, which is what lets the verifier
@@ -22,9 +23,12 @@ the right half t(U) to t(E)·t(U) = t(U E).  ``move`` (the one coordinate move),
 ``shear`` and ``scale`` work on rows of any exact numbers; ``pivot`` is the
 pivot step of the exact and F_p Jordan splits and the field diagonalization,
 which differ only in the entries it accepts; ``eliminate`` is fraction-free.
+``pivot_chain`` is the field diagonalization: it yields the pivots that give
+a form's det B and its eta, and the signs of a reduced form's blocks.
 Every entry stays an integer, with a known scale: through ``pivot`` and
-``eliminate`` in the exact split and the field diagonalization, and through
-``solve_int``, integer shears and scalings, and ``move`` in the dyadic search.
+``eliminate`` in the exact split, through ``pivot_chain``'s lazily scaled
+steps in the field diagonalization, and through ``solve_int``, integer
+shears and scalings, and ``move`` in the dyadic search.
 """
 
 from __future__ import annotations
@@ -232,7 +236,7 @@ def pivot(m: Rows, k: int, ok, end: int | None = None) -> bool:
     return True
 
 
-def eliminate(m: Rows, k: int, prev: int, base: list | None = None) -> None:
+def eliminate(m: Rows, k: int, prev: int) -> None:
     """One fraction-free symmetric pivot step (Bareiss) on integer rows: with
     p = m[k][k] != 0, each entry (i > k, j > k) of a later row becomes
     (p·m[i][j] - m[i][k]·m[k][j]) // prev.
@@ -248,13 +252,52 @@ def eliminate(m: Rows, k: int, prev: int, base: list | None = None) -> None:
     off the diagonal); callers read only the pivots and the tail.  Rows may
     run on past column n: on [S | 1] the right half is t(U), as the row
     update is U's column update U E (m[i][k] = m[k][i]), each entry a minor
-    of [S | 1], prev times the exact one before the step and p times after.
-    With ``base`` (``det``'s row scales, row k at scale prev), a row with
-    m[i][k] = 0 stays base[i]·T_i."""
+    of [S | 1], prev times the exact one before the step and p times after."""
     p, tail = m[k][k], m[k][k + 1 :]
-    scales = base or [prev] * len(m)
-    for i, ri in enumerate(m[k + 1 :], k + 1):
+    for ri in m[k + 1 :]:
         c = ri[k]
-        if c or base is None:
-            ri[k + 1 :] = [(p * x - c * y) // scales[i] for x, y in zip(ri[k + 1 :], tail)]
-            scales[i] = p
+        ri[k + 1 :] = [(p * x - c * y) // prev for x, y in zip(ri[k + 1 :], tail)]
+
+
+def pivot_chain(rows, ends):
+    """Yield the pivots of the symmetric fraction-free elimination of the
+    leading blocks of integer rows S that end at ``ends`` (ascending).  Step
+    k brings a non-zero entry of the block that ends next to the diagonal by
+    ``pivot``'s rule, then takes ``det``'s lazily scaled Bareiss step: row i
+    holds base[i] times its Bareiss value, base[i] the pivot of the step that
+    last changed it, so a row with m[i][k] = 0 is left as it is, and the
+    pivot row's tail is scaled only if a later row needs it.  The moves and
+    shears are congruences of determinant ±1 inside a block, so pivot k is a
+    leading (k + 1)-minor of a matrix congruent to S, and a block's last
+    pivot is the det of the leading block of S that it ends.  The chain stops
+    at the first block with no non-zero entry left, a degenerate leading
+    block.  S is not changed."""
+    size = max(ends, default=0)
+    a = [list(row[:size]) for row in rows[:size]]
+    base, prev = [1] * size, 1
+    for start, end in zip((0, *ends), ends):
+        for k in range(start, end):
+            if not a[k][k]:
+                t = next((t for t in range(k + 1, end) if a[t][t]), None)
+                if t is not None:  # a move carries each row with its scale
+                    move(a, t, k)
+                    base.insert(k, base.pop(t))
+                else:  # a shear mixes two of the block's rows: one scale first
+                    for i in range(k, end):
+                        if base[i] != prev:
+                            a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
+                            base[i] = prev
+                    if not pivot(a, k, bool, end=end):
+                        return
+            rk, bk, tail = a[k], base[k], None
+            p = rk[k] * prev // bk
+            for i in range(k + 1, size):
+                ri = a[i]
+                c = ri[k]
+                if c:
+                    if tail is None:
+                        tail = rk[k + 1 :] if bk == prev else [x * prev // bk for x in rk[k + 1 :]]
+                    ri[k + 1 :] = [(p * x - c * y) // base[i] for x, y in zip(ri[k + 1 :], tail)]
+                    base[i] = p
+            prev = p
+            yield p

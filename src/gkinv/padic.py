@@ -122,10 +122,13 @@ def _unit_class(x: Rational, p: int, at_zero: str) -> tuple[int, int]:
     """(v, u), u an integer prime to p, with p^v·u in the square class of x:
     x is read as numerator·denominator, x times its denominator squared
     (Serre, ch. III).  So v is ord x only mod 2, and ``valuation`` stays the
-    order.  x = 0 raises ValueError(at_zero)."""
+    order.  An int prime to p is its own class, (0, x).  x = 0 raises
+    ValueError(at_zero)."""
     if type(x) is not int:
         x = Fraction(x)
         x = x.numerator * x.denominator
+    elif x % p:
+        return 0, x
     if not x:
         raise ValueError(at_zero)
     v = _int_valuation(x, p)

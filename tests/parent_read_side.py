@@ -4,12 +4,15 @@
 integer passed to ``hilbert_symbol`` as it is, and ``is_reduced`` with the
 order of every off-diagonal entry.  The library's routines read small
 integers of each square class and test the lattice bounds by divisibility;
-the tests compare their values and verdicts with these."""
+the tests compare their values and verdicts with these.  ``_leading_etas``
+takes the step it took then, ``linalg.eliminate`` with row scales, kept as
+``test_kernel.parent_eliminate``."""
 
 from gkinv import linalg
 from gkinv.forms import FormError, HalfIntegralForm, signed_disc
 from gkinv.involutions import GKType
 from gkinv.padic import INF, _disc_ideal_ord, hilbert_symbol, quad_ext, valuation, xi_code, zpow
+from test_kernel import parent_eliminate
 
 
 def delta(form: HalfIntegralForm) -> int:
@@ -53,7 +56,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
                     a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
                     base[i] = prev
             linalg.pivot(a, k, bool, end=end)
-            linalg.eliminate(a, k, prev, base=base)
+            parent_eliminate(a, k, prev, base=base)
             prev = a[k][k]
             q = prev * den if k % 2 == 0 else prev
             val *= hilbert_symbol(prod, -q, ctx) if 0 < k < last else 1

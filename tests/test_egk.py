@@ -345,14 +345,16 @@ def test_egk_of_builds_no_leading_subform(monkeypatch):
 
 def test_the_sign_readers_read_no_det_b(monkeypatch):
     """On fresh forms at p = 2, 3 and 5, rebuilt by ``_from_rows`` so that no
-    det is cached, eta takes no ``linalg.det`` at all.  ``reduce_form`` then
-    ``egk_of`` takes no det of den·B at odd p and one at p = 2, the dyadic
-    search's non-degeneracy check, and none of den·R; its only other det is
-    the verifier's, of U mod p.  egk_of makes one ``leading_signs`` call, over
-    every block end with n included, calls neither block_sign nor eta, and
-    its signs equal the per-block reference."""
-    dets, signs = [], []
-    det, read = linalg.det, invariants.leading_signs
+    det or pivot chain is cached, eta takes no det B and no ``linalg.det`` at
+    all: it runs the form's one pivot chain of den·B, which it caches.
+    ``reduce_form`` then ``egk_of`` takes no det of den·B at odd p and one at
+    p = 2, the dyadic search's non-degeneracy check, off one chain of den·B,
+    and none of den·R; its one ``linalg.det`` is the verifier's, of U mod p.
+    egk_of makes one ``leading_signs`` call, over every block end with n
+    included, which runs one chain of den·R over those ends; it calls neither
+    block_sign nor eta, and its signs equal the per-block reference."""
+    dets, signs, chains = [], [], []
+    det, read, chain = linalg.det, invariants.leading_signs, linalg.pivot_chain
 
     def forbidden(*args):
         raise AssertionError("a sign was read apart")
@@ -366,19 +368,26 @@ def test_the_sign_readers_read_no_det_b(monkeypatch):
         fresh = [forms._from_rows(b.rows, b.den, ctx) for _ in range(2)]
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "det", lambda a: dets.append(a) or det(a))
+            patch.setattr(linalg, "pivot_chain", lambda a, e: chains.append((a, e)) or chain(a, e))
             patch.setattr(invariants, "leading_signs", lambda f, e: signs.append(e) or read(f, e))
             patch.setattr(invariants, "block_sign", forbidden)
             patch.setattr(invariants, "eta", forbidden)
             dets.clear()
+            chains.clear()
             eta(fresh[0])
             assert not dets and "det" not in vars(fresh[0])
+            assert chains == [(fresh[0].rows, (b.n,))] and "pivots" in vars(fresh[0])
+            chains.clear()
             cert = reduce_form(fresh[1])
             signs.clear()
             datum = egk_of(fresh[1])
         assert datum == g
-        of_b = [a for a in dets if a is fresh[1].rows]
-        assert len(of_b) == (ctx.p == 2) and len(dets) == len(of_b) + 1
+        of_b = [a for a, _ in chains if a is fresh[1].rows]
+        assert len(of_b) == (ctx.p == 2) and len(chains) == len(of_b) + 1
+        assert dets == [[[x % ctx.p for x in row] for row in cert.y]]
         assert "det" not in vars(cert.reduced) and ("det" in vars(fresh[1])) == (ctx.p == 2)
+        assert "pivots" not in vars(cert.reduced)
         ends = _block_ends(cert.exps)
         assert signs == [ends] and ends[-1] == b.n
+        assert chains[-1] == (cert.reduced.rows, ends)
         assert list(datum.zeta) == ref_leading_signs(cert.reduced, ends)

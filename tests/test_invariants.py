@@ -7,6 +7,7 @@ from gkinv import linalg
 from gkinv.egk import EGKDatum, random_egk, synthesize_reduced
 from gkinv.forms import (
     FormError,
+    _from_rows,
     direct_sum,
     leading,
     random_form,
@@ -118,10 +119,12 @@ def _zero_diagonal_forms(rng):
 
 def test_eta_matches_a_naive_diagonalization(monkeypatch):
     """eta's fraction-free field diagonal with lazy row scales,
-    d_k = piv_k / (den·piv_{k-1}) for the pivots its ``linalg.eliminate``
-    steps leave on the diagonal, equals the dense Fraction one, and eta
+    d_k = piv_k / (den·piv_{k-1}) for the pivots its ``linalg.pivot_chain``
+    yields, equals the dense Fraction one, and eta
     equals the Hilbert-symbol product over it, on forms that reach a move
-    past other coordinates and the exposing shear of the diagonalization."""
+    past other coordinates and the exposing shear of the diagonalization.
+    Each form is rebuilt by ``_from_rows``, so that eta runs the pivot chain
+    that validation would have cached, and the form keeps those pivots."""
     forms = _zero_diagonal_forms(random.Random("eta/naive"))
     assert {f.ctx.p for f in forms} == {2, 3, 5, 7}
     assert max(f.n for f in forms) == 10
@@ -137,15 +140,18 @@ def test_eta_matches_a_naive_diagonalization(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     pivots = []
 
-    def recorded(m, k, *args, _step=linalg.eliminate, **kw):
-        _step(m, k, *args, **kw)
-        pivots.append(m[k][k])
+    def recorded(rows, ends, _chain=linalg.pivot_chain):
+        for piv in _chain(rows, ends):
+            pivots.append(piv)
+            yield piv
 
-    monkeypatch.setattr(linalg, "eliminate", recorded)
+    monkeypatch.setattr(linalg, "pivot_chain", recorded)
     for form in forms:
         d = naive_field_diagonal(form.entries)
+        fresh = _from_rows(form.rows, form.den, form.ctx)
         pivots.clear()
-        assert eta(form) == eta_of_diagonal(d, form.ctx)
+        assert eta(fresh) == eta_of_diagonal(d, form.ctx)
+        assert fresh.pivots == tuple(pivots)
         prevs = [1] + pivots[:-1]
         assert [Fraction(pk, form.den * pj) for pk, pj in zip(pivots, prevs)] == d
     assert calls["move"] and calls["shear"], calls

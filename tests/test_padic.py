@@ -5,6 +5,8 @@ import pytest
 
 from gkinv.oracle import hilbert_brute
 from gkinv.padic import (
+    _int_valuation,
+    _unit_class,
     INERT,
     INF,
     MAX_PRIME,
@@ -95,6 +97,38 @@ def test_int_order_matches_repeated_division():
             assert valuation(n, ctx) == loop_order(n, ctx.p), (ctx.p, n)
             assert valuation(Fraction(3, n), ctx) == -loop_order(n, ctx.p) + (ctx.p == 3)
         assert valuation(0, ctx) is INF
+
+
+def unit_class_by_order(x, p, at_zero):
+    """``_unit_class`` as it was before ints prime to p took a fast path:
+    every int pays ``_int_valuation`` and a division by p^v."""
+    if type(x) is not int:
+        x = Fraction(x)
+        x = x.numerator * x.denominator
+    if not x:
+        raise ValueError(at_zero)
+    v = _int_valuation(x, p)
+    return v, x // p**v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_unit_class_matches_the_order_path(p):
+    """An int prime to p is its own class, (0, x), with no order taken; on
+    random ints of both signs, multiples of p and of powers of p, big ones
+    and Fractions, the class equals the old path's, and 0 raises."""
+    rng = random.Random(f"padic/unit-class/{p}")
+    values = [1, -1, p, -p, p * p - 1, 1 - p]
+    for _ in range(2000):
+        x = rng.randint(1, 10 ** rng.randint(1, 40)) * p ** rng.choice((0, 0, 1, 2, 7))
+        values.append(x if rng.random() < 0.5 else -x)
+    values += [Fraction(x, rng.randint(1, 50) * p ** rng.randint(0, 3)) for x in values[:200]]
+    for x in values:
+        assert _unit_class(x, p, "zero") == unit_class_by_order(x, p, "zero"), (p, x)
+    assert sum(type(x) is int and x % p != 0 for x in values) > 300
+    assert sum(type(x) is int and x % p == 0 for x in values) > 500
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="^zero$"):
+            _unit_class(zero, p, "zero")
 
 
 # the largest prime below MAX_PRIME

@@ -246,7 +246,8 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
     """3·H has no nonzero diagonal, so the split shears e_0 += e_1 before its
     first pivot; the fraction-free step then gives the exact certificate with
     U's second column scaled by its least denominator 2, and R's second
-    diagonal entry by 2², so U is integral."""
+    diagonal entry by 2², so U is integral.  B is validated first, so the
+    shear of its pivot chain is not counted."""
     shears = []
     shear = linalg.shear
 
@@ -254,8 +255,8 @@ def test_jordan_split_exposes_a_diagonal_of_3h(monkeypatch):
         shears.append((i, j, c))
         return shear(m, i, j, c)
 
-    monkeypatch.setattr(linalg, "shear", recorded)
     b = validate_form([[0, Fraction(3, 2)], [Fraction(3, 2), 0]], CTX3)
+    monkeypatch.setattr(linalg, "shear", recorded)
     cert = reduce_form(b)
     assert shears == [(1, 0, 1)]
     assert cert.exps == (1, 1)
@@ -578,14 +579,16 @@ def test_a_failed_reduction_leaves_the_form_as_it_was(monkeypatch):
 
 def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
     """On a form built by ``_from_rows``, as the CLI builds them, reduce_form
-    makes two ``linalg.det`` calls at p = 2, det B and ``is_unimodular``'s
-    det of U mod p.  At odd p it makes that one call on U mod p alone, for
-    every d = ord_p det B, and leaves det B untaken.  R's det is never
-    computed.  ``validate_form`` records det B with one call, and
-    reduce_form then adds the one det of U mod p at either prime."""
-    calls = []
-    det = linalg.det
+    takes det B at p = 2, off one pivot chain of den·B, and makes one
+    ``linalg.det`` call at either prime, ``is_unimodular``'s det of U mod p.
+    At odd p it leaves det B untaken, for every d = ord_p det B.  R's det is
+    never computed.  ``validate_form`` records det B with one pivot chain and
+    no ``linalg.det`` call, and reduce_form then adds the one det of U mod p
+    and no chain at either prime."""
+    calls, chains = [], []
+    det, chain = linalg.det, linalg.pivot_chain
     monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or det(a))
+    monkeypatch.setattr(linalg, "pivot_chain", lambda a, e: chains.append(a) or chain(a, e))
     rng = random.Random("two determinants")
     odd = {}
     while len(odd) < 6:
@@ -597,17 +600,20 @@ def test_reduce_form_computes_det_b_and_the_det_of_u_mod_p_only(monkeypatch):
         p = form.ctx.p
         fresh = _from_rows(form.rows, form.den, form.ctx)
         calls.clear()
+        chains.clear()
         cert = reduce_form(fresh)
         u_mod_p = [[x % p for x in row] for row in cert.y]
-        assert calls[-1] == u_mod_p
-        assert len(calls) == (2 if p == 2 else 1)
+        assert calls == [u_mod_p]
+        assert chains == ([fresh.rows] if p == 2 else [])
         assert ("det" in vars(fresh)) == (p == 2)
         assert fresh.det == form.det and "det" not in vars(cert.reduced)
+        assert "pivots" not in vars(cert.reduced)
         calls.clear()
+        chains.clear()
         checked = validate_form(form.entries, form.ctx)
-        assert len(calls) == 1
+        assert not calls and chains == [checked.rows]
         assert reduce_form(checked) == cert
-        assert len(calls) == 2 and calls[-1] == u_mod_p
+        assert calls == [u_mod_p] and chains == [checked.rows]
 
 
 def test_reduce_empty_and_unary():
