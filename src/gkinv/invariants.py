@@ -43,12 +43,12 @@ def block_sign(form: HalfIntegralForm) -> int:
     return xi(form) if form.n % 2 == 0 else eta(form)
 
 
-def _leading_etas(form: HalfIntegralForm, ends, signed, pivots=None):
+def _leading_etas(form: HalfIntegralForm, ends, signed, pivots):
     """(eta, piv) for the leading block of each size in ``ends``, ascending, eta None
-    at an end not in ``signed``, read off ``pivots``, a ``linalg.pivot_chain`` of
-    den·B over those ends (a new one by default): pivot k is a leading (k+1)-minor
-    of den·B after congruences of determinant ±1, so piv = den^end·det; a chain
-    that stops short of an end is degenerate: ``FormError("degenerate form")``.
+    at an end not in ``signed``, read off ``pivots``, the ``linalg.pivot_chain`` of
+    den·B over those ends: pivot k is a leading (k+1)-minor of den·B after
+    congruences of determinant ±1, so piv = den^end·det; a chain that stops short
+    of an end is degenerate: ``FormError("degenerate form")``.
     With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod
     over j >= 1 of (P_{j-1}, -P_j): one running product of symbols, up to the last
     end in ``signed``, gives every eta.  Each P_k below that end is read once, by
@@ -57,7 +57,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed, pivots=None):
     symbols are taken (a symbol reads only v mod 2 and u mod 8 or mod p)."""
     last, den, ctx = max(signed, default=0), form.den, form.ctx
     h = hilbert_symbol(-1, -1, ctx) if last else 1
-    chain = iter(linalg.pivot_chain(form.rows, ends) if pivots is None else pivots)
+    chain = iter(pivots)
     p = ctx.p
     prev, prod, val = 1, 1, 1
     for start, end in zip((0, *ends), ends):
@@ -86,7 +86,8 @@ def leading_signs(form: HalfIntegralForm, ends) -> list[int]:
     """The EGK sign of each leading block in ``_leading_etas``, on a pivot chain of
     its own bounded by ``ends``: eta in odd size j, xi of (-1)^(j/2)·piv, its
     signed discriminant's square class, in even."""
-    pairs = zip(ends, _leading_etas(form, ends, {j for j in ends if j % 2}))
+    pivots = linalg.pivot_chain(form.rows, ends)
+    pairs = zip(ends, _leading_etas(form, ends, {j for j in ends if j % 2}, pivots))
     return [s if j % 2 else xi_code((-1) ** (j // 2) * piv, form.ctx) for j, (s, piv) in pairs]
 
 

@@ -21,10 +21,11 @@ E, and no step takes a U.  The reducers run them on the rows [den·B | 1]: a
 step's column update reads only the first n columns, and its row update takes
 the right half t(U) to t(E)·t(U) = t(U E).  ``move`` (the one coordinate move),
 ``shear`` and ``scale`` work on rows of any exact numbers; ``pivot`` is the
-pivot step of the exact and F_p Jordan splits and the field diagonalization,
-which differ only in the entries it accepts; ``eliminate`` is fraction-free.
-``pivot_chain`` is the field diagonalization: it yields the pivots that give
-a form's det B and its eta, and the signs of a reduced form's blocks.
+pivot step of the exact and F_p Jordan splits, which differ only in the
+entries it accepts; ``eliminate`` is fraction-free.
+``pivot_chain`` is the field diagonalization, by ``pivot``'s rule: it gives
+the pivots that a form's det B and its eta are read off, and the signs of a
+reduced form's blocks.
 Every entry stays an integer, with a known scale: through ``pivot`` and
 ``eliminate`` in the exact split, through ``pivot_chain``'s lazily scaled
 steps in the field diagonalization, and through ``solve_int``, integer
@@ -259,36 +260,40 @@ def eliminate(m: Rows, k: int, prev: int) -> None:
         ri[k + 1 :] = [(p * x - c * y) // prev for x, y in zip(ri[k + 1 :], tail)]
 
 
-def pivot_chain(rows, ends):
-    """Yield the pivots of the symmetric fraction-free elimination of the
-    leading blocks of integer rows S that end at ``ends`` (ascending).  Step
-    k brings a non-zero entry of the block that ends next to the diagonal by
+def pivot_chain(rows, ends) -> list[int]:
+    """The pivots of the symmetric fraction-free elimination of the leading
+    blocks of integer rows S that end at ``ends`` (ascending).  Step k brings
+    a non-zero entry of the block that ends next to the diagonal by
     ``pivot``'s rule, then takes ``det``'s lazily scaled Bareiss step: row i
     holds base[i] times its Bareiss value, base[i] the pivot of the step that
     last changed it, so a row with m[i][k] = 0 is left as it is, and the
-    pivot row's tail is scaled only if a later row needs it.  The moves and
-    shears are congruences of determinant ±1 inside a block, so pivot k is a
-    leading (k + 1)-minor of a matrix congruent to S, and a block's last
-    pivot is the det of the leading block of S that it ends.  The chain stops
-    at the first block with no non-zero entry left, a degenerate leading
-    block.  S is not changed."""
-    size = max(ends, default=0)
-    a = [list(row[:size]) for row in rows[:size]]
-    base, prev = [1] * size, 1
+    pivot row's tail is scaled only if a later row needs it.  A move carries
+    each row with its scale; an exposing shear adds one row to another, so
+    those two are brought to scale prev first.  The moves and shears are
+    congruences of determinant ±1 inside a block, so pivot k is a leading
+    (k + 1)-minor of a matrix congruent to S, and a block's last pivot is the
+    det of the leading block of S that it ends.  The list stops at the first
+    block with no non-zero entry left, a degenerate leading block.  S is not
+    changed."""
+    size = ends[-1] if ends else 0
+    a = [list(row[:size]) for row in rows[:size]] if size < len(rows) else [list(r) for r in rows]
+    base, prev, out = [1] * size, 1, []
     for start, end in zip((0, *ends), ends):
         for k in range(start, end):
             if not a[k][k]:
                 t = next((t for t in range(k + 1, end) if a[t][t]), None)
-                if t is not None:  # a move carries each row with its scale
-                    move(a, t, k)
-                    base.insert(k, base.pop(t))
-                else:  # a shear mixes two of the block's rows: one scale first
-                    for i in range(k, end):
+                if t is None:
+                    pairs = ((i, j) for i in range(k, end) for j in range(i + 1, end) if a[i][j])
+                    t, j = next(pairs, (None, None))
+                    if t is None:
+                        return out
+                    for i in (t, j):
                         if base[i] != prev:
                             a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
                             base[i] = prev
-                    if not pivot(a, k, bool, end=end):
-                        return
+                    shear(a, j, t, 1)
+                move(a, t, k)
+                base.insert(k, base.pop(t))
             rk, bk, tail = a[k], base[k], None
             p = rk[k] * prev // bk
             for i in range(k + 1, size):
@@ -300,4 +305,5 @@ def pivot_chain(rows, ends):
                     ri[k + 1 :] = [(p * x - c * y) // base[i] for x, y in zip(ri[k + 1 :], tail)]
                     base[i] = p
             prev = p
-            yield p
+            out.append(p)
+    return out

@@ -120,7 +120,7 @@ def _zero_diagonal_forms(rng):
 def test_eta_matches_a_naive_diagonalization(monkeypatch):
     """eta's fraction-free field diagonal with lazy row scales,
     d_k = piv_k / (den·piv_{k-1}) for the pivots its ``linalg.pivot_chain``
-    yields, equals the dense Fraction one, and eta
+    gives, equals the dense Fraction one, and eta
     equals the Hilbert-symbol product over it, on forms that reach a move
     past other coordinates and the exposing shear of the diagonalization.
     Each form is rebuilt by ``_from_rows``, so that eta runs the pivot chain

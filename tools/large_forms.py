@@ -2,11 +2,11 @@
 """Time the invariants of B on a fixed list of large forms, each in a fresh
 process, and check every value.
 
-    python3 tools/large_forms.py [--only NAME ...] [--runs N] [--src DIR]
+    python3 tools/large_forms.py [--only NAME ...] [--src DIR]
 
 For each form of ``FORMS`` one process builds the form and writes its rows
 to a scratch file; then ``delta``, ``xi`` and ``eta`` are each timed in
-``--runs`` fresh processes (3 by default), on a form rebuilt from those rows
+``RUNS`` fresh processes, on a form rebuilt from those rows
 by ``forms._from_rows``, so that no det or pivot chain is cached.  The time
 is the call alone, without the import and the rebuild; the best run is
 reported.  Each form's rows must match the SHA-256 recorded here and each
@@ -30,6 +30,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WHATS = ("delta", "xi", "eta")
+RUNS = 3  # fresh processes per value; the best is reported
 
 # name: (description, (builder, n), rows SHA-256 prefix, expected values)
 FORMS = {
@@ -119,14 +120,14 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def measure(name: str, runs: int, src: Path, work: Path) -> dict:
+def measure(name: str, src: Path, work: Path) -> dict:
     what_form, (build, n), digest, expected = FORMS[name]
     path = work / f"{name}.json"
     _python(BUILD, [build, n, path], src)
     got_digest = _digest(path)
     runs_s, values = {}, {}
     for what in WHATS:
-        outs = [json.loads(_python(TIME, [what, path], src)) for _ in range(runs)]
+        outs = [json.loads(_python(TIME, [what, path], src)) for _ in range(RUNS)]
         runs_s[what] = [round(o["s"], 4) for o in outs]
         values[what] = sorted({o["value"] for o in outs})
     ok = got_digest == digest and all(values[w] == [expected[w]] for w in WHATS)
@@ -144,16 +145,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--only", action="append", choices=sorted(FORMS), metavar="NAME",
                     help="time only this form (repeatable); one of " + ", ".join(FORMS))
-    ap.add_argument("--runs", type=int, default=3, help="fresh processes per value (default 3)")
     ap.add_argument("--src", type=Path, default=SRC, help="the src directory to import gkinv from")
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
     names = args.only or list(FORMS)
     with tempfile.TemporaryDirectory() as work:
-        results = {name: measure(name, args.runs, args.src.resolve(), Path(work)) for name in names}
+        results = {name: measure(name, args.src.resolve(), Path(work)) for name in names}
     out = {
-        "what": f"seconds of the call alone, best of {args.runs} fresh processes, "
+        "what": f"seconds of the call alone, best of {RUNS} fresh processes, "
                 "on a form rebuilt by forms._from_rows (no det or pivot chain cached)",
         "src": str(args.src.resolve()),
         "python": platform.python_version(),
