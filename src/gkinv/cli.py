@@ -9,8 +9,8 @@ All rationals are exact ``num/den`` strings, never floats; the prime and the
 integer lists (``ua``, ``sigma``, and ``n``, ``m``, ``zeta`` for ``synth``)
 must be JSON integers, and a float, a bool or a string there is rejected
 rather than truncated.  No integer, numerator or denominator may have more
-than ``NUMBER_MAX_DIGITS`` digits.  Exit codes: 0 success, 1 invalid input,
-2 internal failure or rejected verification.
+than ``NUMBER_MAX_DIGITS`` digits.  Exit codes: 0 success, 1 invalid input
+or a refused command line, 2 internal failure or rejected verification.
 """
 
 from __future__ import annotations
@@ -201,21 +201,15 @@ def _compute_one(args_tuple) -> dict:
         return {"eta": eta(form)}
     if what == "delta":
         return {"delta": delta(form)}
-    if what == "egk":
-        d = egk_of(form)
-        return {"n": list(d.sizes), "m": list(d.exps), "zeta": list(d.zeta)}
-    raise CliError(1, {"error": "unknown_quantity", "what": what})
+    d = egk_of(form)  # "egk", the last of --what's choices
+    return {"n": list(d.sizes), "m": list(d.exps), "zeta": list(d.zeta)}
 
 
 def _reduce_one(payload) -> dict:
-    form = _form_from_payload(payload)
-    return _cert_payload(reduce_form(form))
+    return _cert_payload(reduce_form(_form_from_payload(payload)))
 
 
 def _map_items(fn, items, jobs: int):
-    if jobs < 1:
-        detail = f"--jobs must be at least 1, got {jobs}"
-        raise CliError(1, {"error": "bad_jobs_option", "detail": detail})
     # a worker per item at most, and no more workers than cores
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
@@ -305,26 +299,15 @@ def _cmd_synth(args) -> int:
 def _cmd_rand(args) -> int:
     import random
 
-    for flag in ("n", "count", "height"):
-        if getattr(args, flag) < 0:
-            detail = f"--{flag} must be non-negative, got {getattr(args, flag)}"
-            raise CliError(1, {"error": "bad_rand_option", "detail": detail})
-    ctx = PrimeContext(args.p)
-    rng = random.Random(args.seed)
-    forms = [
-        _form_payload(random_form(args.n, ctx, rng, height=args.height))
-        for _ in range(args.count)
-    ]
-    _emit(forms)
+    ctx, rng = PrimeContext(args.p), random.Random(args.seed)
+    forms = [random_form(args.n, ctx, rng, height=args.height) for _ in range(args.count)]
+    _emit([_form_payload(form) for form in forms])
     return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selfcheck import run_suites
 
-    if args.trials < 1:
-        detail = f"--trials must be at least 1, got {args.trials}"
-        raise CliError(1, {"error": "bad_selftest_option", "detail": detail})
     results = run_suites(args.suite, trials=args.trials, seed=args.seed)
     bad = 0
     for r in results:
@@ -337,8 +320,27 @@ def _cmd_selftest(args) -> int:
     return 0 if bad == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1 and one JSON document, not usage text and exit 2
+        raise CliError(1, {"error": "bad_option", "detail": message})
+
+
+def _at_least(least: int, flag: str, error: str):
+    """An argparse type: an int of at least ``least``, else exit 1 with ``error``."""
+
+    def int_(text: str) -> int:  # a CliError is no ValueError, so argparse lets it out
+        value = int(text)
+        if value < least:
+            bound = "non-negative" if least == 0 else f"at least {least}"
+            raise CliError(1, {"error": error, "detail": f"--{flag} must be {bound}, got {value}"})
+        return value
+
+    int_.__name__ = "int"  # argparse's message then reads "invalid int value"
+    return int_
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gkinv",
         description="Gross-Keating invariants of half-integral symmetric "
         "matrices over Q_p, with verifiable reduction certificates.",
@@ -348,13 +350,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compute", help="compute an invariant of a form")
     c.add_argument("--what", required=True, choices=("gk", "xi", "eta", "delta", "egk"))
     c.add_argument("--input", required=True)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_at_least(1, "jobs", "bad_jobs_option"), default=1)
     c.set_defaults(fn=_cmd_compute)
 
     c = sub.add_parser("reduce", help="emit a reduction certificate")
     c.add_argument("--input", required=True)
     c.add_argument("--emit-certificate", default=None)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_at_least(1, "jobs", "bad_jobs_option"), default=1)
     c.set_defaults(fn=_cmd_reduce)
 
     c = sub.add_parser("verify", help="verify a reduction certificate")
@@ -368,24 +370,24 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_cmd_synth)
 
     c = sub.add_parser("rand", help="generate a random form corpus")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_at_least(0, "n", "bad_rand_option"), required=True)
     c.add_argument("--p", type=int, required=True)
-    c.add_argument("--count", type=int, default=1)
+    c.add_argument("--count", type=_at_least(0, "count", "bad_rand_option"), default=1)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--height", type=int, default=4)
+    c.add_argument("--height", type=_at_least(0, "height", "bad_rand_option"), default=4)
     c.set_defaults(fn=_cmd_rand)
 
     c = sub.add_parser("selftest", help="run the property suites")
     c.add_argument("--suite", default="all", choices=("padic", "reducer", "egk", "all"))
-    c.add_argument("--trials", type=int, default=120)
+    c.add_argument("--trials", type=_at_least(1, "trials", "bad_selftest_option"), default=120)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as ex:
         _emit(ex.payload)

@@ -521,6 +521,8 @@ def verify_certificate(
     sizes = {len(exps), cert.reduced.n, len(y), len(c), *map(len, y)}
     if sizes != {form.n}:
         return False, "size mismatch"
+    if cert.reduced.ctx != form.ctx:
+        return False, "prime mismatch"
     if any(exps[i] > exps[i + 1] for i in range(len(exps) - 1)):
         return False, "exponents not non-decreasing"
     if any(a < 0 for a in exps):

@@ -372,6 +372,73 @@ def test_jobs_below_one_are_rejected(tmp_path, capsys):
             }
 
 
+# command lines the parser refuses: each exits 1 with one JSON document
+# naming ``bad_option``, never argparse's usage text and exit 2, which a
+# script would read as a rejected certificate
+REFUSED = {
+    "unknown subcommand": ["nope"],
+    "no subcommand": [],
+    "unknown quantity": ["compute", "--what", "nope", "--input", "f.json"],
+    "non-integer jobs": ["compute", "--what", "gk", "--input", "f.json", "--jobs", "x"],
+    "fractional jobs": ["reduce", "--input", "f.json", "--jobs", "1.5"],
+    "missing n": ["rand", "--p", "3"],
+    "non-integer n": ["rand", "--n", "x", "--p", "3"],
+    "missing certificate": ["verify", "--input", "f.json"],
+    "unknown suite": ["selftest", "--suite", "nope"],
+    "non-integer trials": ["selftest", "--trials", "x"],
+    "unknown flag": ["compute", "--what", "gk", "--input", "f.json", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_command_lines_exit_1_with_bad_option(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("\n") == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"] == "bad_option"
+
+
+def test_refused_command_line_leaves_stderr_empty(tmp_path):
+    src = str(Path(gkinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    form = write(tmp_path, "f.json", DIAG11)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkinv.cli", "compute", "--what", "nope", "--input", form],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"] == "bad_option"
+
+
+def test_a_bad_option_is_refused_before_the_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(["compute", "--what", "gk", "--input", missing, "--jobs", "0"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "bad_jobs_option", "detail": "--jobs must be at least 1, got 0"
+    }
+
+
+def test_the_first_bad_option_on_the_command_line_is_named(capsys):
+    code, out = run_cli(["rand", "--count", "-2", "--n", "-1"], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "bad_rand_option", "detail": "--count must be non-negative, got -2"
+    }
+
+
+def test_help_still_prints_help_and_exits_0(capsys):
+    for argv in (["--help"], ["compute", "--help"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gkinv")
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gkinv.cli", "selftest", "--suite", "padic", "--trials", "20"],

@@ -416,6 +416,22 @@ def test_verify_rejects_bad_certificates():
     )
 
 
+def test_verify_rejects_a_claimed_matrix_at_another_prime():
+    """R's prime is part of the claim: a reduced form at p = 2 is no
+    certificate for the same B at p = 3, where gk is (0, 0)."""
+    from gkinv.reducer import ReductionCertificate
+
+    cert = reduce_form(validate_form([[1, 0], [0, 1]], CTX2))
+    assert cert.u == linalg.mat([[1, 1], [0, 1]]) and cert.exps == (0, 1)
+    b3 = validate_form([[1, 0], [0, 1]], CTX3)
+    moved = ReductionCertificate(cert.u, cert.reduced, cert.gk_type)
+    assert verify_certificate(b3, moved) == (False, "prime mismatch")
+    # the same R rebuilt at p = 3 is refused as before
+    r3 = validate_form(linalg.mat([[1, 1], [1, 2]]), CTX3)
+    at3 = ReductionCertificate(cert.u, r3, cert.gk_type)
+    assert verify_certificate(b3, at3) == (False, "matrix is not reduced for the claimed type")
+
+
 def test_verify_rejects_admissible_but_nonstandard_involution():
     # pair (1,3) instead of an adjacent pair: admissible, wrong layout
     half = Fraction(1, 2)
