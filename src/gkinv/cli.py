@@ -299,8 +299,8 @@ def _cmd_synth(args) -> int:
 def _cmd_rand(args) -> int:
     import random
 
-    ctx, rng = PrimeContext(args.p), random.Random(args.seed)
-    forms = [random_form(args.n, ctx, rng, height=args.height) for _ in range(args.count)]
+    rng = random.Random(args.seed)
+    forms = [random_form(args.n, args.p, rng, height=args.height) for _ in range(args.count)]
     _emit([_form_payload(form) for form in forms])
     return 0
 
@@ -339,6 +339,19 @@ def _at_least(least: int, flag: str, error: str):
     return int_
 
 
+def _prime(text: str) -> PrimeContext:
+    """An argparse type: the PrimeContext of an int, else exit 1 with
+    ``bad_prime``, as a form payload with that p gives."""
+    p = int(text)  # a ValueError here: argparse says "invalid int value"
+    try:
+        return PrimeContext(p)
+    except ValueError as ex:
+        raise CliError(1, {"error": "bad_prime", "detail": str(ex)}) from None
+
+
+_prime.__name__ = "int"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="gkinv",
@@ -371,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("rand", help="generate a random form corpus")
     c.add_argument("--n", type=_at_least(0, "n", "bad_rand_option"), required=True)
-    c.add_argument("--p", type=int, required=True)
+    c.add_argument("--p", type=_prime, required=True)
     c.add_argument("--count", type=_at_least(0, "count", "bad_rand_option"), default=1)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--height", type=_at_least(0, "height", "bad_rand_option"), default=4)

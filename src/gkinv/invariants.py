@@ -16,7 +16,7 @@ from .forms import (
     signed_disc,
 )
 from .involutions import GKType, blocks
-from .padic import QuadExtKind, _unit_class, hilbert_symbol, quad_ext, valuation, xi_code, zpow
+from .padic import QuadExtKind, _class_bits, _hilbert_form, quad_ext, valuation, xi_code
 from .reducer import ReductionError, is_reduced, reduce_form
 
 
@@ -52,26 +52,33 @@ def _leading_etas(form: HalfIntegralForm, ends, signed, pivots):
     With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod
     over j >= 1 of (P_{j-1}, -P_j): one running product of symbols, up to the last
     end in ``signed``, gives every eta.  Each P_k below that end is read once, by
-    ``padic._unit_class`` on the integer piv_k·den^((k+1) mod 2) of its square
-    class, into the small representative p^(v mod 2)·(u mod 8p), on which the
-    symbols are taken (a symbol reads only v mod 2 and u mod 8 or mod p)."""
-    last, den, ctx = max(signed, default=0), form.den, form.ctx
-    h = hilbert_symbol(-1, -1, ctx) if last else 1
+    ``padic._class_bits`` on the integer piv_k·den^((k+1) mod 2) of its square
+    class, into its coordinates over F_2; every symbol, (P_{j-1}, -P_j) and the
+    closing (-1, -1) and (-1, P), is then the bilinear form on two such
+    coordinates, one lookup in ``padic._hilbert_form``'s table (the class of
+    -P_j is that of P_j plus that of -1)."""
+    last, den, p = max(signed, default=0), form.den, form.ctx.p
+    table, minus = _hilbert_form(p)
     chain = iter(pivots)
-    p = ctx.p
-    prev, prod, val = 1, 1, 1
+    # cls: the class of P_k, from that of P_{-1} = 1; odd: the running product's exponent
+    prev, cls, odd = 1, 0, 0
     for start, end in zip((0, *ends), ends):
         for k in range(start, end):
             prev = next(chain, 0)
             if not prev:
                 raise FormError("degenerate form")
             if k < last:
-                v, u = _unit_class(prev * den if k % 2 == 0 else prev, p, "singular pivot")
-                q = p ** (v % 2) * (u % (8 * p))
-                val *= hilbert_symbol(prod, -q, ctx) if k else 1
-                prod = q
-        yield (val * zpow(h, (end + 1) // 4) * zpow(hilbert_symbol(-1, prod, ctx), (end - 1) // 2)
-               if end in signed else None), prev
+                nxt = _class_bits(prev * den if k % 2 == 0 else prev, p)
+                odd ^= table[cls][nxt ^ minus]
+                cls = nxt
+        if end in signed:
+            # times (-1, -1)^((end+1)/4) and (-1, P_{end-1})^((end-1)/2): a symbol's
+            # exponent is 0 or 1, so & takes the parity of the power
+            odd_end = odd ^ table[minus][minus] & (end + 1) // 4
+            odd_end ^= table[minus][cls] & (end - 1) // 2
+            yield 1 - 2 * odd_end, prev
+        else:
+            yield None, prev
 
 
 def eta(form: HalfIntegralForm) -> int:

@@ -5,12 +5,16 @@ Admissibility constrains the pairing: at most two fixed points with
 exponents of opposite parity, per-block multiplicity bounds, and a
 min/max matching rule for cross-block pairs (which always join exponents
 of equal parity).  Within each equivalence class under block-preserving
-relabelling there is a unique standard representative.
+relabelling there is a unique standard representative.  Both verdicts,
+admissible and standard, depend on (exps, sigma) alone and are computed
+once per distinct pair (``_type_verdict``), since a batch of certificates
+repeats its GK types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 Involution = tuple[int, ...]  # sigma[i] = partner of i, 0-based, sigma o sigma = id
 
@@ -61,12 +65,23 @@ def is_involution(sigma: Involution) -> bool:
     return sorted(sigma) == list(range(n)) and all(sigma[sigma[i]] == i for i in range(n))
 
 
-def is_admissible(exps, sigma: Involution) -> bool:
-    """The three pairing constraints on an involution for ``exps``."""
-    exps = tuple(exps)
+# the most (exps, sigma) pairs whose verdict ``_type_verdict`` keeps: a batch
+# of certificates repeats its GK types, a few hundred distinct ones among
+# thousands of certificates
+TYPE_CACHE_SIZE = 4096
+
+_NOT_ADMISSIBLE, _ADMISSIBLE, _STANDARD = 0, 1, 2
+
+
+@lru_cache(maxsize=TYPE_CACHE_SIZE)
+def _type_verdict(exps: tuple[int, ...], sigma: Involution) -> int:
+    """_NOT_ADMISSIBLE, _ADMISSIBLE or _STANDARD: the pairing constraints and the
+    standard layout of an involution for ``exps``, computed once per distinct
+    pair.  A decreasing ``exps`` raises ValueError each time, as a raising
+    call leaves nothing in the cache."""
     n = len(exps)
     if len(sigma) != n or not is_involution(sigma):
-        return False
+        return _NOT_ADMISSIBLE
     if any(exps[i] > exps[i + 1] for i in range(n - 1)):
         raise ValueError("exponent sequence must be non-decreasing")
     fixed, plus, minus = _partition(exps, sigma)
@@ -74,50 +89,56 @@ def is_admissible(exps, sigma: Involution) -> bool:
     # (i) at most two fixed points, of distinct exponent parity, each maximal
     # among fixed-or-raised exponents of its parity
     if len(fixed) > 2:
-        return False
+        return _NOT_ADMISSIBLE
     if len(fixed) == 2 and (exps[fixed[0]] - exps[fixed[1]]) % 2 == 0:
-        return False
+        return _NOT_ADMISSIBLE
     for i in fixed:
         pool = [exps[j] for j in fixed + plus if (exps[j] - exps[i]) % 2 == 0]
         if exps[i] != max(pool):
-            return False
+            return _NOT_ADMISSIBLE
 
     # (ii) per block: at most one raised index, at most one lowered-or-fixed;
     # a block is a run of equal exponents, so no two may share an exponent
     for side in (plus, minus + fixed):
         if len({exps[i] for i in side}) < len(side):
-            return False
+            return _NOT_ADMISSIBLE
 
     # (iii) cross-block pairs join nearest exponents of equal parity
     for i in minus:
         cands = [exps[j] for j in plus
                  if exps[j] > exps[i] and (exps[j] - exps[i]) % 2 == 0]
         if not cands or exps[sigma[i]] != min(cands):
-            return False
+            return _NOT_ADMISSIBLE
     for i in plus:
         cands = [exps[j] for j in minus
                  if exps[j] < exps[i] and (exps[j] - exps[i]) % 2 == 0]
         if not cands or exps[sigma[i]] != max(cands):
-            return False
-    return True
+            return _NOT_ADMISSIBLE
+
+    # the standard layout: lowered or fixed indices last in their block, raised
+    # ones first, equal pairs adjacent
+    for i, j in enumerate(sigma):
+        a, b = exps[i], exps[j]
+        if (i == j or a < b) and i + 1 < n and exps[i + 1] == a:
+            return _ADMISSIBLE
+        if a > b and i and exps[i - 1] == a:
+            return _ADMISSIBLE
+        if a == b and abs(i - j) > 1:
+            return _ADMISSIBLE
+    return _STANDARD
+
+
+def is_admissible(exps, sigma: Involution) -> bool:
+    """The three pairing constraints on an involution for ``exps``."""
+    return _type_verdict(tuple(exps), tuple(sigma)) != _NOT_ADMISSIBLE
 
 
 def is_standard(exps, sigma: Involution) -> bool:
     """Admissible, with the normalized within-block layout: lowered or fixed
     indices last in their block, raised ones first, equal pairs adjacent (the
-    matching of indices then follows from admissibility's, by exponent)."""
-    if not is_admissible(exps, sigma):
-        return False
-    n = len(exps)
-    for i, j in enumerate(sigma):
-        a, b = exps[i], exps[j]
-        if (i == j or a < b) and i + 1 < n and exps[i + 1] == a:
-            return False
-        if a > b and i and exps[i - 1] == a:
-            return False
-        if a == b and abs(i - j) > 1:
-            return False
-    return True
+    matching of indices then follows from admissibility's, by exponent).
+    Both verdicts are one entry of ``_type_verdict``'s cache."""
+    return is_admissible(exps, sigma) and _type_verdict(tuple(exps), tuple(sigma)) == _STANDARD
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,51 @@ def hilbert_symbol(a: Rational, b: Rational, ctx: PrimeContext) -> int:
     return sign
 
 
+# Q_p^x / Q_p^x² is a vector space over F_2, of dimension 3 at p = 2 and 2 at
+# odd p, and the Hilbert symbol is a symmetric bilinear form on it (Serre,
+# ch. III, Thm 1-2).  ``_class_bits`` gives the coordinates of p^v·u: bit 0 is
+# v mod 2; at p = 2, bits 1 and 2 are eps(u) and omega(u), read off u mod 8; at
+# odd p, bit 1 is set iff u is not a square mod p.  Indexed by u mod 8:
+_DYADIC_UNIT_BITS = (0, 0, 0, 0b110, 0, 0b100, 0, 0b010)
+
+
+def _class_bits(x: int, p: int) -> int:
+    """The coordinates over F_2 of the square class of the non-zero int x:
+    one read of its order and, at odd p, one ``pow`` for its unit's Legendre bit."""
+    if p == 2:
+        v = (x & -x).bit_length() - 1
+        return v & 1 | _DYADIC_UNIT_BITS[x >> v & 7]
+    if x % p:
+        return (pow(x, p >> 1, p) != 1) << 1
+    v = _int_valuation(x, p)
+    return v & 1 | (pow(x // p**v, p >> 1, p) != 1) << 1
+
+
+def _hilbert_bits(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol as the bilinear form: (x, y)_p = (-1)^_hilbert_bits(a, b, p)
+    for the classes a and b of x and y.  At p = 2 it is eps·eps' + alpha·omega'
+    + alpha'·omega; at odd p, alpha·alpha'·eps(p) + alpha·lambda' + alpha'·lambda,
+    with eps(p) = (p - 1)/2 mod 2, so an odd p enters only as p mod 4."""
+    if p == 2:
+        return (a >> 1 & b >> 1 ^ a & b >> 2 ^ b & a >> 2) & 1
+    return (a & b & p >> 1 ^ a & b >> 1 ^ b & a >> 1) & 1
+
+
+# (table, minus) at p = 2 and at odd p = 1 and 3 mod 4, the keys p mod 4:
+# table[a][b] = _hilbert_bits(a, b, p) for every pair of classes, and minus the
+# class of -1
+_HILBERT_FORMS = {
+    q & 3: (tuple(tuple(_hilbert_bits(a, b, q) for b in range(8)) for a in range(8)),
+            _class_bits(-1, q))
+    for q in (2, 5, 3)
+}
+
+
+def _hilbert_form(p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(table, minus) for the prime p: see ``_HILBERT_FORMS``."""
+    return _HILBERT_FORMS[p & 3]
+
+
 @dataclass(frozen=True)
 class QuadExtKind:
     """Shape of F(sqrt(xi))/F: split, inert (unramified quadratic) or ramified;

@@ -15,7 +15,7 @@ from gkinv import cli
 from gkinv.cli import main
 from gkinv.forms import FormError, random_form, transform, validate_form
 from gkinv.involutions import GKType
-from gkinv.padic import PrimeContext
+from gkinv.padic import MAX_PRIME, PrimeContext
 from gkinv.reducer import ReductionCertificate
 
 
@@ -339,6 +339,20 @@ def test_rand_rejects_negative_sizes(capsys):
         assert json.loads(out) == {
             "error": "bad_rand_option", "detail": f"{flag} must be non-negative, got -2"
         }
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3", str(MAX_PRIME)])
+def test_rand_refuses_a_bad_prime_in_the_parser(p, tmp_path, capsys):
+    """--p is read into a PrimeContext by the parser: a p that is no prime
+    below MAX_PRIME exits 1 with one ``bad_prime`` document and nothing on
+    stderr, the document a form payload with that p gives."""
+    code = main(["rand", "--n", "2", "--p", p])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == "bad_prime"
+    path = write(tmp_path, "f.json", {"p": int(p), "matrix": [["1"]]})
+    assert run_cli(["compute", "--what", "gk", "--input", path], capsys) == (1, captured.out)
 
 
 def test_selftest_subcommand(capsys):

@@ -287,17 +287,18 @@ def test_leading_signs_match_the_per_block_reference(monkeypatch):
 
 def test_leading_signs_take_symbols_only_up_to_the_last_odd_end(monkeypatch):
     """leading_signs reads eta only at odd ends, so it takes the running
-    product of Hilbert symbols only up to the last odd end L, and (-1, -1)
-    and (-1, P) only where eta is read: L + (odd ends) symbols in all, none
-    with only even ends.  Its signs equal the per-block reference."""
+    product of Hilbert symbols only up to the last odd end L: it reads the
+    square class of each of the L pivots below L once, by ``_class_bits``,
+    and reads none with only even ends (every symbol is then a table lookup
+    on two classes).  Its signs equal the per-block reference."""
     calls = []
-    symbol = invariants.hilbert_symbol
+    read = invariants._class_bits
 
     def counted(*args):
         calls.append(args)
-        return symbol(*args)
+        return read(*args)
 
-    monkeypatch.setattr(invariants, "hilbert_symbol", counted)
+    monkeypatch.setattr(invariants, "_class_bits", counted)
     rng = random.Random("odd ends")
     even_only = 0
     for k in range(60):
@@ -311,7 +312,7 @@ def test_leading_signs_take_symbols_only_up_to_the_last_odd_end(monkeypatch):
                 odd = [e for e in chosen if e % 2]
                 calls.clear()
                 signs = leading_signs(f, chosen)
-                assert len(calls) == (max(odd) + len(odd) if odd else 0), (chosen, calls)
+                assert len(calls) == (max(odd) if odd else 0), (chosen, calls)
                 assert signs == ref_leading_signs(f, chosen)
                 even_only += bool(chosen) and not odd
     assert even_only >= 40, even_only

@@ -73,26 +73,28 @@ def test_det_is_the_last_pivot_of_the_chain(name, seed):
 @pytest.mark.parametrize("name", POOLS)
 def test_eta_and_the_block_signs_read_as_parent(name, seed, monkeypatch):
     """eta of each form, read off its cached chain, equals the parent's,
-    which eliminated on its own, with the same number of Hilbert symbols;
+    which eliminated on its own, with the square class of the same pivots
+    read once each (the parent by ``_unit_class``, before its Hilbert
+    symbols; the change by ``_class_bits``, whose bits the symbols read);
     the leading signs of each reduced form over its block ends, the signs
     that ``egk_of`` reads, equal the parent's."""
-    symbols = {"change": 0, "parent": 0}
+    reads = {"change": 0, "parent": 0}
 
     def counted(side, real):
-        def run(a, b, ctx):
-            symbols[side] += 1
-            return real(a, b, ctx)
+        def run(*args):
+            reads[side] += 1
+            return real(*args)
 
         return run
 
-    monkeypatch.setattr(invariants, "hilbert_symbol", counted("change", invariants.hilbert_symbol))
-    monkeypatch.setattr(parent, "hilbert_symbol", counted("parent", parent.hilbert_symbol))
+    monkeypatch.setattr(invariants, "_class_bits", counted("change", invariants._class_bits))
+    monkeypatch.setattr(parent, "_unit_class", counted("parent", parent._unit_class))
     for form, reduced, exps in _pool_forms(name, seed):
         assert invariants.eta(_fresh(form)) == parent.eta(form)
         ends = _ends(exps)
         got = _outcome(invariants.leading_signs, reduced, ends)
         assert got == _outcome(parent.leading_signs, reduced, ends)
-    assert symbols["change"] == symbols["parent"] > 0
+    assert reads["change"] == reads["parent"] > 0
 
 
 def _outcome(fn, *args):
