@@ -4,6 +4,7 @@ invariant, binary classification, and the extended GK datum of a form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from . import linalg
 from .forms import (
@@ -16,7 +17,15 @@ from .forms import (
     signed_disc,
 )
 from .involutions import GKType, blocks
-from .padic import QuadExtKind, _class_bits, _hilbert_form, quad_ext, valuation, xi_code
+from .padic import (
+    QuadExtKind,
+    _class_bits,
+    _hilbert_form,
+    _int_valuation,
+    quad_ext,
+    valuation,
+    xi_code,
+)
 from .reducer import ReductionError, is_reduced, reduce_form
 
 
@@ -48,7 +57,9 @@ def _leading_etas(form: HalfIntegralForm, ends, signed, pivots):
     at an end not in ``signed``, read off ``pivots``, the ``linalg.pivot_chain`` of
     den·B over those ends: pivot k is a leading (k+1)-minor of den·B after
     congruences of determinant ±1, so piv = den^end·det; a chain that stops short
-    of an end is degenerate: ``FormError("degenerate form")``.
+    of an end is degenerate: ``FormError("degenerate form")``.  Only each
+    pivot's square class is read, so at odd p ``_diagonal_classes`` may stand in
+    for the chain: the running products of a diagonal, each p^(v mod 2)·(u mod p).
     With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod
     over j >= 1 of (P_{j-1}, -P_j): one running product of symbols, up to the last
     end in ``signed``, gives every eta.  Each P_k below that end is read once, by
@@ -89,11 +100,49 @@ def eta(form: HalfIntegralForm) -> int:
     return next(_leading_etas(form, (n,), (n,), form.pivots))[0]
 
 
+def _diagonal_classes(rows, size: int, p: int) -> list[int] | None:
+    """At odd p, the running products of the diagonal of the leading block of
+    ``size`` of the integer rows den·R, each read into p^(v mod 2)·(u mod p)
+    as it comes, when that block is diagonal up to higher orders: ord r_ii =
+    v_i, v non-decreasing, and ord r_ij > (v_i + v_j)/2 for i < j, each
+    tested as p^(floor((v_i + v_j)/2) + 1) | r_ij.  None when it is not.
+
+    One elimination step on r_00 changes r_jj by r_0j²/r_00, of order above
+    v_j, and r_ij by r_0i·r_0j/r_00, of order above (v_i + v_j)/2, so the
+    condition holds again on the rest.  So den·R is congruent over Z_p to a
+    diagonal whose entry i has order v_i and unit r_ii/p^(v_i) mod p, and a
+    leading minor of den·R lies in the square class of the product of those
+    entries (Serre, ch. IV; Cassels, ch. 8), where a pivot of
+    ``linalg.pivot_chain`` lies too."""
+    diag = [rows[i][i] for i in range(size)]
+    if not all(diag):
+        return None
+    v = [_int_valuation(x, p) for x in diag]
+    if any(map(gt, v, v[1:])):
+        return None
+    powers = [p**k for k in range(v[-1] + 2)] if v else []
+    for i, vi in enumerate(v):
+        if any(x % powers[(vi + vj) // 2 + 1] for x, vj in zip(rows[i][i + 1 : size], v[i + 1 :])):
+            return None
+    out, odd, unit = [], 0, 1
+    for x, vi in zip(diag, v):
+        odd ^= vi & 1
+        unit = unit * (x // p**vi) % p
+        out.append(p * unit if odd else unit)
+    return out
+
+
 def leading_signs(form: HalfIntegralForm, ends) -> list[int]:
-    """The EGK sign of each leading block in ``_leading_etas``, on a pivot chain of
-    its own bounded by ``ends``: eta in odd size j, xi of (-1)^(j/2)·piv, its
-    signed discriminant's square class, in even."""
-    pivots = linalg.pivot_chain(form.rows, ends)
+    """The EGK sign of each leading block in ``_leading_etas``: eta in odd size
+    j, xi of (-1)^(j/2)·piv, its signed discriminant's square class, in even.
+    At odd p the pivots are ``_diagonal_classes`` of den·R when its block up
+    to the last end is diagonal up to higher orders, as the odd-p reducers
+    leave every R; otherwise, and at p = 2, a pivot chain of its own bounded by
+    ``ends``."""
+    p = form.ctx.p
+    pivots = _diagonal_classes(form.rows, ends[-1] if ends else 0, p) if p != 2 else None
+    if pivots is None:
+        pivots = linalg.pivot_chain(form.rows, ends)
     pairs = zip(ends, _leading_etas(form, ends, {j for j in ends if j % 2}, pivots))
     return [s if j % 2 else xi_code((-1) ** (j // 2) * piv, form.ctx) for j, (s, piv) in pairs]
 

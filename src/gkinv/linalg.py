@@ -25,7 +25,8 @@ pivot step of the exact and F_p Jordan splits, which differ only in the
 entries it accepts; ``eliminate`` is fraction-free.
 ``pivot_chain`` is the field diagonalization, by ``pivot``'s rule: it gives
 the pivots that a form's det B and its eta are read off, and the signs of a
-reduced form's blocks.
+reduced form's blocks at p = 2 (at odd p ``invariants.leading_signs`` reads
+them off R's diagonal when R allows).
 Every entry stays an integer, with a known scale: through ``pivot`` and
 ``eliminate`` in the exact split, through ``pivot_chain``'s lazily scaled
 steps in the field diagonalization, and through ``solve_int``, integer

@@ -28,7 +28,9 @@ Both reducers work on the form's integer rows and return integral U and
 R = B[U] over B's denominator; ``reduce_form`` alone builds the certificate
 and verifies it.  ``_split_mod_p`` diagonalizes den·B mod p and, when its
 pivots show d = ord_p det B <= 1, takes U mod p, so R is not diagonal;
-``jordan_split`` runs ``_exact_split`` on the other forms.  In the exact
+``jordan_split`` runs ``_exact_split`` on the other forms, and then
+``_short_columns``, which takes each column of U to the precision
+reducedness needs when that certificate prints shorter.  In the exact
 split and the dyadic search each column of U is the exact one times
 a p-unit (no order or square class that the reduced conditions read
 changes).  All three run on the rows [den·B | 1] and read U off their right
@@ -45,10 +47,11 @@ fraction-free.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import mul
 
 from . import linalg
@@ -404,10 +407,12 @@ def _dyadic_search(form: HalfIntegralForm):
 
 def jordan_split(form: HalfIntegralForm):
     """Non-dyadic reduction, reading no det B: ``_split_mod_p`` if it takes
-    the form, else ``_exact_split``.  Returns (R, U, exps, sigma), B[U] = R / den."""
+    the form, else ``_exact_split`` and then ``_short_columns``, which keeps
+    U at the precision reducedness needs when that prints shorter.  Returns
+    (R, U, exps, sigma), B[U] = R / den."""
     if form.ctx.p == 2:
         raise FormError("Jordan splitting requires p odd")
-    return _split_mod_p(form) or _exact_split(form)
+    return _split_mod_p(form) or _short_columns(form, *_exact_split(form))
 
 
 def _exact_split(form: HalfIntegralForm):
@@ -449,6 +454,66 @@ def _exact_split(form: HalfIntegralForm):
     d = [m[k][k] * (pk // gk) // gk for k, (pk, gk) in enumerate(zip(prevs, g))]
     diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return diag, u, exps, standard_involution(exps)
+
+
+def _digits_at_least(bits: int) -> int:
+    """A lower bound on the decimal digits of an int of ``bits`` bits (0 has
+    one): floor((bits - 1)·log10 2) + 1, with log10 2 > 0.30102."""
+    return max(bits - 1, 0) * 30102 // 100_000 + 1
+
+
+def _digits_at_most(bits: int) -> int:
+    """An upper bound on the same: floor(bits·log10 2) + 1, with log10 2 < 0.30103."""
+    return bits * 30103 // 100_000 + 1
+
+
+def _short_columns(form: HalfIntegralForm, d, u, exps, sigma):
+    """The exact split (D, U, exps, sigma) with column i of U taken to its
+    balanced residue mod p^(N_i), N_i = floor((a_i - a_1)/2) + 1, and
+    R = t(U)·(den·B)·U formed again, when bit lengths prove that this
+    certificate prints shorter; else the exact split as it is.
+
+    With den·B = t(V)·D·V, V = U*^-1 over Z_p for the exact U*, and
+    U = U* + E, p^(N_j) dividing column j of E, R - D is D·V·E + t(V·E)·D +
+    t(V·E)·D·V·E, whose (i, j) entry has order at least min(a_i + N_j,
+    N_i + a_j, N_i + N_j + a_1) > (a_i + a_j)/2.  So r_ii = d_ii mod
+    p^(a_i + 1), and ord r_ij > (a_i + a_j)/2 off the diagonal: R is reduced
+    of the same type, each pair with its discriminant's order and unit class
+    mod p, and U = U* mod p is unimodular.
+
+    The two certificates share their layout, so their numbers' lengths decide:
+    the new one is kept when an upper bound on its numbers' digits falls below
+    a lower bound on the exact one's, each read off bit lengths.  An exact
+    number x prints at least floor((bits(x) - 1)·log10 2) + 1 digits and its
+    sign (a diagonal entry over den with at least bits(x) - bits(den) bits in
+    lowest terms), and the n² - n zeros of D one digit each.  A new entry of
+    column i of U prints at most a sign and the digits of (q_i - 1)/2,
+    q_i = p^(N_i); a new r_ij, of absolute value at most
+    |u_i|_1·max|den·B|·|u_j|_1 with |u_i|_1 <= n·(q_i - 1)/2, prints at most a
+    sign, the digits of that bound's bit length and "/den".  Only a
+    certificate that keeps its new R forms one."""
+    p, n, den = form.ctx.p, form.n, form.den
+    db = den.bit_length() if den > 1 else 0  # bits of den, as printed after a "/"
+    r_den = 1 + _digits_at_most(db) if db else 0
+    bm = max(map(abs, chain.from_iterable(form.rows))).bit_length()
+    diag = [d[i][i] for i in range(n)]
+    # first, on the total bits alone: the exact numbers at most 0.30102·bits
+    # digits, a sign and one more each, against at least one character per
+    # entry of the new U and the least bound on each new r_ij (q_i >= 3)
+    bits = sum(map(int.bit_length, chain(diag, chain.from_iterable(u))))
+    if 30102 * bits // 100_000 + n * (2 * n + 1) <= n * n * (1 + _digits_at_most(bm + 2 * n.bit_length()) + r_den):
+        return d, u, exps, sigma
+    q = [p ** ((a - exps[0]) // 2 + 1) for a in exps]
+    new = n * sum(1 + _digits_at_most((qi // 2).bit_length()) for qi in q)
+    norms = Counter((n * (qi // 2)).bit_length() for qi in q).items()
+    new += sum((1 + _digits_at_most(bm + bi + bj) + r_den) * ci * cj for bi, ci in norms for bj, cj in norms)
+    exact = n * n - n + sum((x < 0) + _digits_at_least(max(x.bit_length() - db, 0)) for x in diag)
+    cells = list(chain.from_iterable(u))
+    exact += sum(map((0).__gt__, cells)) + sum(map(_digits_at_least, map(int.bit_length, cells)))
+    if new >= exact:
+        return d, u, exps, sigma
+    short = [[(x + qi // 2) % qi - qi // 2 for x, qi in zip(row, q)] for row in u]
+    return linalg.congruence(form.rows, short), short, exps, sigma
 
 
 def _split_mod_p(form: HalfIntegralForm):
@@ -497,7 +562,13 @@ def reduce_form(form: HalfIntegralForm) -> ReductionCertificate:
     ``egk_of`` and ``classify_binary`` after ``reduce_form`` pay for one
     search and one verification.  A call that raises keeps no certificate,
     and an equal form built apart runs its own search.  Each reducer rejects
-    a degenerate form itself."""
+    a degenerate form itself.
+
+    At odd p the certificate's U is in balanced residues mod p when
+    d = ord_p det B <= 1 (``_split_mod_p``).  When d >= 2 it is the exact
+    split's, columns in lowest terms, or those columns mod p^(N_i), N_i =
+    floor((a_i - a_1)/2) + 1, whichever bit lengths prove prints shorter
+    (``_short_columns``); then R is dense, and diagonal up to higher orders."""
     cert = vars(form).get(_CERT)
     if cert is not None:
         return cert

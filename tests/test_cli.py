@@ -16,7 +16,7 @@ from gkinv.cli import main
 from gkinv.forms import FormError, random_form, transform, validate_form
 from gkinv.involutions import GKType
 from gkinv.padic import MAX_PRIME, PrimeContext
-from gkinv.reducer import ReductionCertificate
+from gkinv.reducer import ReductionCertificate, reduce_form
 
 
 def run_cli(args, capsys):
@@ -682,14 +682,23 @@ def test_fmt_rational_holds_the_digit_bound():
         assert ex.value.code == 1 and ex.value.payload["error"] == "number_too_large"
 
 
+def oversize_certificate_form() -> dict:
+    """A valid p = 3 form of random 4,300-digit entries a, b, c, each at
+    least 9·10^4299, with a = 1, b = 2 and c = 0 mod 3, whose certificate
+    has entries past NUMBER_MAX_DIGITS digits: det B is a unit, and the split
+    over F_3 shears by -b/a = 1 mod 3, so R holds a + b and a + 2b + c."""
+    rng = random.Random("cli/oversize-certificate")
+    a, b, c = (3 * rng.randrange(3 * 10**4299, 10**4300 // 3) + r for r in (1, 2, 0))
+    return {"p": 3, "matrix": [[a, b], [b, c]]}
+
+
 def test_oversize_certificate_number_is_named(tmp_path, capsys):
-    """A valid p = 3 form with random 4,299-digit entries has a certificate
-    whose entries run past NUMBER_MAX_DIGITS digits: ``reduce`` exits 1 with
+    """On ``oversize_certificate_form``, ``reduce`` exits 1 with
     number_too_large and one JSON document, in process and in a worker pool,
     and ``compute --what gk`` on the same form still answers."""
-    rng = random.Random("cli/oversize-certificate")
-    a, b, c = (rng.randrange(10**4298, 10**4299) for _ in range(3))
-    form = {"p": 3, "matrix": [[a, b], [b, c]]}
+    form = oversize_certificate_form()
+    cert = reduce_form(cli._form_from_payload(form))
+    assert max(abs(x) for row in cert.reduced.rows for x in row) >= 10**cli.NUMBER_MAX_DIGITS
     path = write(tmp_path, "big.json", form)
     code, out = run_cli(["compute", "--what", "gk", "--input", path], capsys)
     assert code == 0 and len(json.loads(out)["gk"]) == 2
@@ -891,8 +900,6 @@ def test_integer_rows_keep_the_parents_error_json(tmp_path, capsys, monkeypatch)
     """bad_rational, number_too_large, invalid_form and bad_certificate come
     out as the same JSON document, with the same exit code, as from the
     parent's Fraction helpers."""
-    rng = random.Random("cli/oversize-certificate")
-    a, b, c = (rng.randrange(10**4298, 10**4299) for _ in range(3))
     good = {"p": 3, "matrix": [["1", "1/2"], ["1/2", "2"]]}
     forms = [
         ({"p": 2, "matrix": [["1.5"]]}, "bad_rational"),
@@ -902,7 +909,7 @@ def test_integer_rows_keep_the_parents_error_json(tmp_path, capsys, monkeypatch)
         ({"p": 2, "matrix": [["++1"]]}, "bad_rational"),
         ({"p": 2, "matrix": [["1" * (MAX + 1)]]}, "number_too_large"),
         ({"p": 2, "matrix": [["-1/" + "1" * (MAX + 1)]]}, "number_too_large"),
-        ({"p": 3, "matrix": [[a, b], [b, c]]}, "number_too_large"),  # on output
+        (oversize_certificate_form(), "number_too_large"),  # on output
         ({"p": 2, "matrix": [["1/2", "0"], ["0", "1"]]}, "invalid_form"),
         ({"p": 3, "matrix": [["1", "1/3"], ["1/3", "1"]]}, "invalid_form"),
         ({"p": 3, "matrix": [["1", "1"], ["2", "1"]]}, "invalid_form"),

@@ -352,8 +352,9 @@ def test_the_sign_readers_read_no_det_b(monkeypatch):
     p = 2, the dyadic search's non-degeneracy check, off one chain of den·B,
     and none of den·R; its one ``linalg.det`` is the verifier's, of U mod p.
     egk_of makes one ``leading_signs`` call, over every block end with n
-    included, which runs one chain of den·R over those ends; it calls neither
-    block_sign nor eta, and its signs equal the per-block reference."""
+    included, which runs one chain of den·R over those ends at p = 2 and
+    none at odd p, where it reads R's diagonal; it calls neither block_sign
+    nor eta, and its signs equal the per-block reference."""
     dets, signs, chains = [], [], []
     det, read, chain = linalg.det, invariants.leading_signs, linalg.pivot_chain
 
@@ -384,11 +385,11 @@ def test_the_sign_readers_read_no_det_b(monkeypatch):
             datum = egk_of(fresh[1])
         assert datum == g
         of_b = [a for a, _ in chains if a is fresh[1].rows]
-        assert len(of_b) == (ctx.p == 2) and len(chains) == len(of_b) + 1
+        assert len(of_b) == (ctx.p == 2) and len(chains) == 2 * len(of_b)
         assert dets == [[[x % ctx.p for x in row] for row in cert.y]]
         assert "det" not in vars(cert.reduced) and ("det" in vars(fresh[1])) == (ctx.p == 2)
         assert "pivots" not in vars(cert.reduced)
         ends = _block_ends(cert.exps)
         assert signs == [ends] and ends[-1] == b.n
-        assert chains[-1] == (cert.reduced.rows, ends)
+        assert ctx.p != 2 or chains[-1] == (cert.reduced.rows, ends)
         assert list(datum.zeta) == ref_leading_signs(cert.reduced, ends)

@@ -161,14 +161,19 @@ def corpora():
 
 
 def test_certificates_are_the_parents_scaled_by_least_column_denominators():
-    """A form at odd p with ord_p det B <= 1 takes ``_fixed_precision_split``,
-    whose U is another one mod p^(ord_p det B + 1): there the exponents and
-    involution are the parent's, and both certificates verify."""
+    """A form at odd p with ord_p det B <= 1 takes ``_split_mod_p``, whose U
+    is another one mod p^(ord_p det B + 1), and one with ord_p det B >= 2
+    may keep U at the precision reducedness needs (``_short_columns``): there
+    the exponents and involution are the parent's, and both certificates
+    verify."""
     scaled = {True: 0, False: 0}  # forms whose old U had a denominator, by p = 2
-    fixed = 0
+    fixed = short = 0
     for form in corpora():
         old, new = parent_certificate(form), reduce_form(form)
-        if form.ctx.p != 2 and valuation(form.det, form.ctx) <= 1:
+        if form.ctx.p != 2 and (
+            valuation(form.det, form.ctx) <= 1 or new.y != tuple(map(tuple, _exact_split(form)[1]))
+        ):
+            short += valuation(form.det, form.ctx) >= 2
             assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
             assert verify_certificate(form, old) == verify_certificate(form, new) == (True, "ok")
             fixed += 1
@@ -181,7 +186,7 @@ def test_certificates_are_the_parents_scaled_by_least_column_denominators():
         )
         assert (new.exps, new.gk_type.sigma) == (old.exps, old.gk_type.sigma)
         scaled[form.ctx.p == 2] += any(fj != 1 for fj in f)
-    assert min(scaled.values()) >= 40 and fixed >= 30, (scaled, fixed)
+    assert min(scaled.values()) >= 40 and fixed >= 30 and short >= 1, (scaled, fixed, short)
 
 
 def test_reducer_outputs_are_the_parents_through_the_column_scales():

@@ -568,12 +568,16 @@ def test_integer_step_matches_fraction_elimination(seed):
 # least denominator; `test_integral_certificates.py` checks on these corpora
 # that each certificate is the one before with exactly that scaling.  "odd" was
 # taken again when the p-unimodular forms moved to the split over F_p, and
-# again when the forms of ord_p det B = 1 (indices 7 and 13) followed them;
-# `test_unimodular_split.py` checks that split against the exact one.  Any
-# change to a certificate shows here.
+# again when the forms of ord_p det B = 1 (indices 7 and 13) followed them,
+# and again when the forms of ord_p det B >= 2 whose U at the precision
+# reducedness needs prints shorter kept it (indices 3, 6, 10 and 11, all
+# n = 8; index 8, n = 6, keeps its exact U); `test_unimodular_split.py`
+# checks the split over F_p against the exact one, and
+# `test_short_columns.py` the short columns.  Any change to a certificate
+# shows here.
 GOLDEN = {
     "dyadic": "ea1c617d1dc08551346d729f5dbcf18241056c3ec1772c811278bfcdda9c0b89",
-    "odd": "428a4503be384cdaa84f3d980abf2645929041cc6b6f7b154e3e3b1675dbb585",
+    "odd": "fd53171e6ab5bed58085d154edb6a0f2e4cc4d1500722a02700f61fb893d5825",
     "dyadic_even_den": "b679b7b9fe3ef7fcc50ecac05fd95d570beb38e510b04a767aea5bded3a1f881",
 }
 

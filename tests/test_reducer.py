@@ -703,7 +703,9 @@ def test_certificate_columns_are_in_lowest_terms(monkeypatch):
     and c_j is the least common denominator of column j of U.  The form has
     ord det B = 2, so it takes the exact split, which divides 13 columns of
     its U by a scale g_k > 1.  Over one common denominator the same U has
-    entries of about 2,640 bits; y has 341."""
+    entries of about 2,640 bits; y has 341.  The certificate that
+    ``reduce_form`` keeps takes each column to its balanced residue mod
+    p^(N_i) (``_short_columns``), entries of 3 bits."""
     scales, lowest = [], reducer._lowest_columns
 
     def counted(y, c):
@@ -718,7 +720,8 @@ def test_certificate_columns_are_in_lowest_terms(monkeypatch):
     for j, (cj, col) in enumerate(zip(cert.c, zip(*cert.y))):
         assert cj > 0 and math.gcd(cj, *col) == 1
         assert cj == math.lcm(*(row[j].denominator for row in cert.u))
-    assert max(abs(x).bit_length() for row in cert.y for x in row) == 341
+    assert max(abs(x).bit_length() for row in _exact_split(form)[1] for x in row) == 341
+    assert max(abs(x).bit_length() for row in cert.y for x in row) == 3
 
 
 def test_reduction_stays_on_integer_rows(monkeypatch):
