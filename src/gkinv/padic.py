@@ -3,8 +3,10 @@
 Scalars are ints or `fractions.Fraction` values.  A rational number
 determines an element of Q_p, and the classifications implemented here
 (square classes, Hilbert symbols, quadratic extension discriminants) read
-only its square class, as p^v·u with u an integer prime to p
-(``_unit_class``), so exact rationals remove precision management.  ord(0)
+only its square class, so exact rationals remove precision management.  One
+reader, ``_class_bits``, takes that class to its coordinates over F_2, and a
+Fraction is read as the int numerator·denominator, of the same class; the
+Hilbert symbol is then one lookup in the table of ``_hilbert_form``.  ord(0)
 is +infinity, encoded as ``math.inf`` so that it orders above every integer.
 """
 
@@ -118,73 +120,6 @@ def frac_mod(x: Rational, modulus: int, ctx: PrimeContext) -> int:
     return (x.numerator * inv) % modulus
 
 
-def _unit_class(x: Rational, p: int, at_zero: str) -> tuple[int, int]:
-    """(v, u), u an integer prime to p, with p^v·u in the square class of x:
-    x is read as numerator·denominator, x times its denominator squared
-    (Serre, ch. III).  So v is ord x only mod 2, and ``valuation`` stays the
-    order.  An int prime to p is its own class, (0, x).  x = 0 raises
-    ValueError(at_zero)."""
-    if type(x) is not int:
-        x = Fraction(x)
-        x = x.numerator * x.denominator
-    elif x % p:
-        return 0, x
-    if not x:
-        raise ValueError(at_zero)
-    v = _int_valuation(x, p)
-    return v, x // p**v
-
-
-def _is_square_unit(u: int, p: int) -> bool:
-    """True iff the integer u, prime to p, is a square in Z_p."""
-    return u % 8 == 1 if p == 2 else pow(u, (p - 1) // 2, p) == 1
-
-
-def legendre(u: Rational, ctx: PrimeContext) -> int:
-    """Legendre symbol of a p-adic unit, p odd."""
-    p = ctx.p
-    if p == 2:
-        raise ValueError("Legendre symbol needs p odd")
-    v, w = _unit_class(u, p, "input is not a unit")
-    if v and valuation(u, ctx) < 0:
-        raise ValueError(f"{Fraction(u)} is not p-integral at p={p}")
-    if v:
-        raise ValueError("input is not a unit")
-    return 1 if _is_square_unit(w, p) else -1
-
-
-def is_square(x: Rational, ctx: PrimeContext) -> bool:
-    """True iff x is a square in Q_p^x.  Rejects x = 0."""
-    v, u = _unit_class(x, ctx.p, "is_square is undefined at 0")
-    return v % 2 == 0 and _is_square_unit(u, ctx.p)
-
-
-def hilbert_symbol(a: Rational, b: Rational, ctx: PrimeContext) -> int:
-    """Local Hilbert symbol: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution.
-
-    The symbol depends only on the square classes of a and b, read as
-    p^alpha·u and p^beta·v (Serre, ch. III)."""
-    p = ctx.p
-    alpha, u = _unit_class(a, p, "Hilbert symbol needs nonzero arguments")
-    beta, v = _unit_class(b, p, "Hilbert symbol needs nonzero arguments")
-    alpha, beta = alpha % 2, beta % 2
-    if p == 2:
-        um, vm = u % 8, v % 8
-        eps_u, eps_v = (um - 1) // 2 % 2, (vm - 1) // 2 % 2
-        om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
-        exp = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if exp % 2 else 1
-    half = (p - 1) // 2
-    sign = 1
-    if alpha and beta and half % 2:  # (-1 / p) = -1 iff p = 3 mod 4
-        sign = -sign
-    if beta and pow(u, half, p) != 1:
-        sign = -sign
-    if alpha and pow(v, half, p) != 1:
-        sign = -sign
-    return sign
-
-
 # Q_p^x / Q_p^x² is a vector space over F_2, of dimension 3 at p = 2 and 2 at
 # odd p, and the Hilbert symbol is a symmetric bilinear form on it (Serre,
 # ch. III, Thm 1-2).  ``_class_bits`` gives the coordinates of p^v·u: bit 0 is
@@ -203,6 +138,18 @@ def _class_bits(x: int, p: int) -> int:
         return (pow(x, p >> 1, p) != 1) << 1
     v = _int_valuation(x, p)
     return v & 1 | (pow(x // p**v, p >> 1, p) != 1) << 1
+
+
+def _class_int(x: Rational, at_zero: str) -> int:
+    """An int of the square class of x, for ``_class_bits``: an int as it is, a
+    Fraction as numerator·denominator, x times its denominator squared (Serre,
+    ch. III).  x = 0 raises ValueError(at_zero)."""
+    if type(x) is not int:
+        x = Fraction(x)
+        x = x.numerator * x.denominator
+    if not x:
+        raise ValueError(at_zero)
+    return x
 
 
 def _hilbert_bits(a: int, b: int, p: int) -> int:
@@ -230,6 +177,32 @@ def _hilbert_form(p: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return _HILBERT_FORMS[p & 3]
 
 
+def legendre(u: Rational, ctx: PrimeContext) -> int:
+    """Legendre symbol of a p-adic unit, p odd."""
+    p = ctx.p
+    if p == 2:
+        raise ValueError("Legendre symbol needs p odd")
+    x = _class_int(u, "input is not a unit")
+    if x % p == 0:
+        if valuation(u, ctx) < 0:
+            raise ValueError(f"{Fraction(u)} is not p-integral at p={p}")
+        raise ValueError("input is not a unit")
+    return -1 if _class_bits(x, p) else 1
+
+
+def is_square(x: Rational, ctx: PrimeContext) -> bool:
+    """True iff x is a square in Q_p^x, its class 0.  Rejects x = 0."""
+    return not _class_bits(_class_int(x, "is_square is undefined at 0"), ctx.p)
+
+
+def hilbert_symbol(a: Rational, b: Rational, ctx: PrimeContext) -> int:
+    """Local Hilbert symbol: +1 iff z^2 = a x^2 + b y^2 has a nonzero solution;
+    the bilinear form of ``_hilbert_form`` on the square classes of a and b."""
+    p, at_zero = ctx.p, "Hilbert symbol needs nonzero arguments"
+    a, b = _class_bits(_class_int(a, at_zero), p), _class_bits(_class_int(b, at_zero), p)
+    return 1 - 2 * _hilbert_form(p)[0][a][b]
+
+
 @dataclass(frozen=True)
 class QuadExtKind:
     """Shape of F(sqrt(xi))/F: split, inert (unramified quadratic) or ramified;
@@ -251,11 +224,12 @@ def _disc_ideal_ord(v: int, u: int, p: int) -> int:
 
 
 def quad_ext(xi: Rational, ctx: PrimeContext) -> QuadExtKind:
-    """Classify the quadratic algebra Q_p(sqrt(xi)) and its discriminant order."""
-    v, u = _unit_class(xi, ctx.p, "quad_ext is undefined at 0")
-    if v % 2 == 0 and _is_square_unit(u, ctx.p):
+    """Classify the quadratic algebra Q_p(sqrt(xi)) and its discriminant order:
+    split on the class 0, else the order read off the class's bits 0 and 1."""
+    c = _class_bits(_class_int(xi, "quad_ext is undefined at 0"), ctx.p)
+    if not c:
         return QuadExtKind(SPLIT, 0)
-    d = _disc_ideal_ord(v, u, ctx.p)
+    d = _disc_ideal_ord(c & 1, c & 2 | 1, ctx.p)
     return QuadExtKind(RAMIFIED if d else INERT, d)
 
 

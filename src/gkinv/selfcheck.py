@@ -160,8 +160,8 @@ def padic_suite(trials: int = 300, seed: int = 0) -> list[CheckResult]:
         for a in reps:
             for b in reps:
                 if hilbert_symbol(a, b, ctx) != hilbert_brute(a, b, ctx):
-                    fails.append(f"closed form vs brute p={ctx.p} {a},{b}")
-    out.append(_result("hilbert closed form equals brute table", fails))
+                    fails.append(f"symbol vs brute p={ctx.p} {a},{b}")
+    out.append(_result("hilbert symbol equals brute table", fails))
     return out
 
 

@@ -5,11 +5,13 @@ det B came from a separate ``linalg.det``.  Its step is the one it took
 then, ``linalg.eliminate`` with row scales, kept as
 ``test_kernel.parent_eliminate``.  The library's ``eta`` and
 ``leading_signs`` read one pivot chain (``linalg.pivot_chain``), the form's
-cached one for ``eta``; the tests compare their values with these."""
+cached one for ``eta``; the tests compare their values with these.  The
+scalars are read by the parent's readers in ``parent_padic``."""
 
 from gkinv import linalg
 from gkinv.forms import FormError, HalfIntegralForm
-from gkinv.padic import _unit_class, hilbert_symbol, xi_code, zpow
+from gkinv.padic import zpow
+from parent_padic import _unit_class, hilbert_symbol, xi_code
 from test_kernel import parent_eliminate
 
 
@@ -23,7 +25,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
     piv_k / den^(k+1), prod over i < j of (d_i, d_j) = prod over j >= 1 of
     (P_{j-1}, -P_j): one running product of symbols, up to the last end in
     ``signed``, gives every eta.  Each P_k below that end is read once, by
-    ``padic._unit_class`` on the integer piv_k·den^((k+1) mod 2) of its square
+    ``parent_padic._unit_class`` on the integer piv_k·den^((k+1) mod 2) of its square
     class, into the small representative p^(v mod 2)·(u mod 8p), on which the
     symbols are taken (a symbol reads only v mod 2 and u mod 8 or mod p)."""
     size, last, den, ctx = max(ends, default=0), max(signed, default=0), form.den, form.ctx

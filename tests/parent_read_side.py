@@ -6,12 +6,14 @@ order of every off-diagonal entry.  The library's routines read small
 integers of each square class and test the lattice bounds by divisibility;
 the tests compare their values and verdicts with these.  ``_leading_etas``
 takes the step it took then, ``linalg.eliminate`` with row scales, kept as
-``test_kernel.parent_eliminate``."""
+``test_kernel.parent_eliminate``; its Hilbert symbols and quadratic
+extensions are the parent's closed forms in ``parent_padic``."""
 
 from gkinv import linalg
 from gkinv.forms import FormError, HalfIntegralForm, signed_disc
 from gkinv.involutions import GKType
-from gkinv.padic import INF, _disc_ideal_ord, hilbert_symbol, quad_ext, valuation, xi_code, zpow
+from gkinv.padic import INF, _disc_ideal_ord, valuation, zpow
+from parent_padic import hilbert_symbol, quad_ext, xi_code
 from test_kernel import parent_eliminate
 
 

@@ -1,11 +1,14 @@
 """Hilbert symbols read off square-class bits.  ``padic._class_bits`` reads
 the square class of a non-zero int into its coordinates over F_2, and the
 table of ``padic._hilbert_form`` holds the symbol as the bilinear form on two
-such coordinates.  The table's symbol equals ``hilbert_symbol`` on every pair
-of square-class representatives and on random non-zero ints, negative ones
-and multiples of p and p^2 among them; and ``eta``, ``leading_signs`` and
-``egk_of``, which read it, equal the references in ``parent_chain`` and
-``parent_read_side`` on a slice of each of the four bench pools."""
+such coordinates; ``hilbert_symbol`` is one lookup in it.  The table's symbol
+and ``hilbert_symbol`` equal the parent's closed form (``parent_padic``) on
+every pair of square-class representatives and on random non-zero ints,
+negative ones and multiples of p and p^2 among them, and equal
+``oracle.hilbert_brute`` on every pair of representatives at p = 2, 3, 5 and
+7; and ``eta``, ``leading_signs`` and ``egk_of``, which read it, equal the
+references in ``parent_chain`` and ``parent_read_side`` on a slice of each of
+the four bench pools."""
 
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import random
 from itertools import islice
 
 import parent_chain
+import parent_padic
 import parent_read_side
 import pytest
 
@@ -20,6 +24,7 @@ from gkinv import invariants
 from gkinv.egk import EGKDatum
 from gkinv.forms import FormError
 from gkinv.involutions import blocks
+from gkinv.oracle import hilbert_brute
 from gkinv.padic import (
     PrimeContext,
     _class_bits,
@@ -45,8 +50,10 @@ def bit_symbol(a: int, b: int, p: int) -> int:
 @pytest.mark.parametrize("p", PRIMES)
 def test_the_bit_symbol_is_hilbert_symbol_on_class_representatives(p):
     """The representatives have distinct coordinates, one per class, so the
-    table is checked on every pair of classes; the class of -1 is the one
-    ``_hilbert_form`` gives."""
+    table is checked on every pair of classes against the parent's closed
+    form, and at p <= 7 against the residue search of
+    ``oracle.hilbert_brute``, which shares no code with either; the class of
+    -1 is the one ``_hilbert_form`` gives."""
     ctx = PrimeContext(p)
     reps = [int(r) for r in square_class_reps(ctx)]
     assert len({_class_bits(r, p) for r in reps}) == len(reps) == (8 if p == 2 else 4)
@@ -54,16 +61,18 @@ def test_the_bit_symbol_is_hilbert_symbol_on_class_representatives(p):
     assert minus == _class_bits(-1, p)
     for a in reps:
         for b in reps:
-            want = hilbert_symbol(a, b, ctx)
-            assert bit_symbol(a, b, p) == want, (a, b)
+            want = parent_padic.hilbert_symbol(a, b, ctx)
+            assert bit_symbol(a, b, p) == want == hilbert_symbol(a, b, ctx), (a, b)
             assert 1 - 2 * _hilbert_bits(_class_bits(a, p), _class_bits(b, p), p) == want
+            assert p > 7 or want == hilbert_brute(a, b, ctx), (a, b)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_the_bit_symbol_is_hilbert_symbol_on_random_ints(p):
     """Random non-zero ints of up to 30 digits, of either sign, times p^0 to
-    p^3; the coordinates of a product are the sum of the factors'
-    coordinates, which ``_leading_etas`` uses for the class of -P."""
+    p^3, against the parent's closed form; the coordinates of a product are
+    the sum of the factors' coordinates, which ``_leading_etas`` uses for the
+    class of -P."""
     ctx, rng = PrimeContext(p), random.Random(f"class bits {p}")
     xs = [
         rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randrange(1, 30)) * p ** rng.randrange(4)
@@ -72,7 +81,8 @@ def test_the_bit_symbol_is_hilbert_symbol_on_random_ints(p):
     assert any(x % p for x in xs) and any(x % (p * p) == 0 for x in xs)
     for a in xs:
         for b in xs:
-            assert bit_symbol(a, b, p) == hilbert_symbol(a, b, ctx), (a, b)
+            want = parent_padic.hilbert_symbol(a, b, ctx)
+            assert bit_symbol(a, b, p) == want == hilbert_symbol(a, b, ctx), (a, b)
             assert _class_bits(a * b, p) == _class_bits(a, p) ^ _class_bits(b, p)
 
 

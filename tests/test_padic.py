@@ -5,8 +5,9 @@ import pytest
 
 from gkinv.oracle import hilbert_brute
 from gkinv.padic import (
+    _class_bits,
+    _class_int,
     _int_valuation,
-    _unit_class,
     INERT,
     INF,
     MAX_PRIME,
@@ -111,11 +112,20 @@ def unit_class_by_order(x, p, at_zero):
     return v, x // p**v
 
 
+def bits_of(v, u, p):
+    """The coordinates of p^v·u by the closed forms: v mod 2, then eps(u) and
+    omega(u) at p = 2, or u's Legendre bit at odd p."""
+    if p == 2:
+        return v % 2 | (u - 1) // 2 % 2 << 1 | (u * u - 1) // 8 % 2 << 2
+    return v % 2 | (pow(u, (p - 1) // 2, p) != 1) << 1
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_unit_class_matches_the_order_path(p):
-    """An int prime to p is its own class, (0, x), with no order taken; on
-    random ints of both signs, multiples of p and of powers of p, big ones
-    and Fractions, the class equals the old path's, and 0 raises."""
+    """The one square-class reader, ``_class_bits`` on ``_class_int``: on
+    random ints of both signs, ints prime to p among them, multiples of p and
+    of powers of p, big ones and Fractions, the class equals the closed-form
+    bits of the order path's (v, u), and 0 raises the caller's message."""
     rng = random.Random(f"padic/unit-class/{p}")
     values = [1, -1, p, -p, p * p - 1, 1 - p]
     for _ in range(2000):
@@ -123,12 +133,13 @@ def test_unit_class_matches_the_order_path(p):
         values.append(x if rng.random() < 0.5 else -x)
     values += [Fraction(x, rng.randint(1, 50) * p ** rng.randint(0, 3)) for x in values[:200]]
     for x in values:
-        assert _unit_class(x, p, "zero") == unit_class_by_order(x, p, "zero"), (p, x)
+        want = bits_of(*unit_class_by_order(x, p, "zero"), p)
+        assert _class_bits(_class_int(x, "zero"), p) == want, (p, x)
     assert sum(type(x) is int and x % p != 0 for x in values) > 300
     assert sum(type(x) is int and x % p == 0 for x in values) > 500
     for zero in (0, Fraction(0)):
         with pytest.raises(ValueError, match="^zero$"):
-            _unit_class(zero, p, "zero")
+            _class_int(zero, "zero")
 
 
 # the largest prime below MAX_PRIME
