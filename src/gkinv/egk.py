@@ -205,8 +205,6 @@ def random_egk(
         if not ok:
             continue
         g = EGKDatum(tuple(sizes), tuple(exps), tuple(zeta))
-        if not validate_egk(g)[0]:
-            continue
         if parity == "odd_total":
             if g.n % 2 or sum(m * k for m, k in zip(g.exps, g.sizes)) % 2 == 0:
                 continue
@@ -321,8 +319,6 @@ def _complete_pair(r00: int, a0: int, a1: int, target_xi: int, ctx: PrimeContext
         r01 = w << g
         for r11 in corners:
             pair = _from_rows([[r00, r01], [r01, r11]], 2, ctx)
-            if not pair.nondegenerate:
-                continue
             if binary_gk(pair) == (a0, a1) and xi(pair) == target_xi:
                 return r01, r11
     raise EGKError("no pair completion found")

@@ -1,14 +1,16 @@
 """Block structure of exponent sequences, admissible involutions, GK types.
 
 An involution pairs coordinates of a non-decreasing exponent sequence.
-Admissibility constrains the pairing: at most two fixed points with
-exponents of opposite parity, per-block multiplicity bounds, and a
-min/max matching rule for cross-block pairs (which always join exponents
-of equal parity).  Within each equivalence class under block-preserving
-relabelling there is a unique standard representative.  Both verdicts,
-admissible and standard, depend on (exps, sigma) alone and are computed
-once per distinct pair (``_type_verdict``), since a batch of certificates
-repeats its GK types.
+Admissibility is the paper's three conditions: (i) at most two fixed points,
+of opposite parity, each maximal among fixed-or-raised exponents of its
+parity; (ii) per block, at most one raised and one lowered-or-fixed index;
+(iii) a lowered index pairs with the least raised exponent of its parity
+above it, a raised one with the greatest lowered one below it.  Within each
+equivalence class under block-preserving relabelling there is a unique
+standard representative.  Both verdicts, admissible and standard, depend on
+(exps, sigma) alone and are computed once per distinct pair
+(``_type_verdict``, which skips the parts of (i) and (iii) that the rest
+implies), since a batch of certificates repeats its GK types.
 """
 
 from __future__ import annotations
@@ -86,12 +88,8 @@ def _type_verdict(exps: tuple[int, ...], sigma: Involution) -> int:
         raise ValueError("exponent sequence must be non-decreasing")
     fixed, plus, minus = _partition(exps, sigma)
 
-    # (i) at most two fixed points, of distinct exponent parity, each maximal
-    # among fixed-or-raised exponents of its parity
-    if len(fixed) > 2:
-        return _NOT_ADMISSIBLE
-    if len(fixed) == 2 and (exps[fixed[0]] - exps[fixed[1]]) % 2 == 0:
-        return _NOT_ADMISSIBLE
+    # (i) each fixed point is maximal among fixed-or-raised ones of its parity;
+    # two of one parity then share an exponent, which (ii) rejects
     for i in fixed:
         pool = [exps[j] for j in fixed + plus if (exps[j] - exps[i]) % 2 == 0]
         if exps[i] != max(pool):
@@ -103,16 +101,12 @@ def _type_verdict(exps: tuple[int, ...], sigma: Involution) -> int:
         if len({exps[i] for i in side}) < len(side):
             return _NOT_ADMISSIBLE
 
-    # (iii) cross-block pairs join nearest exponents of equal parity
+    # (iii) each lowered index pairs with the least raised exponent of its parity
+    # above it; with (ii), each raised one then has the greatest lowered below it
     for i in minus:
         cands = [exps[j] for j in plus
                  if exps[j] > exps[i] and (exps[j] - exps[i]) % 2 == 0]
         if not cands or exps[sigma[i]] != min(cands):
-            return _NOT_ADMISSIBLE
-    for i in plus:
-        cands = [exps[j] for j in minus
-                 if exps[j] < exps[i] and (exps[j] - exps[i]) % 2 == 0]
-        if not cands or exps[sigma[i]] != max(cands):
             return _NOT_ADMISSIBLE
 
     # the standard layout: lowered or fixed indices last in their block, raised

@@ -216,17 +216,17 @@ def scale(m: Rows, idx, c) -> None:
             row[i] *= c
 
 
-def pivot(m: Rows, k: int, ok, end: int | None = None) -> bool:
+def pivot(m: Rows, k: int, ok) -> bool:
     """Bring an entry that ``ok`` accepts to the diagonal at k, by congruences
-    on the coordinates from k to ``end`` (n by default): m[k][k] stays if
-    ``ok`` accepts it, else the first later diagonal entry it accepts moves to
-    k, else the shear e_i += e_j by the first (i, j), k <= i < j, row-major,
-    with ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j], i moves to k;
-    on [M | t(U)] the move and the shear carry t(U) along.  Returns False,
-    with m untouched, when ``ok`` accepts no entry."""
+    on the coordinates from k on: m[k][k] stays if ``ok`` accepts it, else the
+    first later diagonal entry it accepts moves to k, else the shear
+    e_i += e_j by the first (i, j), k <= i < j, row-major, with
+    ``ok(m[i][j])``, exposes m[i][i] + 2 m[i][j] + m[j][j], i moves to k; on
+    [M | t(U)] the move and the shear carry t(U) along.  Returns False, with
+    m untouched, when ``ok`` accepts no entry."""
     if ok(m[k][k]):
         return True
-    n = end or len(m)
+    n = len(m)
     t = next((t for t in range(k + 1, n) if ok(m[t][t])), None)
     if t is None:
         pairs = ((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))

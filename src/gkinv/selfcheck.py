@@ -241,13 +241,13 @@ def _enumerate_s(form: HalfIntegralForm, cap: int):
 
 # ---------------------------------------------------------------- involutions
 
-def involution_suite(max_n: int = 6, max_val: int = 3) -> list[CheckResult]:
+def involution_suite() -> list[CheckResult]:
     out: list[CheckResult] = []
     fails = []
     census_fails = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         invs = all_involutions(n)
-        for exps in combinations_with_replacement(range(max_val + 1), n):
+        for exps in combinations_with_replacement(range(4), n):
             stds = standard_involutions(exps)
             if len(stds) != 2 ** choice_block_count(exps):
                 fails.append(f"count {exps}")
@@ -272,7 +272,7 @@ def involution_suite(max_n: int = 6, max_val: int = 3) -> list[CheckResult]:
     out.append(_result("admissible census matches standard list", census_fails))
 
     fails = []
-    for n in range(2, max_n + 1):
+    for n in range(2, 7):
         for exps in combinations_with_replacement(range(3), n):
             for s in standard_involutions(exps):
                 for k in range(1, n):
@@ -349,7 +349,7 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials):
-        g = random_egk(rng, max_r=2, max_m=3, max_n=4)
+        g = random_egk(rng, 2, 3, 4)
         exps = g.expand_exps()
         for sigma in standard_involutions(exps):
             if any(sigma[i] == i for i in range(len(exps))):
@@ -363,7 +363,7 @@ def reducer_suite(trials: int = 60, seed: int = 3) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials):
-        g = random_egk(rng, max_r=3, max_m=3, max_n=5)
+        g = random_egk(rng, 3, 3, 5)
         b = synthesize_reduced(g, ctx2)
         cert = reduce_form(b)  # source already optimal
         # U = y·diag(c)^-1 with every c_j odd has the orders and det class of y
@@ -474,7 +474,7 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials // 2):
-        g = random_egk(rng, max_r=3, max_m=4, max_n=6, parity="odd_total")
+        g = random_egk(rng, 3, 4, 6, parity="odd_total")
         exps = g.expand_exps()
         for sigma in standard_involutions(exps):
             b = synthesize_reduced(g, ctx2, sigma)
@@ -484,7 +484,7 @@ def invariant_suite(trials: int = 80, seed: int = 4) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials // 2):
-        g = random_egk(rng, max_r=3, max_m=3, max_n=5)
+        g = random_egk(rng, 3, 3, 5)
         exps = g.expand_exps()
         sigma = rng.choice(standard_involutions(exps))
         gk_type = GKType(exps, sigma)
@@ -551,7 +551,7 @@ def egk_suite(trials: int = 80, seed: int = 5) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials):
-        g = random_egk(rng, max_r=3, max_m=4, max_n=6)
+        g = random_egk(rng, 3, 4, 6)
         h = lift(g)
         t = synthesize_nondyadic(h, ctx3)
         if naive_datum_of_diagonal(t) != h:
@@ -560,14 +560,14 @@ def egk_suite(trials: int = 80, seed: int = 5) -> list[CheckResult]:
 
     fails = []
     for _ in range(trials):
-        g = random_egk(rng, max_r=3, max_m=4, max_n=6)
+        g = random_egk(rng, 3, 4, 6)
         if egk_of(synthesize_reduced(g, ctx2)) != g:
             fails.append(f"dyadic round trip {g}")
     out.append(_result("dyadic synthesis round trip", fails))
 
     fails = []
     for _ in range(trials):
-        g = random_egk(rng, max_r=2, max_m=3, max_n=5)
+        g = random_egk(rng, 2, 3, 5)
         exps = g.expand_exps()
         sigma = standard_involution(exps)
         b = synthesize_reduced(g, ctx2, sigma)

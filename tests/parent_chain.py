@@ -8,17 +8,17 @@ then, ``linalg.eliminate`` with row scales, kept as
 cached one for ``eta``; the tests compare their values with these.  The
 scalars are read by the parent's readers in ``parent_padic``."""
 
-from gkinv import linalg
 from gkinv.forms import FormError, HalfIntegralForm
 from gkinv.padic import zpow
 from parent_padic import _unit_class, hilbert_symbol, xi_code
+from parent_steps import bounded_pivot
 from test_kernel import parent_eliminate
 
 
 def _leading_etas(form: HalfIntegralForm, ends, signed):
     """(eta, piv) for the leading block of each size in ``ends``, ascending, eta None
     at an end not in ``signed``, from one field diagonalization: lazily scaled
-    ``linalg.eliminate`` steps on den·B, each after ``linalg.pivot`` put a non-zero
+    ``linalg.eliminate`` steps on den·B, each after ``bounded_pivot`` put a non-zero
     entry of the block that ends next on the diagonal, so pivot k is a leading
     (k+1)-minor of den·B and piv = den^end·det; a block with no such entry left is
     degenerate, and raises ``FormError("degenerate form")``.  With P_k = d_0⋯d_k =
@@ -40,7 +40,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
                 if base[i] != prev:
                     a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
                     base[i] = prev
-            if not linalg.pivot(a, k, bool, end=end):
+            if not bounded_pivot(a, k, bool, end):
                 raise FormError("degenerate form")
             parent_eliminate(a, k, prev, base=base)
             prev = a[k][k]

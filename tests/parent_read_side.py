@@ -9,11 +9,11 @@ takes the step it took then, ``linalg.eliminate`` with row scales, kept as
 ``test_kernel.parent_eliminate``; its Hilbert symbols and quadratic
 extensions are the parent's closed forms in ``parent_padic``."""
 
-from gkinv import linalg
 from gkinv.forms import FormError, HalfIntegralForm, signed_disc
 from gkinv.involutions import GKType
 from gkinv.padic import INF, _disc_ideal_ord, valuation, zpow
 from parent_padic import hilbert_symbol, quad_ext, xi_code
+from parent_steps import bounded_pivot
 from test_kernel import parent_eliminate
 
 
@@ -40,7 +40,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
     """(eta, piv) for the leading block of each size in ``ends``, ascending and
     each non-degenerate, eta None at an end not in ``signed``, from one field
     diagonalization: lazily scaled ``linalg.eliminate`` steps on den·B, each
-    after ``linalg.pivot`` put a non-zero entry of the block that ends next on
+    after ``bounded_pivot`` put a non-zero entry of the block that ends next on
     the diagonal, so pivot k is a leading (k+1)-minor of den·B and
     piv = den^end·det.  With P_k = d_0⋯d_k = piv_k / den^(k+1), prod over
     i < j of (d_i, d_j) = prod over j >= 1 of (P_{j-1}, -P_j): one running
@@ -57,7 +57,7 @@ def _leading_etas(form: HalfIntegralForm, ends, signed):
                 if base[i] != prev:
                     a[i][k:] = [x * prev // base[i] for x in a[i][k:]]
                     base[i] = prev
-            linalg.pivot(a, k, bool, end=end)
+            bounded_pivot(a, k, bool, end)
             parent_eliminate(a, k, prev, base=base)
             prev = a[k][k]
             q = prev * den if k % 2 == 0 else prev

@@ -5,7 +5,11 @@ The library's steps take no U: the reducers run them on the rows [M | t(U)],
 where the row update covers t(U).  ``move``, ``shear``, ``scale`` and
 ``pivot`` here update a separate U by U <- U E, so the tests can compare the
 library's right half, transposed, with the U that these steps carry.
-``clear_matrix`` is the dyadic clear that passed that U to them."""
+``clear_matrix`` is the dyadic clear that passed that U to them.
+``bounded_pivot`` is the library's ``pivot`` as it was when it took an
+``end``, the rule that the sign readers of ``parent_chain`` and
+``parent_read_side`` ran, so that those references do not read the kernel
+that they check."""
 
 from gkinv import linalg
 
@@ -55,6 +59,15 @@ def pivot(m: Rows, k: int, ok, u: Rows | None = None, end: int | None = None) ->
         t, j = next((i, j) for i in range(k, n) for j in range(i + 1, n) if ok(m[i][j]))
         shear(m, j, t, 1, u)
     move(m, t, k, u)
+
+
+def bounded_pivot(m: Rows, k: int, ok, end: int) -> bool:
+    """``pivot`` on the coordinates from k to ``end``, carrying no U; returns
+    False, with m untouched, when ``ok`` accepts no entry there."""
+    if not any(ok(m[i][j]) for i in range(k, end) for j in range(i, end)):
+        return False
+    pivot(m, k, ok, end=end)
+    return True
 
 
 def clear_matrix(m: Rows, u: Rows, exps, sigma) -> int | None:

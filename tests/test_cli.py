@@ -341,11 +341,15 @@ def test_rand_rejects_negative_sizes(capsys):
         }
 
 
-@pytest.mark.parametrize("p", ["4", "1", "0", "-3", str(MAX_PRIME)])
+@pytest.mark.parametrize(
+    "p", ["4", "1", "0", "-3", str(MAX_PRIME), "1849", "2021", "3215031751"]
+)
 def test_rand_refuses_a_bad_prime_in_the_parser(p, tmp_path, capsys):
     """--p is read into a PrimeContext by the parser: a p that is no prime
     below MAX_PRIME exits 1 with one ``bad_prime`` document and nothing on
-    stderr, the document a form payload with that p gives."""
+    stderr, the document a form payload with that p gives.  The last three
+    are composites that only the Miller-Rabin rounds reject: 43^2, 43·47
+    and a strong pseudoprime to the bases 2, 3, 5 and 7."""
     code = main(["rand", "--n", "2", "--p", p])
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")

@@ -262,8 +262,12 @@ def test_square_class_reps_distinct(ctx):
 
 
 def test_prime_context_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeContext(6)
+    """6, and composites with no factor up to 41 that only the Miller-Rabin
+    rounds after the trial division reject: 43^2, 43·47 and 151·751·28351,
+    a strong pseudoprime to the bases 2, 3, 5 and 7."""
+    for p in (6, 43 * 43, 43 * 47, 151 * 751 * 28351):
+        with pytest.raises(ValueError, match="p must be prime"):
+            PrimeContext(p)
     assert PrimeContext(2).e == 1
     assert PrimeContext(7).e == 0
 

@@ -3,13 +3,14 @@ per distinct (exps, sigma): ``verify_certificate``'s (ok, reason) equals the
 parent's in ``parent_verify`` on every item of the ``verify_invariants`` pool,
 genuine and tampered, on one targeted tamper per rejection reason, and with
 list-typed exps and sigma; and ``is_admissible`` and ``is_standard`` equal
-the parent's uncached verdicts on every involution of random exponent
-sequences at n <= 6, on a cold cache and on a warm one."""
+the parent's uncached verdicts on every involution of every exponent
+sequence with entries <= 5 at n <= 6 and <= 4 at n = 7, on a cold cache and
+on a warm one."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import parent_verify as parent
 import pytest
@@ -133,17 +134,15 @@ def test_an_admissible_layout_that_is_not_standard_as_parent():
 
 
 def test_cached_verdicts_equal_the_uncached_ones():
-    """Every involution of n <= 6 points against random non-decreasing
-    exponent sequences, as tuples and as lists: the cached verdicts equal
-    the parent's and ``_type_verdict``'s own uncached body, on a cold cache
-    and on a warm one."""
-    rng = random.Random("type cache")
+    """Every involution of n <= 7 points against every non-decreasing
+    exponent sequence with entries <= 5 (<= 4 at n = 7), as tuples and as
+    lists: the cached verdicts equal the parent's and ``_type_verdict``'s own
+    uncached body, on a cold cache and on a warm one."""
     _type_verdict.cache_clear()
     pairs = standard = 0
-    for n in range(7):
+    for n in range(8):
         sigmas = all_involutions(n)
-        for _ in range(40):
-            exps = tuple(sorted(rng.randrange(6) for _ in range(n)))
+        for exps in combinations_with_replacement(range(6 if n < 7 else 5), n):
             for sigma in sigmas:
                 adm, std = parent.is_admissible(exps, sigma), parent.is_standard(exps, sigma)
                 uncached = _type_verdict.__wrapped__(exps, sigma)
@@ -153,7 +152,7 @@ def test_cached_verdicts_equal_the_uncached_ones():
                         assert _type_verdict(exps, sigma) == uncached
                 pairs += 1
                 standard += std
-    assert pairs == 40 * 120 and standard, standard  # 120 involutions of n <= 6 points
+    assert pairs == 119_757 and standard, standard
     info = _type_verdict.cache_info()
     assert info.maxsize == TYPE_CACHE_SIZE and 0 < info.currsize <= TYPE_CACHE_SIZE
 
