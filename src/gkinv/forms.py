@@ -12,7 +12,9 @@ also keeps, on first read, ``pivots``, the pivot chain of one elimination
 of den·B: det B is its last pivot over den^n, and ``invariants.eta`` reads
 the square classes of its pivots, so the two take one elimination.  Every
 routine here reads integer rows; only the entry points ``validate_form``,
-``transform`` and ``in_gk_group`` read a Fraction matrix, scaling it once.  In
+``transform`` and ``in_gk_group`` read a matrix, by ``linalg._scaled``: each
+entry once, an int, a Fraction or anything ``Fraction()`` reads (a string
+included, with the same value and errors), straight into integer rows.  In
 the same instance dict, outside the fields and so outside ==, hash and repr,
 ``reducer.reduce_form`` keeps the certificate it has verified for the form,
 so ``gk`` and ``egk_of`` after ``reduce_form`` on the same object do not
@@ -77,13 +79,17 @@ class HalfIntegralForm:
 def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
     """The form ri / den, for integer rows ri and den > 0, checked on the
     integers.  Only a row that fails a whole-row check is scanned, so errors
-    come in the order (i, i), then (i, j) for j > i, row by row."""
+    come in the order (i, i), then (i, j) for j > i, row by row.  When p does
+    not divide den every entry is p-integral, and one symmetry test on the
+    whole matrix decides the form; the scan then runs only to name the entry."""
     n = len(ri)
     if any(len(row) != n for row in ri):
         raise FormError("matrix is not square")
     ri, den = linalg.lowest(ri, den)
     ri = tuple(map(tuple, ri))
     s = valuation(den, ctx)
+    if not s and ri == tuple(zip(*ri)):
+        return HalfIntegralForm(ctx, ri, den)  # every entry is p-integral
     q = ctx.p**s  # x / den is p-integral iff q | x
     q2 = ctx.p ** max(s - ctx.e, 0)  # 2x / den is p-integral iff q2 | x
     for i, (row, col) in enumerate(zip(ri, zip(*ri))):
@@ -100,15 +106,16 @@ def _from_rows(ri, den: int, ctx: PrimeContext) -> HalfIntegralForm:
 
 def validate_form(rows, ctx: PrimeContext) -> HalfIntegralForm:
     """Check symmetry and half-integrality; record the pivot chain of den·B
-    and the exact determinant, its last pivot over den^n."""
-    form = _from_rows(*linalg._scaled(linalg.mat(rows)), ctx)
+    and the exact determinant, its last pivot over den^n.  Each entry is read
+    once, as ``Fraction()`` reads it, strings included."""
+    form = _from_rows(*linalg._scaled(rows), ctx)
     form.det
     return form
 
 
 def transform(form: HalfIntegralForm, u: Matrix) -> HalfIntegralForm:
     """Exact congruence transform t(U) B U."""
-    ui, du = linalg._scaled(linalg.mat(u))
+    ui, du = linalg._scaled(u)
     if len(ui) != form.n or any(len(row) != form.n for row in ui):
         raise FormError("transform size mismatch")
     return _from_rows(linalg.congruence(form.rows, ui), form.den * du * du, form.ctx)
@@ -218,7 +225,7 @@ def in_gk_group(u: Matrix, exps, ctx: PrimeContext) -> bool:
     non-decreasing exponent sequence: ord(u_ij) >= (a_j - a_i)/2 wherever
     a_i < a_j.  Read on d·U, d the least common denominator: False if p | d,
     and otherwise d is a unit, so d·U has U's orders and det class."""
-    ui, d = linalg._scaled(linalg.mat(u))
+    ui, d = linalg._scaled(u)
     n, exps = len(ui), tuple(exps)
     if len(exps) != n:
         raise FormError("exponent sequence length mismatch")

@@ -2,9 +2,14 @@
 
 A form keeps its matrix as integer rows over one least common denominator, and
 a certificate its U over a least scale per column; every routine below the
-public API reads those integer rows.  ``mat`` and ``_scaled`` read rows of
-Fractions at its four entry points, ``over`` builds them for ``form.entries``,
-and ``lowest`` brings integer rows over a denominator to lowest terms.
+public API reads those integer rows.  ``_scaled`` reads a matrix at its four
+entry points, each entry once, straight into integer rows over the least
+common denominator: an entry may be an int, a Fraction or anything that
+``Fraction()`` reads, a string included, with the same value and errors, and
+no Fraction matrix is built.  ``mat`` reads the same entries into a matrix of
+Fractions for the benchmark and the tests, ``over`` builds one for
+``form.entries``, and ``lowest`` brings integer rows over a denominator to
+lowest terms.
 
 There is one dense routine per job, and each takes and returns integer rows:
 ``congruence`` is t(U) B U, ``det`` is fraction-free (Bareiss) elimination,
@@ -47,9 +52,25 @@ Rows = list[list]
 _ZERO = Fraction(0)
 
 
+def _read(x):
+    """One entry as ``Fraction(x)`` reads it, with the same errors, kept an
+    int or a Fraction: a string is read by ``int()`` first and falls back to
+    ``Fraction(x)``.  A string with an underscore always falls back, as
+    ``Fraction()`` accepts one only from Python 3.11 on."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if type(x) is str and "_" not in x:
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    return Fraction(x)
+
+
 def mat(rows) -> Matrix:
+    """The rows as a matrix of Fractions, each entry read by ``_read``."""
     return tuple(
-        tuple((x if type(x) is Fraction else Fraction(x)) or _ZERO for x in row)
+        tuple((x if type(x) is Fraction else Fraction(x)) if x else _ZERO for x in map(_read, row))
         for row in rows
     )
 
@@ -70,11 +91,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def _scaled(m) -> tuple[list[list[int]], int]:
     """(d·M as integer rows, d) for the least common denominator d of M's
-    entries, which may be Fractions or ints."""
-    d = math.lcm(*{x.denominator for row in m for x in row})
+    entries, each read once by ``_read``: no Fraction matrix is built."""
+    m = [[_read(x).as_integer_ratio() for x in row] for row in m]
+    d = math.lcm(*{b for row in m for _, b in row})
     if d == 1:
-        return [[x.numerator for x in row] for row in m], 1
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+        return [[a for a, _ in row] for row in m], 1
+    return [[a * (d // b) for a, b in row] for row in m], d
 
 
 def congruence(b, u):
@@ -102,7 +124,11 @@ def over(m, d: int) -> Matrix:
 def lowest(m, d: int) -> tuple[list[list[int]], int]:
     """(m / g, d / g) for integer rows m and d > 0, with g the gcd of d and
     every entry of m, so that d becomes the least common denominator of m / d."""
-    g = math.gcd(d, *(math.gcd(*row) for row in m))
+    g = d
+    for row in m:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
     return (m, d) if g == 1 else ([[x // g for x in row] for row in m], d // g)
 
 

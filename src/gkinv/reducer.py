@@ -88,8 +88,9 @@ class ReductionCertificate:
     U = y·diag(c)^-1 is kept as integer rows y over column scales c, each
     column in lowest terms: c_j > 0 is the least common denominator of column
     j.  ``u``, U as a matrix of Fractions, is built on first read.  The
-    constructor takes U as a matrix of ints or Fractions, of any shape (the
-    verifier rejects a wrong one), which may carry p-unit denominators;
+    constructor takes U of any shape (the verifier rejects a wrong one),
+    reading each entry once, as ``Fraction()`` reads it: an int, a Fraction
+    or a string, say; U may carry p-unit denominators;
     ``reduce_form`` builds certificates of integral U with ``_of_rows``."""
 
     y: tuple[tuple[int, ...], ...]
@@ -98,7 +99,7 @@ class ReductionCertificate:
     gk_type: GKType
 
     def __init__(self, u, reduced: HalfIntegralForm, gk_type: GKType):
-        y, d = linalg._scaled(linalg.mat(u))
+        y, d = linalg._scaled(u)
         self._set(y, (d,) * max(map(len, y), default=0), reduced, gk_type)
 
     @classmethod

@@ -76,6 +76,33 @@ FORMS = {
             "egk": {"n": [119, 1], "m": [0, 1], "zeta": [1, 0]},
         },
     ),
+    "random2_30": (
+        "random_form(30, PrimeContext(2), random.Random(30), height=14)",
+        ("random_p2", "30"),
+        "9754d1af8dbdc081",
+        {
+            "reduce": {"bytes": 53011, "ua_sha256": "56029e1b16233d28"},
+            "egk": {"n": [29, 1], "m": [0, 1], "zeta": [1, 0]},
+        },
+    ),
+    "random2_50": (
+        "random_form(50, PrimeContext(2), random.Random(50), height=14)",
+        ("random_p2", "50"),
+        "40c84f007cd1465b",
+        {
+            "reduce": {"bytes": 225999, "ua_sha256": "9c64995b3ba44945"},
+            "egk": {"n": [50], "m": [0], "zeta": [1]},
+        },
+    ),
+    "random2_70": (
+        "random_form(70, PrimeContext(2), random.Random(70), height=14)",
+        ("random_p2", "70"),
+        "ebb5247d48cac094",
+        {
+            "reduce": {"bytes": 601528, "ua_sha256": "e20f3e34c587e858"},
+            "egk": {"n": [70], "m": [0], "zeta": [1]},
+        },
+    ),
     "many3_40": (
         "many-block p = 3 form at n = 40: diag(unit·3^a_i), a_i in 0..6, "
         "scrambled by random_unimodular(40, steps=240)",
@@ -120,10 +147,10 @@ import json, random, sys
 from gkinv.forms import _from_rows, random_form, random_unimodular, transform
 from gkinv.padic import PrimeContext
 
-def random_p3(arg):
+def random_p(p, arg):
     # "n" seeds random.Random(n), "n/k" seeds random.Random("n/k")
     n = int(arg.split("/")[0])
-    return random_form(n, PrimeContext(3), random.Random(arg if "/" in arg else n), height=14)
+    return random_form(n, PrimeContext(p), random.Random(arg if "/" in arg else n), height=14)
 
 def many_block_p3(arg):
     n = int(arg)
@@ -135,7 +162,12 @@ def many_block_p3(arg):
     return transform(_from_rows(diag, 1, ctx), u)
 
 build, arg, path = sys.argv[1:4]
-form = {"random_p3": random_p3, "many_block_p3": many_block_p3}[build](arg)
+builders = {
+    "random_p2": lambda arg: random_p(2, arg),
+    "random_p3": lambda arg: random_p(3, arg),
+    "many_block_p3": many_block_p3,
+}
+form = builders[build](arg)
 json.dump({"p": form.ctx.p, "den": form.den, "rows": form.rows}, open(path, "w"))
 """
 
